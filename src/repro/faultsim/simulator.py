@@ -25,7 +25,7 @@ from repro.errors import SimulationError
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource
 from repro.netlist.evaluate import Evaluator
-from repro.netlist.gates import evaluate_gate
+from repro.netlist.gates import GATE_EVAL
 from repro.netlist.netlist import Netlist
 from repro.results import FaultSimResult  # noqa: F401  (compatibility shim)
 
@@ -60,6 +60,8 @@ class FaultSimulator:
         # Topological position of every gate, for event ordering.
         self._pos: Dict[int, int] = {g: i for i, g in enumerate(self.evaluator.order)}
         self._po_set = list(netlist.primary_outputs)
+        #: Packed evaluation function per gate index.
+        self._gate_eval = [GATE_EVAL[gate.gtype] for gate in netlist.gates]
         #: Gate evaluations performed by fault propagation so far — the
         #: engine's per-shard instrumentation reads deltas of this counter.
         self.events_propagated = 0
@@ -69,6 +71,7 @@ class FaultSimulator:
     def _simulate_fault(self, fault: Fault, good: Dict[int, int], mask: int) -> int:
         """Return the packed detection mask of one fault for one batch."""
         gates = self.netlist.gates
+        gate_eval = self._gate_eval
         delta: Dict[int, int] = {}
         heap: List[Tuple[int, int]] = []
         scheduled = set()
@@ -93,7 +96,7 @@ class FaultSimulator:
                 forced if pin == fault.pin else good[n]
                 for pin, n in enumerate(gate.inputs)
             ]
-            value = evaluate_gate(gate.gtype, inputs, mask)
+            value = gate_eval[faulty_gate](inputs, mask)
             self.events_propagated += 1
             if value == good[gate.output]:
                 return 0
@@ -106,7 +109,7 @@ class FaultSimulator:
                 continue  # its output was computed at injection time
             gate = gates[gate_index]
             inputs = [delta.get(n, good[n]) for n in gate.inputs]
-            value = evaluate_gate(gate.gtype, inputs, mask)
+            value = gate_eval[gate_index](inputs, mask)
             self.events_propagated += 1
             old = delta.get(gate.output, good[gate.output])
             if value != old:

@@ -8,23 +8,29 @@ defaults to 256 patterns per batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.netlist.gates import evaluate_gate
+from repro.netlist.gates import GATE_EVAL, GateEval
 from repro.netlist.levelize import levelize
 
 
 class Evaluator:
     """Reusable packed evaluator bound to one netlist.
 
-    The gate order is computed once at construction; :meth:`run` then
-    evaluates any number of batches.
+    The netlist is compiled once at construction into a flat program, one
+    ``(output net, input nets, gate function)`` step per gate in levelized
+    order; :meth:`run` then walks it for any number of batches.
     """
 
     def __init__(self, netlist):
         self.netlist = netlist
         self.order: List[int] = levelize(netlist)
+        gates = netlist.gates
+        self._program: List[Tuple[int, Sequence[int], GateEval]] = [
+            (gate.output, gate.inputs, GATE_EVAL[gate.gtype])
+            for gate in (gates[index] for index in self.order)
+        ]
 
     def run(
         self,
@@ -59,13 +65,10 @@ class Evaluator:
         if overrides:
             for net, forced in overrides.items():
                 values[net] = forced & mask
-        gates = self.netlist.gates
-        for gate_index in self.order:
-            gate = gates[gate_index]
-            if overrides and gate.output in overrides:
+        for output, inputs, evaluate in self._program:
+            if overrides and output in overrides:
                 continue
-            packed_inputs = [values[n] for n in gate.inputs]
-            values[gate.output] = evaluate_gate(gate.gtype, packed_inputs, mask)
+            values[output] = evaluate([values[n] for n in inputs], mask)
         return values
 
     def outputs(self, values: Dict[int, int]) -> List[int]:
@@ -83,15 +86,36 @@ def pack_patterns(patterns: Sequence[Sequence[int]]) -> List[int]:
     if not patterns:
         return []
     width = len(patterns[0])
-    packed = [0] * width
-    for pattern_index, pattern in enumerate(patterns):
-        if len(pattern) != width:
-            raise SimulationError("ragged pattern batch")
-        bit = 1 << pattern_index
-        for position, value in enumerate(pattern):
-            if value:
-                packed[position] |= bit
-    return packed
+    if any(len(pattern) != width for pattern in patterns):
+        raise SimulationError("ragged pattern batch")
+    return pack_words([pattern_word(pattern) for pattern in patterns], width)
+
+
+def pattern_word(pattern: Sequence[int]) -> int:
+    """One bit-vector as an integer: input ``j`` at bit ``j``, any truthy
+    value counting as 1."""
+    digits = ["1" if value else "0" for value in reversed(pattern)]
+    return int("".join(digits) or "0", 2)
+
+
+def pack_words(words: Sequence[int], width: int) -> List[int]:
+    """Transpose a batch of pattern words into packed columns.
+
+    ``words[i]`` is pattern ``i`` with input ``j`` at bit ``j`` (bits at
+    ``width`` and above are ignored).  Returns ``width`` packed integers,
+    the one for input ``j`` carrying pattern ``i`` at bit ``i`` — the layout
+    of :func:`pack_patterns`.  The transpose runs in C: the words are
+    written out as one binary string, most significant pattern first, and
+    every input's column is read back as a strided slice.
+    """
+    if not width:
+        return []
+    if not words:
+        return [0] * width
+    mask = (1 << width) - 1
+    digits = f"0{width}b"
+    text = "".join([format(word & mask, digits) for word in reversed(words)])
+    return [int(text[width - 1 - position::width], 2) for position in range(width)]
 
 
 def unpack_patterns(packed: Sequence[int], count: int) -> List[List[int]]:

@@ -69,11 +69,25 @@ def _eval_and(inputs: Sequence[int], mask: int) -> int:
     return value
 
 
+def _eval_nand(inputs: Sequence[int], mask: int) -> int:
+    value = mask
+    for v in inputs:
+        value &= v
+    return value ^ mask
+
+
 def _eval_or(inputs: Sequence[int], mask: int) -> int:
     value = 0
     for v in inputs:
         value |= v
     return value
+
+
+def _eval_nor(inputs: Sequence[int], mask: int) -> int:
+    value = 0
+    for v in inputs:
+        value |= v
+    return value ^ mask
 
 
 def _eval_xor(inputs: Sequence[int], mask: int) -> int:
@@ -83,8 +97,19 @@ def _eval_xor(inputs: Sequence[int], mask: int) -> int:
     return value
 
 
+def _eval_xnor(inputs: Sequence[int], mask: int) -> int:
+    value = mask
+    for v in inputs:
+        value ^= v
+    return value
+
+
 def _eval_buf(inputs: Sequence[int], mask: int) -> int:
     return inputs[0]
+
+
+def _eval_not(inputs: Sequence[int], mask: int) -> int:
+    return inputs[0] ^ mask
 
 
 def _eval_const0(inputs: Sequence[int], mask: int) -> int:
@@ -95,10 +120,20 @@ def _eval_const1(inputs: Sequence[int], mask: int) -> int:
     return mask
 
 
-_BASE_EVAL: Dict[GateType, Callable[[Sequence[int], int], int]] = {
+#: A packed gate function: ``(input values, mask) -> output value``.
+GateEval = Callable[[Sequence[int], int], int]
+
+#: Packed evaluation function of every gate type, inversion included.
+#: Callers that evaluate one netlist many times look the function up once
+#: per gate (see :class:`repro.netlist.evaluate.Evaluator`).
+GATE_EVAL: Dict[GateType, GateEval] = {
     GateType.AND: _eval_and,
+    GateType.NAND: _eval_nand,
     GateType.OR: _eval_or,
+    GateType.NOR: _eval_nor,
     GateType.XOR: _eval_xor,
+    GateType.XNOR: _eval_xnor,
+    GateType.NOT: _eval_not,
     GateType.BUF: _eval_buf,
     GateType.CONST0: _eval_const0,
     GateType.CONST1: _eval_const1,
@@ -122,11 +157,7 @@ def evaluate_gate(gate_type: GateType, inputs: Sequence[int], mask: int) -> int:
     int
         The packed output value.
     """
-    base = gate_type.base
-    value = _BASE_EVAL[base](inputs, mask)
-    if gate_type.is_inverting:
-        value ^= mask
-    return value
+    return GATE_EVAL[gate_type](inputs, mask)
 
 
 # Controlling value per base type: the input value that alone determines the

@@ -2,8 +2,8 @@
 
 One :class:`BistService` owns the whole runtime: an HTTP front end
 (:mod:`repro.serve.http`), a quota-aware :class:`~repro.serve.jobs.
-JobQueue`, N worker tasks driving :func:`repro.engine.simulate` in a
-thread pool, and a :class:`~repro.serve.cache.ResultCache` keyed by the
+JobQueue`, N worker tasks driving :func:`repro.engine.simulate` on their
+own N-thread pool, and a :class:`~repro.serve.cache.ResultCache` keyed by the
 checkpoint run key.  The service is a thin orchestration shell by design:
 simulation semantics, governance, journaling and serialization all come
 from the existing layers (``engine`` / ``guard`` / ``checkpoint`` /
@@ -30,6 +30,7 @@ import functools
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -195,17 +196,22 @@ class BistService:
                 # Non-main thread (or an exotic loop): the token still
                 # works when tripped in code via begin_drain().
                 pass
-        workers = [asyncio.ensure_future(self._worker_loop())
-                   for _ in range(self.n_workers)]
-        if announce is not None:
-            announce(f"serving on http://{host}:{self.port}")
-        if ready is not None:
-            ready.set()
-        await self._drain_event.wait()
-        if announce is not None:
-            announce(f"draining: {self.cancel.reason}")
-        await self.queue.close()
-        await asyncio.gather(*workers)
+        # Engine runs get threads of their own, one per worker task, so a
+        # job never hops between the default executor's threads, which
+        # serve submissions.
+        with ThreadPoolExecutor(max_workers=self.n_workers,
+                                thread_name_prefix="serve-engine") as engine_pool:
+            workers = [asyncio.ensure_future(self._worker_loop(engine_pool))
+                       for _ in range(self.n_workers)]
+            if announce is not None:
+                announce(f"serving on http://{host}:{self.port}")
+            if ready is not None:
+                ready.set()
+            await self._drain_event.wait()
+            if announce is not None:
+                announce(f"draining: {self.cancel.reason}")
+            await self.queue.close()
+            await asyncio.gather(*workers)
         # In-flight work has stopped; keep answering status/result queries
         # for the grace window so clients can collect partial results.
         await asyncio.sleep(self.drain_grace)
@@ -217,7 +223,7 @@ class BistService:
 
     # -------------------------------------------------------------- workers
 
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, engine_pool: ThreadPoolExecutor) -> None:
         loop = asyncio.get_running_loop()
         while True:
             job = await self.queue.acquire()
@@ -225,7 +231,7 @@ class BistService:
                 return
             try:
                 payload = await loop.run_in_executor(
-                    None, self._execute, job)
+                    engine_pool, self._execute, job)
                 job.result = payload
                 job.state = STATE_DONE
                 job.finished_at = time.time()
@@ -297,7 +303,7 @@ class BistService:
             telemetry.count("serve.journal_evictions")
 
     def _execute(self, job: Job) -> Dict[str, Any]:
-        """Run one job's engine call (thread pool; blocking is fine here)."""
+        """Run one job's engine call (engine pool; blocking is fine here)."""
         from repro.engine import simulate
 
         netlist, faults, source, config, budget = job.work

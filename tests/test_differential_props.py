@@ -68,18 +68,23 @@ def _reference_evaluate(
     netlist: Netlist,
     assignment: Dict[int, int],
     fault: Optional[Fault] = None,
+    forced: Optional[Dict[int, int]] = None,
 ) -> Dict[int, int]:
     """Evaluate one scalar pattern by fixpoint sweeps (no levelize).
 
     With ``fault`` set, the circuit is evaluated *with the fault in
     effect*: a stem fault forces the net's value wherever it is read, a
-    branch fault forces only the named gate input pin.
+    branch fault forces only the named gate input pin.  ``forced`` maps
+    nets to the 0/1 value they carry whatever drives them.
     """
+    forced = forced or {}
     values: Dict[int, int] = {}
     for net in netlist.primary_inputs:
         values[net] = assignment[net] & 1
         if fault is not None and fault.is_stem and fault.net == net:
             values[net] = fault.stuck_at
+        if net in forced:
+            values[net] = forced[net]
     pending = list(range(len(netlist.gates)))
     while pending:
         remaining = []
@@ -99,7 +104,7 @@ def _reference_evaluate(
             output = _reference_gate(gate.gtype, inputs)
             if fault is not None and fault.is_stem and fault.net == gate.output:
                 output = fault.stuck_at
-            values[gate.output] = output
+            values[gate.output] = forced.get(gate.output, output)
             progressed = True
         assert progressed, "netlist is not a DAG"
         pending = remaining
@@ -156,17 +161,33 @@ def _input_assignments(netlist: Netlist, patterns: List[int]):
 
 # ------------------------------------------------------------- properties
 
-@given(netlist_and_patterns())
-def test_packed_evaluator_matches_scalar_reference(case):
+@given(netlist_and_patterns(), st.data())
+def test_packed_evaluator_matches_scalar_reference(case, data):
     """Evaluator's big-int lanes agree with naive per-pattern evaluation
-    on every net, for every pattern in the batch."""
+    on every net, for every pattern in the batch — also with a random set
+    of nets forced to random packed values (``overrides``), some of them
+    wider than the batch mask."""
     netlist, patterns = case
     scalar_inputs, packed_inputs = _input_assignments(netlist, patterns)
     mask = (1 << len(patterns)) - 1
+    nets = list(netlist.primary_inputs) + [g.output for g in netlist.gates]
+    overrides = data.draw(
+        st.dictionaries(
+            st.sampled_from(nets), st.integers(0, (mask << 2) | 3), max_size=4
+        )
+    )
 
-    packed = Evaluator(netlist).run(packed_inputs, mask)
+    packed = Evaluator(netlist).run(packed_inputs, mask, overrides=overrides)
     reference = _pack(
-        [_reference_evaluate(netlist, row) for row in scalar_inputs], netlist
+        [
+            _reference_evaluate(
+                netlist, row,
+                forced={net: (value >> index) & 1
+                        for net, value in overrides.items()},
+            )
+            for index, row in enumerate(scalar_inputs)
+        ],
+        netlist,
     )
     assert packed == reference
 

@@ -8,6 +8,7 @@ from repro.netlist.evaluate import (
     Evaluator,
     evaluate_single,
     pack_patterns,
+    pack_words,
     unpack_patterns,
 )
 
@@ -52,6 +53,16 @@ def test_pack_unpack_roundtrip():
 def test_pack_rejects_ragged():
     with pytest.raises(SimulationError):
         pack_patterns([[0, 1], [1]])
+
+
+def test_pack_words_transposes_like_pack_patterns():
+    patterns = [[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0]]
+    words = [sum(bit << j for j, bit in enumerate(p)) for p in patterns]
+    assert pack_words(words, 3) == pack_patterns(patterns)
+    # Bits at the width and above belong to no input.
+    assert pack_words([w | 0b11000 for w in words], 3) == pack_patterns(patterns)
+    assert pack_words([], 3) == [0, 0, 0]
+    assert pack_words(words, 0) == []
 
 
 @given(st.integers(0, 2**30), st.integers(0, 10))

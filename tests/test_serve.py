@@ -12,6 +12,7 @@ second must come from the run-key cache with ``cache_hit == 1`` on
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -300,6 +301,32 @@ def test_deadline_maps_to_budget_partial_result(server):
     assert result["partial"] is True
     assert result["stop_reason"] == "deadline"
     assert result["guard"]["budget"]["deadline"] == 0
+
+
+def test_engine_jobs_run_on_at_most_workers_threads(tmp_path, metrics,
+                                                    monkeypatch):
+    """Engine runs stay on the service's own pool of ``--workers`` threads
+    (not the default executor, which submissions share), and the pool is
+    gone once the service has drained."""
+    from repro.serve import BistService
+
+    threads = set()
+    execute = BistService._execute
+
+    def recording_execute(self, job):
+        threads.add(threading.get_ident())
+        return execute(self, job)
+
+    monkeypatch.setattr(BistService, "_execute", recording_execute)
+    with thread_server(tmp_path / "state", workers=2) as (_, client):
+        # Distinct seeds: every job misses the result cache and runs.
+        docs = [client.submit({"design": "mac4", "max_patterns": 64,
+                               "seed": seed}) for seed in range(1, 25)]
+        for doc in docs:
+            assert client.wait(doc["id"])["state"] == "done"
+    assert 1 <= len(threads) <= 2
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("serve-engine")]
 
 
 # --------------------------------------------------------- subprocess E2E
