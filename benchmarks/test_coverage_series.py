@@ -13,6 +13,7 @@ from repro.core.bibs import make_bibs_testable
 from repro.core.flow import lower_kernel_to_netlist
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.filters import c5a2m
+from repro.exec import RunConfig
 from repro.faultsim.coverage import sample_curve
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimulator
@@ -32,7 +33,7 @@ def _series():
     simulator = FaultSimulator(netlist)
     result = simulator.run(
         RandomPatternSource(len(netlist.primary_inputs), seed=21), 4096,
-        stop_when_complete=False,
+        config=RunConfig(stop_when_complete=False),
     )
     series["bibs_whole_circuit"] = sample_curve(result, CHECKPOINTS, of_detectable=False)
 
@@ -42,7 +43,8 @@ def _series():
         sub = lower_kernel_to_netlist(circuit, kernel)
         sub_sim = FaultSimulator(sub)
         sub_result = sub_sim.run(
-            RandomPatternSource(16, seed=21), 4096, stop_when_complete=False
+            RandomPatternSource(16, seed=21), 4096,
+            config=RunConfig(stop_when_complete=False),
         )
         series[label] = sample_curve(sub_result, CHECKPOINTS, of_detectable=False)
     return series

@@ -16,7 +16,7 @@ import pytest
 from repro.core.flow import lower_kernel_to_netlist
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.filters import c3a2m
-from repro.engine import GoldenCache, simulate
+from repro.engine import GoldenCache, RunConfig, simulate
 from repro.faultsim.patterns import RandomPatternSource
 from repro.graph.build import build_circuit_graph
 
@@ -42,11 +42,10 @@ def test_engine_scaling_smoke(benchmark, kernel_netlist, report):
     runs = {}
     for jobs in JOB_LEVELS:
         source = RandomPatternSource(n_inputs, seed=3)
+        config = RunConfig(max_patterns=MAX_PATTERNS).with_execution(jobs=jobs)
         start = time.perf_counter()
-        result = simulate(
-            kernel_netlist, None, source,
-            max_patterns=MAX_PATTERNS, jobs=jobs, cache=cache,
-        )
+        result = simulate(kernel_netlist, None, source, config=config,
+                          cache=cache)
         runs[jobs] = (time.perf_counter() - start, result)
 
     baseline = runs[1][1]

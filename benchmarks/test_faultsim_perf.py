@@ -12,6 +12,7 @@ import pytest
 from repro.core.flow import lower_kernel_to_netlist
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.filters import c5a2m
+from repro.exec import RunConfig
 from repro.experiments.render import render_table
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimulator
@@ -52,7 +53,7 @@ def test_batch_width_scaling(benchmark, multiplier_netlist, report):
         start = time.perf_counter()
         result = simulator.run(
             source, max_patterns=1024,
-            stop_when_complete=False, drop_detected=False,
+            config=RunConfig(stop_when_complete=False, drop_detected=False),
         )
         elapsed = time.perf_counter() - start
         timings[width] = elapsed
@@ -77,14 +78,14 @@ def test_fault_dropping_effect(benchmark, multiplier_netlist, report):
     start = time.perf_counter()
     dropped = simulator.run(
         RandomPatternSource(16, seed=3), max_patterns=2048,
-        stop_when_complete=False,
+        config=RunConfig(stop_when_complete=False),
     )
     dropped_time = time.perf_counter() - start
 
     start = time.perf_counter()
     kept = simulator.run(
         RandomPatternSource(16, seed=3), max_patterns=2048,
-        stop_when_complete=False, drop_detected=False,
+        config=RunConfig(stop_when_complete=False, drop_detected=False),
     )
     no_drop_time = time.perf_counter() - start
 

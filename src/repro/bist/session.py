@@ -406,7 +406,6 @@ class BISTSession:
         *,
         config: Optional["RunConfig"] = None,
         cache: Optional[GoldenCache] = None,
-        **options,
     ):
         """Per-pattern kernel fault coverage under the session's stimulus.
 
@@ -423,24 +422,15 @@ class BISTSession:
         cancellation; the stimulus *length* stays this method's own
         ``max_patterns`` argument (default :meth:`recommended_cycles`) —
         the session decides how many cycles it generates, the config only
-        bounds and shapes their simulation.  The historical keyword
-        surface (``jobs=``, ``checkpoint_dir=``, ``budget=``, ...) is
-        accepted via the engine's deprecation shim, which warns once per
-        process.
+        bounds and shapes their simulation.
         """
         from repro import telemetry
         from repro.core.flow import lower_kernel_to_netlist
         from repro.engine import simulate
-        from repro.exec.config import runconfig_from_legacy
+        from repro.exec.config import RunConfig
 
-        if config is not None and options:
-            raise SimulationError(
-                "pattern_coverage() takes either config=RunConfig(...) or "
-                "the legacy keyword options, not both (got config plus: "
-                f"{', '.join(sorted(options))})"
-            )
         if config is None:
-            config = runconfig_from_legacy(options)
+            config = RunConfig()
         n = max_patterns if max_patterns is not None else self.recommended_cycles()
         config = config.replace(max_patterns=n)
         from repro.faultsim.patterns import SequencePatternSource

@@ -163,7 +163,6 @@ def evaluate_design(
     *,
     config: Optional["RunConfig"] = None,
     cache: Optional["GoldenCache"] = None,
-    **options,
 ) -> DesignEvaluation:
     """Fault-simulate every kernel of a design under random patterns.
 
@@ -184,25 +183,17 @@ def evaluate_design(
     cancellation and chaos.  The sweep's own ``max_patterns`` and
     ``batch_width`` arguments stay authoritative — they define *what* the
     flow measures, the config defines *how* it executes.  Results are
-    bit-identical across backends and shard counts.  The historical
-    keyword surface (``jobs=``, ``checkpoint_dir=``, ...) is accepted via
-    the engine's deprecation shim, which warns once per process.
+    bit-identical across backends and shard counts.
 
     A run stopped early by a :mod:`repro.guard` limit (``result.partial``)
     skips ATPG classification — faults left undetected by a truncated
     pattern stream are not candidates for redundancy proofs — and its
     unreached targets simply report ``patterns_at[target] = None``.
     """
-    from repro.exec.config import runconfig_from_legacy
+    from repro.exec.config import RunConfig
 
-    if config is not None and options:
-        raise SimulationError(
-            "evaluate_design() takes either config=RunConfig(...) or the "
-            "legacy keyword options, not both (got config plus: "
-            f"{', '.join(sorted(options))})"
-        )
     if config is None:
-        config = runconfig_from_legacy(options)
+        config = RunConfig()
     config = config.replace(max_patterns=max_patterns)
     evaluations: List[KernelEvaluation] = []
     for kernel in design.kernels:
@@ -271,24 +262,12 @@ def compare_tdms(
     *,
     config: Optional["RunConfig"] = None,
     cache: Optional["GoldenCache"] = None,
-    **options,
 ) -> TDMComparison:
     """Run both TDMs end to end on one circuit.
 
     ``config`` / ``cache`` are shared by both design evaluations (so one
-    golden cache and one checkpoint directory serve the whole comparison);
-    legacy engine keywords are accepted via the deprecation shim.
+    golden cache and one checkpoint directory serve the whole comparison).
     """
-    from repro.exec.config import runconfig_from_legacy
-
-    if config is not None and options:
-        raise SimulationError(
-            "compare_tdms() takes either config=RunConfig(...) or the "
-            "legacy keyword options, not both (got config plus: "
-            f"{', '.join(sorted(options))})"
-        )
-    if config is None:
-        config = runconfig_from_legacy(options)
     with telemetry.span("flow.compare_tdms", circuit=circuit.name):
         graph = build_circuit_graph(circuit)
         bibs_design = make_bibs_testable(graph)

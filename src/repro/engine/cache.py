@@ -37,8 +37,8 @@ class GoldenBatches:
 
     ``golden_batch(i)`` returns the full-width packed value of every net
     under patterns ``[i * batch_width, (i+1) * batch_width)``.  Batches are
-    computed on demand and retained, so any consumer — serial loop, shard
-    fan-out, a later run with the same key — pays for each batch once.
+    computed on demand and retained, so any consumer — every shard of a
+    round, a later run with the same key — pays for each batch once.
 
     ``max_cached_batches`` bounds retention: past it, the oldest batches
     are evicted LRU-fashion (a 2^17-pattern Table 2 run is 512 batches of

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.exec.config import RunConfig, canonical_fields
+from repro.exec.config import RunConfig, canonical_fields, shard_count
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource, source_fingerprint
 from repro.netlist.netlist import Netlist
@@ -90,18 +90,17 @@ def resolve_run_key(
 ) -> Optional[str]:
     """The key :func:`repro.engine.simulate` will journal this run under.
 
-    Applies the engine's shard-collapse rule before keying: a run with one
-    worker — or too few faults to shard — executes serially, and its
-    journal is keyed as ``jobs=1`` whatever the config requested.  This is
-    the entry point for callers that need the key *without* running the
-    engine, most importantly the ``repro.serve`` result cache, whose
-    content addressing must match the journal exactly (pinned by a golden
-    regression test against a real journal directory).
+    Keys by :func:`repro.exec.config.shard_count`, the shard count the
+    engine actually executes: a run with too few faults to shard is keyed
+    as ``jobs=1`` whatever the config requested.  This is the entry point
+    for callers that need the key *without* running the engine, most
+    importantly the ``repro.serve`` result cache, whose content addressing
+    must match the journal exactly (pinned by a golden regression test
+    against a real journal directory).
     """
     fault_list = list(faults)
-    n_jobs = config.execution.effective_jobs
-    serial = n_jobs == 1 or len(fault_list) <= 1
-    return run_key(netlist, source, fault_list, config, 1 if serial else n_jobs)
+    return run_key(netlist, source, fault_list, config,
+                   shard_count(config, len(fault_list)))
 
 
 class CheckpointStore:

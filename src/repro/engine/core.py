@@ -1,17 +1,18 @@
-"""The parallel fault-simulation engine (single entry point: ``simulate``).
+"""The fault-simulation engine (single entry point: ``simulate``).
 
 ``simulate`` partitions the collapsed fault list into round-robin shards
-and fans the shards out over a pluggable :mod:`repro.exec` backend —
-``process`` (a warm worker pool, the default), ``thread`` or ``serial`` —
-each worker running the existing bit-parallel event-driven propagator
+and runs them, round by round, on a pluggable :mod:`repro.exec` backend —
+``serial`` (in the parent: every ``jobs=1`` run), ``process`` (a warm
+worker pool, the default for ``jobs>1``), ``thread`` or ``remote`` — each
+worker running the existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
 golden batches the parent ships it.  Per-shard ``first_detection`` maps are
 merged deterministically — shards are disjoint and rounds arrive in
-pattern order — so the result is **bit-identical to the serial path** for
+pattern order — so the result is **bit-identical across shard counts** for
 every backend and every combination of ``stop_when_complete`` /
 ``drop_detected``.
 
-How a run is shaped now lives in one frozen object,
+How a run is shaped lives in one frozen object,
 :class:`repro.exec.RunConfig`::
 
     from repro.exec import ExecutionPolicy, RunConfig
@@ -19,10 +20,6 @@ How a run is shaped now lives in one frozen object,
     result = simulate(netlist, faults, patterns, config=RunConfig(
         execution=ExecutionPolicy(jobs=4, executor="process"),
     ))
-
-The historical keyword arguments (``jobs=4, shard_timeout=...``) are still
-accepted through a deprecation shim that maps them onto a ``RunConfig``
-and warns once per process.
 
 The engine is fault tolerant: every shard round carries an integrity
 checksum, is bounded by an optional ``shard_timeout``, and is retried with
@@ -38,8 +35,7 @@ of re-executing; a deterministic :class:`~repro.engine.chaos.FaultInjector`
 
 The fault-free (golden) evaluation of each batch is computed once in the
 parent, optionally through a :class:`~repro.engine.cache.GoldenCache`
-shared across shards and across repeated runs.  ``jobs=None`` (or 1) runs
-the same primitive serially in-process with zero executor overhead.
+shared across shards and across repeated runs.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from repro.engine import checkpoint as checkpoint_io
 from repro.engine.cache import GoldenBatches, GoldenCache
 from repro.engine.chaos import ChaosInterrupt, FaultInjector
 from repro.engine.instrumentation import ShardStats, publish_engine_metrics
+from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
 from repro.exec.base import (
     ExecutionContext,
@@ -60,22 +57,8 @@ from repro.exec.base import (
     create_executor,
     resolve_executor_name,
 )
-from repro.exec.config import (
-    DEFAULT_CHUNK_BATCHES,
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
-    RunConfig,
-    runconfig_from_legacy,
-)
-from repro.engine.vec import resolve_kernel
-from repro.exec.driver import CorruptShardRound, RoundDriver
-from repro.exec.process import _WorkerPool  # noqa: F401  (compatibility alias)
-from repro.exec.worker import (
-    consume_batches,
-    fault_key,
-    make_simulator,
-    round_checksum,
-)
+from repro.exec.config import RunConfig, shard_count
+from repro.exec.driver import RoundDriver
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource
@@ -83,16 +66,6 @@ from repro.faultsim.simulator import FaultSimulator
 from repro.guard.runner import RunGuard
 from repro.netlist.netlist import Netlist
 from repro.results import FaultSimResult
-
-#: Historical names, kept importable: these constants and primitives moved
-#: to :mod:`repro.exec` with the executor refactor.
-CHUNK_BATCHES = DEFAULT_CHUNK_BATCHES
-MAX_RETRIES = DEFAULT_MAX_RETRIES
-RETRY_BACKOFF = DEFAULT_RETRY_BACKOFF
-_fault_key = fault_key
-_round_checksum = round_checksum
-_consume_batches = consume_batches
-_CorruptShardRound = CorruptShardRound
 
 
 @dataclass
@@ -198,10 +171,11 @@ def _widths_from_patterns(
 
     A resumed run must execute every round with the geometry the *writing*
     run used — which may differ from a fresh plan when the writer's guard
-    halved ``chunk_batches`` under memory pressure mid-run.  Each record
-    stores the round's total patterns; decomposing that total greedily at
-    ``batch_width`` reproduces the writer's widths exactly (the writer
-    planned the same way).
+    halved ``chunk_batches`` under memory pressure mid-run, or when the
+    writer journaled one batch per record (older ``jobs=1`` journals).
+    Each record stores the round's total patterns; decomposing that total
+    greedily at ``batch_width`` reproduces the writer's widths exactly
+    (the writer planned the same way).
     """
     widths: List[int] = []
     base = pattern_base
@@ -224,12 +198,13 @@ def _stopped_n_patterns(
     stop_when_complete: bool,
     drop_detected: bool,
 ) -> int:
-    """The serial loop's ``n_patterns`` accounting, computed analytically.
+    """``n_patterns`` of a run the guard did not stop, from its detections.
 
-    The serial path stops at the end of the batch in which the last live
-    fault was detected — either because fault dropping emptied the live
-    list or because ``stop_when_complete`` saw full detection — and runs to
-    ``max_patterns`` otherwise.
+    A run ends at the end of the batch in which the last live fault was
+    detected — either because fault dropping emptied the live list or
+    because ``stop_when_complete`` saw full detection — and runs to
+    ``max_patterns`` otherwise.  Computing it from the merged map rather
+    than from the round loop keeps it independent of round geometry.
     """
     if n_faults == 0:
         return 0
@@ -247,7 +222,6 @@ def simulate(
     config: Optional[RunConfig] = None,
     cache: Optional[GoldenCache] = None,
     simulator: Optional[FaultSimulator] = None,
-    **options: Any,
 ) -> EngineResult:
     """Fault-simulate ``patterns`` against ``faults``, optionally in parallel.
 
@@ -267,23 +241,17 @@ def simulate(
         (:class:`~repro.exec.RetryPolicy`), checkpointing
         (:class:`~repro.exec.CheckpointPolicy`), budget, cancellation,
         chaos, pattern cap and stop/drop semantics.  Defaults to
-        ``RunConfig()``: serial, 2^16 patterns, no checkpointing.
+        ``RunConfig()``: one in-process shard, 2^16 patterns, no
+        checkpointing.
     cache:
         Optional :class:`GoldenCache` for fault-free batch evaluations,
         shared across shards and across repeated calls.  A *resource*, not
         run configuration — it stays a direct parameter.
     simulator:
-        An existing :class:`FaultSimulator` to reuse for serial runs (the
-        ``FaultSimulator.run`` routing passes itself).  Also a resource.
-    **options:
-        .. deprecated:: PR6
-            The historical keyword surface (``jobs=``, ``max_patterns=``,
-            ``shard_timeout=``, ``checkpoint_dir=``, ``budget=``, ...) is
-            accepted via :func:`repro.exec.runconfig_from_legacy`, which
-            maps it onto a ``RunConfig`` and emits one
-            :class:`DeprecationWarning` per process.  Results are
-            bit-identical to the equivalent ``config=`` call.  Passing
-            both ``config`` and legacy options is an error.
+        An existing :class:`FaultSimulator` (``FaultSimulator.run`` passes
+        itself): it pins the run's evaluation kernel unless the config
+        names one, and its evaluator computes the golden batches when the
+        batch widths agree.  Also a resource.
 
     The run is bit-identical across executors (``serial`` / ``thread`` /
     ``process``) and across every failure-recovery path: retries, degraded
@@ -292,14 +260,8 @@ def simulate(
     boundary with ``partial=True`` and a structured ``stop_reason`` — see
     ``docs/ROBUSTNESS.md`` and ``docs/EXECUTORS.md``.
     """
-    if config is not None and options:
-        raise SimulationError(
-            "simulate() takes either config=RunConfig(...) or the legacy "
-            "keyword options, not both (got config plus: "
-            f"{', '.join(sorted(options))})"
-        )
     if config is None:
-        config = runconfig_from_legacy(options)
+        config = RunConfig()
     if config.check:
         # Fail fast with witnesses, before faults are collapsed, golden
         # batches are computed, or any shard process exists.
@@ -362,31 +324,24 @@ def simulate(
 
     start = time.perf_counter()
     guard = RunGuard.create(config.budget, config.cancel, chaos)
-    n_jobs = config.execution.effective_jobs
-    serial = n_jobs == 1 or len(fault_list) <= 1
+    jobs = shard_count(config, len(fault_list))
     executor_name = (
-        "serial" if serial
+        "serial" if jobs == 1
         else resolve_executor_name(config.execution.executor)
     )
     store = checkpoint_io.open_store(
-        netlist, patterns, fault_list, config, 1 if serial else n_jobs,
+        netlist, patterns, fault_list, config, jobs,
     )
     with telemetry.span(
         "engine.simulate",
-        circuit=netlist.name, jobs=1 if serial else n_jobs,
+        circuit=netlist.name, jobs=jobs,
         executor=executor_name, kernel=kernel,
         n_faults=len(fault_list), max_patterns=config.max_patterns,
     ) as run_span:
-        if serial:
-            result = _simulate_serial(
-                netlist, fault_list, golden, config, simulator, chaos,
-                store, guard, kernel,
-            )
-        else:
-            result = _simulate_parallel(
-                netlist, fault_list, golden, config, n_jobs, executor_name,
-                chaos, store, guard, kernel,
-            )
+        result = _simulate_rounds(
+            netlist, fault_list, golden, config, jobs, executor_name,
+            chaos, store, guard, kernel,
+        )
         run_span.set_attribute("n_patterns", result.n_patterns)
         if result.partial:
             run_span.set_attribute("partial", True)
@@ -434,107 +389,7 @@ def _replay_record(
     return detections, survivors
 
 
-def _simulate_serial(
-    netlist: Netlist,
-    faults: List[Fault],
-    golden: GoldenBatches,
-    config: RunConfig,
-    simulator: Optional[FaultSimulator],
-    chaos: Optional[FaultInjector],
-    store: Optional[checkpoint_io.CheckpointStore],
-    guard: Optional[RunGuard] = None,
-    kernel: str = "packed",
-) -> EngineResult:
-    """The historical serial loop, driven through the golden provider.
-
-    With a checkpoint store each batch is one journaled round (shard 0);
-    chaos injection does not apply in-process (there is no worker to kill)
-    except for the parent-side ``abort``/``sigterm``/``oom`` modes.  A
-    tripped :class:`~repro.guard.runner.RunGuard` limit breaks the loop at
-    the next batch boundary and flags the result partial.
-    """
-    max_patterns = config.max_patterns
-    batch_width = config.execution.batch_width
-    drop_detected = config.drop_detected
-    if (simulator is None or simulator.batch_width != batch_width
-            or getattr(simulator, "kernel", "packed") != kernel):
-        simulator = make_simulator(netlist, batch_width, kernel)
-    stats = ShardStats(shard=0, n_faults=len(faults))
-    events_before = simulator.events_propagated
-    shard_start = time.perf_counter()
-    journal = store.load() if store is not None else {}
-    fault_index = {fault: i for i, fault in enumerate(faults)}
-
-    detections: Dict[Fault, int] = {}
-    live = list(faults)
-    stop_reason: Optional[str] = None
-    pattern_base = 0
-    batch_index = 0
-    while pattern_base < max_patterns and live:
-        width = min(batch_width, max_patterns - pattern_base)
-        if guard is not None:
-            stop_reason = guard.should_stop(pattern_base, width)
-            if stop_reason is not None:
-                break
-        record = journal.get((0, batch_index))
-        if record is not None:
-            batch_detections, survivors = _replay_record(record, faults)
-            stats.rounds_resumed += 1
-        else:
-            mask = (1 << width) - 1
-            good = _narrow(golden.golden_batch(batch_index), mask, batch_width)
-            batch_detections = {}
-            survivors = simulator.simulate_batch(
-                live, good, mask, pattern_base, batch_detections, drop_detected
-            )
-            if store is not None:
-                store.record(
-                    0, batch_index,
-                    {fault_index[f]: p for f, p in batch_detections.items()},
-                    [fault_index[f] for f in survivors],
-                    width,
-                )
-        for fault, index in batch_detections.items():
-            if fault not in detections:
-                detections[fault] = index
-        stats.faults_dropped += len(live) - len(survivors)
-        live = survivors
-        pattern_base += width
-        batch_index += 1
-        telemetry.count("engine.rounds")
-        if chaos is not None and chaos.aborts_after(batch_index - 1):
-            raise ChaosInterrupt(
-                f"chaos: run aborted after round {batch_index - 1}"
-            )
-        if guard is not None:
-            guard.after_round(batch_index - 1)
-            action = guard.memory_action(batch_index - 1, (), 1, True)
-            if action == "stop" and pattern_base < max_patterns and live:
-                # Only a stop that actually cuts work short is a stop; on
-                # the final batch the run just completed normally.
-                stop_reason = guard.stop_reason
-                break
-        if config.stop_when_complete and len(detections) == len(faults):
-            break
-
-    stats.events_propagated = simulator.events_propagated - events_before
-    stats.patterns_simulated = pattern_base
-    stats.wall_time = time.perf_counter() - shard_start
-    stats.stop_reason = stop_reason
-    return EngineResult(
-        netlist=netlist,
-        faults=faults,
-        first_detection=detections,
-        n_patterns=pattern_base,
-        partial=stop_reason is not None,
-        stop_reason=stop_reason,
-        jobs=1,
-        executor="serial",
-        shards=[stats],
-    )
-
-
-def _simulate_parallel(
+def _simulate_rounds(
     netlist: Netlist,
     faults: List[Fault],
     golden: GoldenBatches,
@@ -546,9 +401,10 @@ def _simulate_parallel(
     guard: Optional[RunGuard] = None,
     kernel: str = "packed",
 ) -> EngineResult:
-    """Fan fault shards out over an execution backend, round by round.
+    """Run fault shards on an execution backend, round by round.
 
-    Every round is executed fault-tolerantly by the
+    The one loop behind every run: ``jobs=1`` is a single shard on the
+    ``serial`` backend.  Every round is executed fault-tolerantly by the
     :class:`~repro.exec.RoundDriver` (retry waves, timeouts, integrity
     checks, degraded fallback) and journaled once complete; rounds present
     in the journal are replayed without touching the backend at all.  The
@@ -556,17 +412,21 @@ def _simulate_parallel(
     cancellation/deadline/pattern-cap stops, after it for chaos
     cancellation and the memory ladder (halve ``chunk_batches``, then
     release the backend and run rounds in-process, then stop) — uniformly,
-    whatever the backend.
+    whatever the backend, except that a backend which already runs in the
+    parent (``capabilities.parallel=False``) has no pool to release and
+    skips that middle rung.
     """
     max_patterns = config.max_patterns
     batch_width = config.execution.batch_width
     stop_when_complete = config.stop_when_complete
     drop_detected = config.drop_detected
     chunk_batches = config.execution.chunk_batches
+    # At most one shard per fault, but always shard 0: an empty fault list
+    # still reports one shard.
     shards: Dict[int, List[Fault]] = {
-        shard_id: faults[shard_id::jobs] for shard_id in range(jobs)
+        shard_id: faults[shard_id::jobs]
+        for shard_id in range(max(1, min(jobs, len(faults))))
     }
-    shards = {s: flist for s, flist in shards.items() if flist}
     stats = {
         shard_id: ShardStats(shard=shard_id, n_faults=len(flist))
         for shard_id, flist in shards.items()
@@ -700,7 +560,7 @@ def _simulate_parallel(
                 guard.after_round(round_index)
                 action = guard.memory_action(
                     round_index, executor.worker_pids(), chunk_batches,
-                    force_serial,
+                    force_serial or not executor.capabilities.parallel,
                 )
                 if action is not None:
                     for shard_id, live in shards.items():

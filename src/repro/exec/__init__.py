@@ -29,12 +29,9 @@ from repro.exec.base import (
 from repro.exec.config import (
     CheckpointPolicy,
     ExecutionPolicy,
-    LEGACY_KEYWORDS,
     RetryPolicy,
     RunConfig,
     canonical_fields,
-    reset_legacy_warning,
-    runconfig_from_legacy,
 )
 from repro.exec.driver import CorruptShardRound, RoundDriver
 from repro.exec.process import ProcessExecutor
@@ -50,7 +47,6 @@ register_executor("remote", RemoteExecutor)
 __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",
-    "LEGACY_KEYWORDS",
     "PEERS_ENV_VAR",
     "CheckpointPolicy",
     "CorruptShardRound",
@@ -74,8 +70,6 @@ __all__ = [
     "canonical_fields",
     "create_executor",
     "register_executor",
-    "reset_legacy_warning",
     "resolve_executor_name",
     "set_default_peers",
-    "runconfig_from_legacy",
 ]

@@ -13,8 +13,9 @@ over sockets slots in without touching the engine).
 Four backends ship today (see ``docs/EXECUTORS.md``):
 
 ``serial``
-    In-process, one shard at a time — the degradation target every other
-    backend falls back to, and the cheapest choice for tiny kernels.
+    In-process, one shard at a time — the backend of every one-shard
+    (``jobs=1``) run, the degradation target every other backend falls
+    back to, and the cheapest choice for tiny kernels.
 ``thread``
     A thread pool with per-thread simulators — parallel timeout handling
     without process-pool spin-up/pickling tax (small kernels, see
@@ -33,9 +34,10 @@ guard what a backend can honour: whether hung rounds can be preempted
 (``supports_timeout``), whether a worker crash is contained
 (``isolated``), whether worker PIDs exist for RSS sampling
 (``worker_pids``).  The guard's halve -> serial -> stop memory ladder is
-applied uniformly: the "serial" rung stops *any* backend and continues
-in-process, so governance is an executor-layer contract rather than
-ProcessPool-specific code.
+applied uniformly: the "serial" rung stops *any* parallel backend and
+continues in-process (a non-``parallel`` backend already runs there and
+skips the rung), so governance is an executor-layer contract rather
+than ProcessPool-specific code.
 
 The timeout contract
 --------------------
@@ -83,7 +85,9 @@ class ExecutorCapabilities:
     Attributes
     ----------
     parallel:
-        Rounds of several shards make progress concurrently.
+        Rounds of several shards make progress concurrently.  Without it
+        the backend already runs in the parent, so the memory ladder
+        has no "serial" rung to take.
     isolated:
         A worker failure (crash, OOM kill) cannot corrupt the parent;
         non-isolated backends have hard chaos ``crash`` mapped to a clean

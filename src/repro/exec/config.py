@@ -25,19 +25,14 @@ those produce bit-identical results, so :func:`canonical_fields` excludes
 them and the checkpoint run key (:mod:`repro.engine.checkpoint`) stays
 stable across backends (and across this refactor: the key bytes match the
 pre-``RunConfig`` engine exactly, so old journals still resume).
-
-The old keyword call-shapes remain accepted through
-:func:`runconfig_from_legacy`, which maps them onto a ``RunConfig`` and
-warns once per process with a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -173,10 +168,9 @@ def canonical_fields(config: RunConfig, jobs: int) -> Tuple[Any, ...]:
     result.  The tuple layout is frozen: it feeds the checkpoint run key,
     and old journals must keep resuming (including across kernels).
 
-    ``jobs`` is passed explicitly (not read from the config) because the
-    engine collapses degenerate runs — one live fault, ``jobs=None`` — to
-    a single shard, and the journal must be keyed by the geometry actually
-    executed.
+    ``jobs`` is passed explicitly (not read from the config): it is the
+    :func:`shard_count` the run actually executes, and the journal must be
+    keyed by that geometry.
     """
     return (
         config.execution.batch_width,
@@ -188,94 +182,12 @@ def canonical_fields(config: RunConfig, jobs: int) -> Tuple[Any, ...]:
     )
 
 
-#: Legacy ``simulate`` keywords the deprecation shim accepts, with the
-#: RunConfig location each maps onto (documentation + test surface).
-LEGACY_KEYWORDS: Dict[str, str] = {
-    "max_patterns": "max_patterns",
-    "jobs": "execution.jobs",
-    "batch_width": "execution.batch_width",
-    "chunk_batches": "execution.chunk_batches",
-    "executor": "execution.executor",
-    "shard_timeout": "retry.shard_timeout",
-    "max_retries": "retry.max_retries",
-    "retry_backoff": "retry.backoff",
-    "checkpoint_dir": "checkpoint.directory",
-    "resume": "checkpoint.resume",
-    "stop_when_complete": "stop_when_complete",
-    "drop_detected": "drop_detected",
-    "check": "check",
-    "budget": "budget",
-    "cancel": "cancel",
-    "chaos": "chaos",
-}
+def shard_count(config: RunConfig, n_faults: int) -> int:
+    """The number of fault shards a run executes.
 
-_legacy_warned = False
-
-
-def reset_legacy_warning() -> None:
-    """Re-arm the once-per-process deprecation warning (test hook)."""
-    global _legacy_warned
-    _legacy_warned = False
-
-
-def _warn_legacy(keys: Tuple[str, ...]) -> None:
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        "passing engine run options as keyword arguments "
-        f"({', '.join(sorted(keys))}) is deprecated; build a "
-        "repro.exec.RunConfig and pass it as simulate(..., config=...) "
-        "(this warning is emitted once per process)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def runconfig_from_legacy(
-    options: Dict[str, Any], warn: bool = True
-) -> RunConfig:
-    """Map pre-``RunConfig`` keyword arguments onto a :class:`RunConfig`.
-
-    Unknown keywords raise :class:`~repro.errors.SimulationError` (they
-    were a ``TypeError`` before; a structured error keeps the CLI's error
-    paths uniform).  With ``warn`` the shim emits one
-    :class:`DeprecationWarning` per process.
+    ``jobs`` (``None`` -> 1), collapsed to a single shard when there are
+    too few faults to split.  The engine shards by this count and keys its
+    journal by it, so callers that need a run's key without running it
+    (the ``repro.serve`` result cache) must use it too.
     """
-    unknown = sorted(set(options) - set(LEGACY_KEYWORDS))
-    if unknown:
-        raise SimulationError(
-            f"unknown engine option(s): {', '.join(unknown)} "
-            f"(expected a RunConfig field path or one of "
-            f"{', '.join(sorted(LEGACY_KEYWORDS))})"
-        )
-    if warn and options:
-        _warn_legacy(tuple(options))
-    execution = ExecutionPolicy(
-        executor=options.get("executor"),
-        jobs=options.get("jobs"),
-        batch_width=options.get("batch_width", DEFAULT_BATCH_WIDTH),
-        chunk_batches=options.get("chunk_batches", DEFAULT_CHUNK_BATCHES),
-    )
-    retry = RetryPolicy(
-        max_retries=options.get("max_retries", DEFAULT_MAX_RETRIES),
-        backoff=options.get("retry_backoff", DEFAULT_RETRY_BACKOFF),
-        shard_timeout=options.get("shard_timeout"),
-    )
-    checkpoint = CheckpointPolicy(
-        directory=options.get("checkpoint_dir"),
-        resume=options.get("resume", False),
-    )
-    return RunConfig(
-        execution=execution,
-        retry=retry,
-        checkpoint=checkpoint,
-        budget=options.get("budget"),
-        cancel=options.get("cancel"),
-        chaos=options.get("chaos"),
-        max_patterns=options.get("max_patterns", DEFAULT_MAX_PATTERNS),
-        stop_when_complete=options.get("stop_when_complete", True),
-        drop_detected=options.get("drop_detected", True),
-        check=options.get("check", True),
-    )
+    return 1 if n_faults <= 1 else config.execution.effective_jobs

@@ -1,11 +1,13 @@
-"""The in-process serial backend: the degradation target.
+"""The in-process serial backend: every one-shard run, and the fallback.
 
-Every other backend falls back to *this* execution shape when it runs out
-of options (retry budget exhausted, memory ladder's "serial" rung), so it
-is deliberately the simplest possible implementation: one simulator in
-the parent process, work executed lazily inside ``handle.result()`` so
-failures (including chaos) surface inside the driver's retry machinery
-exactly like a worker failure would.
+A ``jobs=1`` run executes its rounds here, through the same driver,
+checksums and journal as any other run.  Every other backend falls back
+to *this* execution shape when it runs out of options (retry budget
+exhausted, memory ladder's "serial" rung), so it is deliberately the
+simplest possible implementation: one simulator in the parent process,
+work executed lazily inside ``handle.result()`` so failures (including
+chaos) surface inside the driver's retry machinery exactly like a worker
+failure would.
 
 It is also the *fastest* backend for small kernels: no pool spin-up, no
 golden-batch pickling, no IPC — see the committed ``BENCH_engine.json``

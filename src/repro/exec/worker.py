@@ -22,6 +22,7 @@ would steal the parent's own spans) and ship none.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import pickle
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -38,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def make_simulator(netlist, batch_width: int, kernel: str) -> FaultSimulator:
     """Build the simulator for one resolved kernel name.
 
-    The single factory every execution path uses — parent serial loop,
-    per-worker builds in all three backends, the driver's degraded
+    The single factory every execution path uses — per-worker builds in
+    every backend (the ``serial`` one included), the driver's degraded
     fallback — so a run's kernel choice is honoured uniformly.  The vec
     class is imported lazily: repro.exec must stay loadable without
     touching repro.engine (the engine imports this package), and the
@@ -65,12 +66,18 @@ def fault_key(fault: Fault) -> Tuple[int, int, int, int]:
 def round_checksum(
     detections: Dict[Fault, int], survivors: List[Fault], patterns: int
 ) -> str:
-    """Integrity digest over one shard round's result payload."""
-    blob = repr((
+    """Integrity digest over one shard round's result payload.
+
+    Every round is digested twice (by its worker, then by the driver), so
+    the encoding is ``marshal`` format 2: a byte-stable function of these
+    int tuples alone, without format 3's object-identity back-references,
+    and cheaper than their ``repr``.
+    """
+    blob = marshal.dumps((
         sorted(fault_key(f) + (index,) for f, index in detections.items()),
         [fault_key(f) for f in survivors],
         patterns,
-    )).encode()
+    ), 2)
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -77,7 +77,6 @@ def measure_circuit(
     *,
     config: Optional["RunConfig"] = None,
     cache: Optional["GoldenCache"] = None,
-    **options,
 ) -> Table2Column:
     """Run the full Table 2 measurement for one circuit.
 
@@ -90,21 +89,12 @@ def measure_circuit(
 
     ``config.budget`` is armed here (idempotently), so its deadline spans
     every kernel run, and a tripped limit makes the unreached coverage
-    rows report ``None`` instead of raising.  The historical keyword
-    surface (``jobs=``, ``budget=``, ``checkpoint_dir=``, ...) is
-    accepted via the engine's deprecation shim, which warns once per
-    process.
+    rows report ``None`` instead of raising.
     """
-    from repro.exec.config import runconfig_from_legacy
+    from repro.exec.config import RunConfig
 
-    if config is not None and options:
-        raise SimulationError(
-            "measure_circuit() takes either config=RunConfig(...) or the "
-            "legacy keyword options, not both (got config plus: "
-            f"{', '.join(sorted(options))})"
-        )
     if config is None:
-        config = runconfig_from_legacy(options)
+        config = RunConfig()
     compiled = all_filters()[name]
     if config.budget is not None:
         config.budget.arm()
@@ -161,7 +151,6 @@ def table2_columns(
     n_seeds: int = 3,
     *,
     config: Optional["RunConfig"] = None,
-    **options,
 ) -> List[Table2Column]:
     """Measure every circuit, sharing one golden-run cache across them.
 
@@ -178,16 +167,10 @@ def table2_columns(
     rare re-read).
     """
     from repro.engine import GoldenCache
-    from repro.exec.config import runconfig_from_legacy
+    from repro.exec.config import RunConfig
 
-    if config is not None and options:
-        raise SimulationError(
-            "table2_columns() takes either config=RunConfig(...) or the "
-            "legacy keyword options, not both (got config plus: "
-            f"{', '.join(sorted(options))})"
-        )
     if config is None:
-        config = runconfig_from_legacy(options)
+        config = RunConfig()
     cache = GoldenCache(max_entries=16, max_batches_per_entry=64)
     if config.budget is not None:
         config.budget.arm()

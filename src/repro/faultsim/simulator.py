@@ -10,10 +10,11 @@ which is what the paper's "number of patterns to achieve X% fault coverage"
 rows are computed from.
 
 Runs are orchestrated by :mod:`repro.engine`, which this module routes
-through: :meth:`FaultSimulator.run` with ``jobs`` set fans the fault list
-out over worker processes; the default stays serial and bit-identical to
-the historical behaviour.  :class:`FaultSimResult` now lives in
-:mod:`repro.results`; the import here is kept as a compatibility shim.
+through: :meth:`FaultSimulator.run` with ``config.execution.jobs`` set
+fans the fault list out over worker processes; the default runs one shard
+in-process, bit-identical to any shard count.  :class:`FaultSimResult`
+now lives in :mod:`repro.results`; the import here is kept as a
+compatibility shim.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ class FaultSimulator:
 
         Records first detections (absolute pattern indices, offset by
         ``pattern_base``) into ``detections`` and returns the surviving
-        fault list.  This is the primitive both the serial loop and the
-        engine's shard workers drive; keeping it in one place is what makes
-        ``jobs=N`` bit-identical to the serial path.
+        fault list.  This is the primitive every engine shard round drives;
+        keeping it in one place is what makes ``jobs=N`` bit-identical to
+        ``jobs=1``.
         """
         survivors: List[Fault] = []
         for fault in live:
@@ -162,7 +163,6 @@ class FaultSimulator:
         *,
         config: Optional["RunConfig"] = None,
         cache: Optional["object"] = None,
-        **options,
     ) -> FaultSimResult:
         """Simulate up to ``max_patterns`` patterns against the fault list.
 
@@ -179,24 +179,13 @@ class FaultSimulator:
         ``cache`` optionally supplies a :class:`repro.engine.GoldenCache`
         so fault-free batch evaluations are shared across shards and
         repeated runs.
-
-        The historical keyword surface (``jobs=``, ``stop_when_complete=``,
-        ``checkpoint_dir=``, ``budget=``, ...) is still accepted through
-        the engine's deprecation shim, which maps it onto a ``RunConfig``
-        and warns once per process.
         """
         from repro import telemetry
         from repro.engine import simulate
-        from repro.exec.config import runconfig_from_legacy
+        from repro.exec.config import RunConfig
 
-        if config is not None and options:
-            raise SimulationError(
-                "FaultSimulator.run() takes either config=RunConfig(...) or "
-                "the legacy keyword options, not both (got config plus: "
-                f"{', '.join(sorted(options))})"
-            )
         if config is None:
-            config = runconfig_from_legacy(options)
+            config = RunConfig()
         if max_patterns is not None:
             config = config.replace(max_patterns=max_patterns)
         # The simulator owns its packed-batch geometry; a mismatched width

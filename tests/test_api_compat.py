@@ -1,175 +1,44 @@
-"""Deprecation-shim suite: every pre-RunConfig call shape keeps working.
+"""API-compatibility suite: the run key and the one run-option surface.
 
-PR 6 redesigned the run API around :class:`repro.exec.RunConfig`; this
-suite is the contract that the redesign broke nobody.  Every historical
-``simulate(...)`` keyword call-shape must produce bit-identical results
-to its ``RunConfig`` spelling, warn exactly once per process, and reject
-ambiguous (config + keywords) or unknown-keyword calls with a structured
-error.  The pinned golden run key proves checkpoint journals written by
-the pre-refactor engine still resume.
+The pinned golden run key proves checkpoint journals written before the
+run API moved onto :class:`repro.exec.RunConfig` still resume.  Run
+options exist only on the config, so every entry point rejects the old
+keyword spelling outright.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+from repro.bist.session import BISTSession
+from repro.core.flow import compare_tdms, evaluate_design
 from repro.engine import simulate
 from repro.engine.checkpoint import run_key
-from repro.errors import SimulationError
 from repro.exec import ExecutionPolicy, RunConfig
-from repro.exec.config import (
-    LEGACY_KEYWORDS,
-    reset_legacy_warning,
-    runconfig_from_legacy,
-)
+from repro.experiments.table2 import measure_circuit, table2_columns
 from repro.faultsim.collapse import collapse_faults
-from repro.faultsim.coverage import coverage_curve
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimulator
-from tests.conftest import make_random_netlist, tiny_and_or
+from tests.conftest import tiny_and_or
+
+#: The public entry points that take a run ``config``.
+ENTRY_POINTS = {
+    "simulate": simulate,
+    "FaultSimulator.run": FaultSimulator.run,
+    "BISTSession.pattern_coverage": BISTSession.pattern_coverage,
+    "evaluate_design": evaluate_design,
+    "compare_tdms": compare_tdms,
+    "measure_circuit": measure_circuit,
+    "table2_columns": table2_columns,
+}
 
 
-@pytest.fixture(autouse=True)
-def _rearm_warning():
-    """Each test sees a fresh once-per-process deprecation latch."""
-    reset_legacy_warning()
-    yield
-    reset_legacy_warning()
-
-
-def _fixture(seed=17):
-    netlist = make_random_netlist(8, 30, seed=seed)
-    faults, _ = collapse_faults(netlist)
-    return netlist, faults
-
-
-def _source(netlist, seed=29):
-    return RandomPatternSource(len(netlist.primary_inputs), seed=seed)
-
-
-def assert_identical(expected, actual):
-    assert actual.first_detection == expected.first_detection
-    assert actual.n_patterns == expected.n_patterns
-    assert coverage_curve(actual) == coverage_curve(expected)
-
-
-#: Representative pre-refactor keyword call shapes (PR 1-5 surface).
-LEGACY_SHAPES = [
-    {"max_patterns": 256},
-    {"max_patterns": 256, "batch_width": 32},
-    {"max_patterns": 256, "jobs": 2},
-    {"max_patterns": 256, "jobs": 3, "chunk_batches": 1},
-    {"max_patterns": 256, "jobs": 2, "stop_when_complete": False},
-    {"max_patterns": 256, "drop_detected": False},
-    {"max_patterns": 256, "jobs": 2, "max_retries": 0},
-    {"max_patterns": 256, "jobs": 2, "shard_timeout": 30.0,
-     "retry_backoff": 0.01},
-    {"max_patterns": 256, "check": False},
-]
-
-
-@pytest.mark.parametrize(
-    "shape", LEGACY_SHAPES,
-    ids=["+".join(sorted(s)) for s in LEGACY_SHAPES],
-)
-def test_legacy_keywords_match_runconfig_spelling(shape):
-    netlist, faults = _fixture()
-    expected = simulate(netlist, faults, _source(netlist),
-                        config=runconfig_from_legacy(dict(shape), warn=False))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        actual = simulate(netlist, faults, _source(netlist), **shape)
-    assert_identical(expected, actual)
-
-
-def test_legacy_keywords_warn_exactly_once_per_process():
-    netlist, faults = _fixture()
-    with pytest.warns(DeprecationWarning, match="RunConfig"):
-        simulate(netlist, faults, _source(netlist), max_patterns=128, jobs=2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        simulate(netlist, faults, _source(netlist), max_patterns=128, jobs=2)
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-
-def test_runconfig_spelling_never_warns():
-    netlist, faults = _fixture()
-    config = RunConfig(execution=ExecutionPolicy(jobs=2), max_patterns=128)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        simulate(netlist, faults, _source(netlist), config=config)
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-
-def test_config_plus_legacy_keywords_is_rejected():
-    netlist, faults = _fixture()
-    config = RunConfig(max_patterns=128)
-    with pytest.raises(SimulationError, match="not both"):
-        simulate(netlist, faults, _source(netlist), config=config, jobs=2)
-
-
-def test_unknown_keyword_is_a_structured_error():
-    netlist, faults = _fixture()
-    with pytest.raises(SimulationError, match="unknown engine option"):
-        simulate(netlist, faults, _source(netlist), max_paterns=128)
-
-
-def test_every_documented_legacy_keyword_is_accepted():
-    """The shim's keyword table covers the full historical surface."""
-    assert set(LEGACY_KEYWORDS) == {
-        "max_patterns", "jobs", "batch_width", "chunk_batches", "executor",
-        "shard_timeout", "max_retries", "retry_backoff", "checkpoint_dir",
-        "resume", "stop_when_complete", "drop_detected", "check",
-        "budget", "cancel", "chaos",
-    }
-    config = runconfig_from_legacy(
-        {key: None for key in ("budget", "cancel", "chaos", "executor",
-                               "jobs", "shard_timeout", "checkpoint_dir")},
-        warn=False,
-    )
-    assert config == RunConfig()
-
-
-def test_faultsim_run_legacy_shape():
-    netlist, faults = _fixture(seed=18)
-    simulator = FaultSimulator(netlist, batch_width=64)
-    expected = simulator.run(
-        _source(netlist), 256, faults,
-        config=RunConfig(execution=ExecutionPolicy(jobs=2)),
-    )
-    with pytest.warns(DeprecationWarning):
-        actual = simulator.run(_source(netlist), 256, faults, jobs=2)
-    assert_identical(expected, actual)
-
-
-def test_faultsim_run_rejects_config_plus_keywords():
-    netlist, faults = _fixture(seed=18)
-    simulator = FaultSimulator(netlist, batch_width=64)
-    with pytest.raises(SimulationError, match="not both"):
-        simulator.run(_source(netlist), 256, faults,
-                      config=RunConfig(), jobs=2)
-
-
-def test_legacy_checkpoint_keywords_still_resume(tmp_path):
-    netlist, faults = _fixture(seed=19)
-    source_seed = 31
-    kwargs = {
-        "max_patterns": 512, "jobs": 2, "chunk_batches": 1,
-        "batch_width": 32, "checkpoint_dir": str(tmp_path),
-    }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        first = simulate(netlist, faults,
-                         RandomPatternSource(8, seed=source_seed), **kwargs)
-        resumed = simulate(netlist, faults,
-                           RandomPatternSource(8, seed=source_seed),
-                           resume=True, **kwargs)
-    assert_identical(first, resumed)
-    assert resumed.rounds_resumed > 0
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_rejects_run_keywords(entry):
+    """``jobs=`` (like every run option) lives on ``RunConfig`` only; the
+    keyword fails when the arguments are bound, before anything runs."""
+    with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
+        ENTRY_POINTS[entry](jobs=2)
 
 
 def test_golden_run_key_is_stable_across_the_refactor():

@@ -1,5 +1,6 @@
 """Coverage curve utilities."""
 
+from repro.exec import RunConfig
 from repro.faultsim.coverage import (
     coverage_at,
     coverage_curve,
@@ -16,7 +17,8 @@ def _result():
     netlist = tiny_and_or()
     simulator = FaultSimulator(netlist, batch_width=8)
     return simulator.run(
-        ExhaustivePatternSource(3), max_patterns=8, stop_when_complete=False
+        ExhaustivePatternSource(3), max_patterns=8,
+        config=RunConfig(stop_when_complete=False),
     )
 
 

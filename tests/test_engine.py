@@ -18,6 +18,7 @@ from repro.core.bibs import make_bibs_testable
 from repro.core.flow import lower_kernel_to_netlist
 from repro.engine import EngineResult, GoldenCache, simulate
 from repro.errors import SimulationError
+from repro.exec import RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.coverage import coverage_curve
 from repro.faultsim.patterns import RandomPatternSource, SequencePatternSource
@@ -120,14 +121,16 @@ def test_parallel_matches_serial_on_bundled_circuits(build):
             faults = faults[::7]
         n_inputs = len(netlist.primary_inputs)
         serial = simulate(
-            netlist, faults,
-            RandomPatternSource(n_inputs, seed=9),
-            max_patterns=512, jobs=1, batch_width=64,
+            netlist, faults, RandomPatternSource(n_inputs, seed=9),
+            config=RunConfig(max_patterns=512).with_execution(
+                jobs=1, batch_width=64,
+            ),
         )
         parallel = simulate(
-            netlist, faults,
-            RandomPatternSource(n_inputs, seed=9),
-            max_patterns=512, jobs=JOBS, batch_width=64,
+            netlist, faults, RandomPatternSource(n_inputs, seed=9),
+            config=RunConfig(max_patterns=512).with_execution(
+                jobs=JOBS, batch_width=64,
+            ),
         )
         assert_identical(serial, parallel)
 
@@ -139,13 +142,16 @@ def test_parallel_matches_serial_across_semantics(stop, drop):
     faults, _ = collapse_faults(netlist)
     source = lambda: RandomPatternSource(5, seed=17)  # noqa: E731
     serial = simulate(
-        netlist, faults, source(), max_patterns=96, jobs=1,
-        batch_width=16, stop_when_complete=stop, drop_detected=drop,
+        netlist, faults, source(),
+        config=RunConfig(
+            max_patterns=96, stop_when_complete=stop, drop_detected=drop,
+        ).with_execution(jobs=1, batch_width=16),
     )
     parallel = simulate(
-        netlist, faults, source(), max_patterns=96, jobs=3,
-        batch_width=16, chunk_batches=2, stop_when_complete=stop,
-        drop_detected=drop,
+        netlist, faults, source(),
+        config=RunConfig(
+            max_patterns=96, stop_when_complete=stop, drop_detected=drop,
+        ).with_execution(jobs=3, batch_width=16, chunk_batches=2),
     )
     assert_identical(serial, parallel)
 
@@ -157,7 +163,7 @@ def test_engine_matches_legacy_simulator_run():
     legacy = simulator.run(RandomPatternSource(6, seed=2), 256)
     engine = simulate(
         netlist, None, RandomPatternSource(6, seed=2),
-        max_patterns=256, batch_width=32,
+        config=RunConfig(max_patterns=256).with_execution(batch_width=32),
     )
     assert engine.first_detection == legacy.first_detection
     assert engine.n_patterns == legacy.n_patterns
@@ -167,14 +173,15 @@ def test_jobs_exceeding_faults_and_empty_fault_list():
     netlist = make_random_netlist(4, 12, seed=3)
     faults, _ = collapse_faults(netlist)
     few = faults[:2]
+    config = RunConfig(max_patterns=64).with_execution(batch_width=16)
     serial = simulate(netlist, few, RandomPatternSource(4, seed=5),
-                      max_patterns=64, jobs=1, batch_width=16)
+                      config=config.with_execution(jobs=1))
     wide = simulate(netlist, few, RandomPatternSource(4, seed=5),
-                    max_patterns=64, jobs=8, batch_width=16)
+                    config=config.with_execution(jobs=8))
     assert_identical(serial, wide)
 
     empty = simulate(netlist, [], RandomPatternSource(4, seed=5),
-                     max_patterns=64, jobs=4, batch_width=16)
+                     config=config.with_execution(jobs=4))
     assert empty.first_detection == {}
     assert empty.n_patterns == 0
 
@@ -182,7 +189,10 @@ def test_jobs_exceeding_faults_and_empty_fault_list():
 def test_width_mismatch_raises():
     netlist = make_random_netlist(4, 12, seed=3)
     with pytest.raises(SimulationError):
-        simulate(netlist, None, RandomPatternSource(7, seed=1), max_patterns=16)
+        simulate(
+            netlist, None, RandomPatternSource(7, seed=1),
+            config=RunConfig(max_patterns=16),
+        )
 
 
 # ---------------------------------------------------------------- the cache
@@ -192,21 +202,20 @@ def test_cache_hit_miss_accounting():
     netlist = make_random_netlist(5, 25, seed=6)
     cache = GoldenCache()
     source = lambda: RandomPatternSource(5, seed=11)  # noqa: E731
+    config = RunConfig(max_patterns=128).with_execution(batch_width=32)
 
-    first = simulate(netlist, None, source(), max_patterns=128,
-                     batch_width=32, cache=cache)
+    first = simulate(netlist, None, source(), config=config, cache=cache)
     assert first.cache_misses == 1
     assert first.cache_hits == 0
 
-    second = simulate(netlist, None, source(), max_patterns=128,
-                      batch_width=32, cache=cache)
+    second = simulate(netlist, None, source(), config=config, cache=cache)
     assert second.cache_hits == 1
     assert second.cache_misses == 0
     assert second.first_detection == first.first_detection
 
     # A different stream is a different entry, never a stale hit.
     other = simulate(netlist, None, RandomPatternSource(5, seed=12),
-                     max_patterns=128, batch_width=32, cache=cache)
+                     config=config, cache=cache)
     assert other.cache_misses == 1
     counters = cache.counters()
     assert counters["hits"] == 1
@@ -219,9 +228,11 @@ def test_cache_distinguishes_netlists_and_widths():
     a = make_random_netlist(4, 15, seed=1)
     b = make_random_netlist(4, 15, seed=2)
     source = lambda: RandomPatternSource(4, seed=3)  # noqa: E731
-    simulate(a, None, source(), max_patterns=32, batch_width=16, cache=cache)
-    simulate(b, None, source(), max_patterns=32, batch_width=16, cache=cache)
-    simulate(a, None, source(), max_patterns=32, batch_width=8, cache=cache)
+    config = RunConfig(max_patterns=32).with_execution(batch_width=16)
+    simulate(a, None, source(), config=config, cache=cache)
+    simulate(b, None, source(), config=config, cache=cache)
+    simulate(a, None, source(), cache=cache,
+             config=config.with_execution(batch_width=8))
     assert cache.counters()["misses"] == 3
     assert cache.counters()["hits"] == 0
 
@@ -233,8 +244,10 @@ def test_cache_skips_unfingerprintable_sources():
     class OpaqueSource(RandomPatternSource):
         fingerprint = None  # not callable -> no stable identity
 
-    result = simulate(netlist, None, OpaqueSource(4, seed=3),
-                      max_patterns=32, batch_width=16, cache=cache)
+    result = simulate(
+        netlist, None, OpaqueSource(4, seed=3), cache=cache,
+        config=RunConfig(max_patterns=32).with_execution(batch_width=16),
+    )
     assert result.cache_hits == 0
     assert result.cache_misses == 0
     assert cache.counters()["batch_entries"] == 0
@@ -244,8 +257,10 @@ def test_cache_lru_bound():
     cache = GoldenCache(max_entries=2)
     for seed in range(4):
         netlist = make_random_netlist(4, 10, seed=seed)
-        simulate(netlist, None, RandomPatternSource(4, seed=1),
-                 max_patterns=16, batch_width=16, cache=cache)
+        simulate(
+            netlist, None, RandomPatternSource(4, seed=1), cache=cache,
+            config=RunConfig(max_patterns=16).with_execution(batch_width=16),
+        )
     assert cache.counters()["batch_entries"] == 2
 
 
@@ -256,22 +271,20 @@ def test_cache_hit_miss_eviction_counts():
     cache = GoldenCache(max_entries=2)
     netlists = [make_random_netlist(4, 10, seed=s) for s in range(4)]
     source = lambda: RandomPatternSource(4, seed=1)  # noqa: E731
+    config = RunConfig(max_patterns=16).with_execution(batch_width=16)
     for netlist in netlists:
-        simulate(netlist, None, source(), max_patterns=16,
-                 batch_width=16, cache=cache)
+        simulate(netlist, None, source(), config=config, cache=cache)
     counters = cache.counters()
     assert counters["misses"] == 4
     assert counters["evictions"] == 2
     assert counters["batch_entries"] == 2
 
     # netlists[0] was evicted -> miss + another eviction.
-    simulate(netlists[0], None, source(), max_patterns=16,
-             batch_width=16, cache=cache)
+    simulate(netlists[0], None, source(), config=config, cache=cache)
     assert cache.counters()["misses"] == 5
     assert cache.counters()["evictions"] == 3
     # netlists[0] is now resident -> hit, nothing evicted.
-    simulate(netlists[0], None, source(), max_patterns=16,
-             batch_width=16, cache=cache)
+    simulate(netlists[0], None, source(), config=config, cache=cache)
     assert cache.counters()["hits"] == 1
     assert cache.counters()["evictions"] == 3
 
@@ -318,11 +331,14 @@ def test_golden_batches_window_bounds_memory():
 def test_bounded_cache_end_to_end_matches_unbounded():
     netlist = make_random_netlist(5, 25, seed=6)
     source = lambda: RandomPatternSource(5, seed=11)  # noqa: E731
-    plain = simulate(netlist, None, source(), max_patterns=128,
-                     batch_width=16, cache=GoldenCache())
-    bounded = simulate(netlist, None, source(), max_patterns=128,
-                       batch_width=16,
-                       cache=GoldenCache(max_batches_per_entry=2))
+    plain = simulate(
+        netlist, None, source(), cache=GoldenCache(),
+        config=RunConfig(max_patterns=128).with_execution(batch_width=16),
+    )
+    bounded = simulate(
+        netlist, None, source(), cache=GoldenCache(max_batches_per_entry=2),
+        config=RunConfig(max_patterns=128).with_execution(batch_width=16),
+    )
     assert bounded.first_detection == plain.first_detection
     assert bounded.n_patterns == plain.n_patterns
 
@@ -341,8 +357,12 @@ def test_instrumentation_serial_and_parallel():
     netlist = make_random_netlist(5, 30, seed=4)
     faults, _ = collapse_faults(netlist)
 
-    serial = simulate(netlist, faults, RandomPatternSource(5, seed=7),
-                      max_patterns=64, jobs=1, batch_width=16)
+    serial = simulate(
+        netlist, faults, RandomPatternSource(5, seed=7),
+        config=RunConfig(max_patterns=64).with_execution(
+            jobs=1, batch_width=16,
+        ),
+    )
     assert isinstance(serial, EngineResult)
     assert serial.jobs == 1
     assert len(serial.shards) == 1
@@ -351,8 +371,12 @@ def test_instrumentation_serial_and_parallel():
     assert serial.events_propagated > 0
     assert serial.wall_time >= 0.0
 
-    parallel = simulate(netlist, faults, RandomPatternSource(5, seed=7),
-                        max_patterns=64, jobs=3, batch_width=16)
+    parallel = simulate(
+        netlist, faults, RandomPatternSource(5, seed=7),
+        config=RunConfig(max_patterns=64).with_execution(
+            jobs=3, batch_width=16,
+        ),
+    )
     assert parallel.jobs == 3
     assert len(parallel.shards) == 3
     assert sum(s.n_faults for s in parallel.shards) == len(faults)
@@ -386,10 +410,12 @@ def test_sequence_source_round_trip_through_engine():
     """SequencePatternSource (the session replay path) works sharded."""
     netlist = make_random_netlist(4, 20, seed=9)
     patterns = [tuple((p >> i) & 1 for i in range(4)) for p in range(16)] * 3
+    config = RunConfig(max_patterns=len(patterns)).with_execution(
+        batch_width=16)
     serial = simulate(netlist, None, SequencePatternSource(patterns),
-                      max_patterns=len(patterns), jobs=1, batch_width=16)
+                      config=config.with_execution(jobs=1))
     parallel = simulate(netlist, None, SequencePatternSource(patterns),
-                        max_patterns=len(patterns), jobs=4, batch_width=16)
+                        config=config.with_execution(jobs=4))
     assert_identical(serial, parallel)
 
 
@@ -400,15 +426,16 @@ def test_equivalence_with_tracing_enabled():
 
     netlist = make_random_netlist(6, 40, seed=17)
     instance = telemetry.get_telemetry()
+    config = RunConfig(max_patterns=128).with_execution(batch_width=16)
     baseline = simulate(netlist, None, RandomPatternSource(6, seed=9),
-                        max_patterns=128, jobs=1, batch_width=16)
+                        config=config.with_execution(jobs=1))
     instance.reset()
     instance.enable()
     try:
         serial = simulate(netlist, None, RandomPatternSource(6, seed=9),
-                          max_patterns=128, jobs=1, batch_width=16)
+                          config=config.with_execution(jobs=1))
         parallel = simulate(netlist, None, RandomPatternSource(6, seed=9),
-                            max_patterns=128, jobs=JOBS, batch_width=16)
+                            config=config.with_execution(jobs=JOBS))
         assert_identical(serial, parallel)
         # Tracing on == tracing off, down to the detection indices.
         assert serial.first_detection == baseline.first_detection

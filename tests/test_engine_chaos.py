@@ -24,13 +24,19 @@ import pytest
 from repro.engine import (
     ChaosError,
     ChaosInterrupt,
+    CheckpointStore,
     FaultInjector,
+    GoldenBatches,
     simulate,
 )
 from repro.engine.chaos import CHAOS_ENV_VAR
+from repro.engine.checkpoint import run_key
 from repro.errors import SimulationError
+from repro.exec import CheckpointPolicy, RetryPolicy, RunConfig
+from repro.exec.config import DEFAULT_CHUNK_BATCHES
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
+from repro.faultsim.simulator import FaultSimulator
 from tests.test_engine import (
     JOBS,
     assert_identical,
@@ -43,16 +49,17 @@ CIRCUITS = [figure4_netlists, figure9_netlists, c3a2m_netlists]
 CIRCUIT_IDS = ["figure4", "figure9", "c3a2m"]
 
 
-def _kernel_run(netlist, *, jobs, max_patterns=1 << 9, **options):
+def _kernel_run(netlist, *, jobs, max_patterns=1 << 9,
+                chunk_batches=DEFAULT_CHUNK_BATCHES, **fields):
+    """One kernel run; ``fields`` are further :class:`RunConfig` fields."""
     faults, _ = collapse_faults(netlist)
     if len(faults) > 120:
         faults = faults[::7]
     source = RandomPatternSource(len(netlist.primary_inputs), seed=7)
-    return simulate(
-        netlist, faults, source,
-        max_patterns=max_patterns, jobs=jobs, stop_when_complete=False,
-        **options,
-    )
+    config = RunConfig(
+        max_patterns=max_patterns, stop_when_complete=False, **fields,
+    ).with_execution(jobs=jobs, chunk_batches=chunk_batches)
+    return simulate(netlist, faults, source, config=config)
 
 
 # --------------------------------------------------------- injector parsing
@@ -124,7 +131,7 @@ def test_hung_shard_times_out_and_retries(build):
     netlist = netlists[0]
     serial = _kernel_run(netlist, jobs=1)
     chaotic = _kernel_run(
-        netlist, jobs=JOBS, shard_timeout=0.5,
+        netlist, jobs=JOBS, retry=RetryPolicy(shard_timeout=0.5),
         chaos=FaultInjector(mode="delay", shard=0, seconds=5.0),
     )
     assert_identical(serial, chaotic)
@@ -140,7 +147,7 @@ def test_exhausted_retries_degrade_to_in_process_serial():
     netlist = netlists[0]
     serial = _kernel_run(netlist, jobs=1)
     chaotic = _kernel_run(
-        netlist, jobs=JOBS, max_retries=2,
+        netlist, jobs=JOBS, retry=RetryPolicy(max_retries=2),
         chaos=FaultInjector(mode="raise", shard=1, times=10),
     )
     assert_identical(serial, chaotic)
@@ -184,16 +191,18 @@ def test_interrupted_parallel_run_resumes_from_journal(tmp_path):
     _, netlists = figure4_netlists()
     netlist = netlists[0]
     ckpt = str(tmp_path / "journal")
-    options = dict(jobs=2, checkpoint_dir=ckpt, chunk_batches=1,
-                   max_patterns=1 << 10)
+    options = dict(jobs=2, chunk_batches=1, max_patterns=1 << 10)
 
     reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, chaos=FaultInjector(mode="abort", shard=0), **options
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(ckpt), **options
         )
 
-    resumed = _kernel_run(netlist, resume=True, **options)
+    resumed = _kernel_run(
+        netlist, checkpoint=CheckpointPolicy(ckpt, resume=True), **options
+    )
     assert_identical(reference, resumed)
     stats = resumed.shards
     # Both shards replay their journaled round-0 records without touching
@@ -207,13 +216,15 @@ def test_resume_false_clears_stale_journal(tmp_path):
     _, netlists = figure4_netlists()
     netlist = netlists[0]
     ckpt = str(tmp_path / "journal")
-    options = dict(jobs=2, checkpoint_dir=ckpt, chunk_batches=1,
-                   max_patterns=1 << 10)
+    options = dict(jobs=2, chunk_batches=1, max_patterns=1 << 10)
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, chaos=FaultInjector(mode="abort", shard=0), **options
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(ckpt), **options
         )
-    fresh = _kernel_run(netlist, resume=False, **options)
+    fresh = _kernel_run(
+        netlist, checkpoint=CheckpointPolicy(ckpt, resume=False), **options
+    )
     assert fresh.rounds_resumed == 0
 
 
@@ -221,16 +232,55 @@ def test_interrupted_serial_run_resumes_from_journal(tmp_path):
     _, netlists = figure9_netlists()
     netlist = netlists[0]
     ckpt = str(tmp_path / "journal")
-    options = dict(jobs=1, checkpoint_dir=ckpt, max_patterns=1 << 10)
+    # One batch per round: the run's 1 024 patterns are otherwise a single
+    # round and the abort after round 1 would never fire.
+    options = dict(jobs=1, chunk_batches=1, max_patterns=1 << 10)
 
     reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, chaos=FaultInjector(mode="abort", shard=1), **options
+            netlist, chaos=FaultInjector(mode="abort", shard=1),
+            checkpoint=CheckpointPolicy(ckpt), **options
         )
-    resumed = _kernel_run(netlist, resume=True, **options)
+    resumed = _kernel_run(
+        netlist, checkpoint=CheckpointPolicy(ckpt, resume=True), **options
+    )
     assert_identical(reference, resumed)
     assert resumed.rounds_resumed >= 2
+
+
+def test_one_batch_per_record_journal_resumes(tmp_path):
+    """A journal holding one batch per record — the layout ``jobs=1`` runs
+    wrote before they shared the round loop — still resumes under the same
+    run key, bit-identically: every record pins its own round width."""
+    _, netlists = figure9_netlists()
+    netlist = netlists[0]
+    faults, _ = collapse_faults(netlist)
+    source = lambda: RandomPatternSource(  # noqa: E731
+        len(netlist.primary_inputs), seed=7)
+    config = RunConfig(max_patterns=1 << 11, stop_when_complete=False)
+    width = config.execution.batch_width
+    store = CheckpointStore(tmp_path, run_key(netlist, source(), faults,
+                                              config, 1))
+    simulator = FaultSimulator(netlist, width)
+    golden = GoldenBatches(simulator.evaluator, source(), width)
+    index = {fault: i for i, fault in enumerate(faults)}
+    live = list(faults)
+    for batch in range(6):
+        detections = {}
+        live = simulator.simulate_batch(
+            live, golden.golden_batch(batch), (1 << width) - 1,
+            batch * width, detections,
+        )
+        store.record(0, batch,
+                     {index[f]: p for f, p in detections.items()},
+                     [index[f] for f in live], width)
+
+    reference = simulate(netlist, faults, source(), config=config)
+    resumed = simulate(netlist, faults, source(), config=config.replace(
+        checkpoint=CheckpointPolicy(tmp_path, resume=True)))
+    assert_identical(reference, resumed)
+    assert resumed.rounds_resumed == 6
 
 
 def test_journal_is_keyed_by_run_parameters(tmp_path):
@@ -241,13 +291,13 @@ def test_journal_is_keyed_by_run_parameters(tmp_path):
     ckpt = str(tmp_path / "journal")
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, jobs=2, checkpoint_dir=ckpt, chunk_batches=1,
-            max_patterns=1 << 10,
+            netlist, jobs=2, checkpoint=CheckpointPolicy(ckpt),
+            chunk_batches=1, max_patterns=1 << 10,
             chaos=FaultInjector(mode="abort", shard=0),
         )
     other = _kernel_run(
-        netlist, jobs=2, checkpoint_dir=ckpt, chunk_batches=1,
-        max_patterns=1 << 9, resume=True,
+        netlist, jobs=2, checkpoint=CheckpointPolicy(ckpt, resume=True),
+        chunk_batches=1, max_patterns=1 << 9,
     )
     assert other.rounds_resumed == 0
     reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 9)
@@ -260,12 +310,12 @@ def test_truncated_record_is_skipped_and_rerun(tmp_path):
     _, netlists = figure4_netlists()
     netlist = netlists[0]
     ckpt = tmp_path / "journal"
-    options = dict(jobs=2, checkpoint_dir=str(ckpt), chunk_batches=1,
-                   max_patterns=1 << 10)
+    options = dict(jobs=2, chunk_batches=1, max_patterns=1 << 10)
     reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, chaos=FaultInjector(mode="abort", shard=0), **options
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(str(ckpt)), **options
         )
     records = sorted(ckpt.glob("*/shard*_round*.rec"))
     assert records
@@ -273,7 +323,10 @@ def test_truncated_record_is_skipped_and_rerun(tmp_path):
     # could leave it on a lesser filesystem.
     blob = records[0].read_bytes()
     records[0].write_bytes(blob[: max(1, len(blob) // 2)])
-    resumed = _kernel_run(netlist, resume=True, **options)
+    resumed = _kernel_run(
+        netlist, checkpoint=CheckpointPolicy(str(ckpt), resume=True),
+        **options
+    )
     assert_identical(reference, resumed)
     assert resumed.rounds_resumed == len(records) - 1
 
@@ -318,7 +371,7 @@ def test_chaos_with_tracing_enabled_stays_bit_identical():
     instance.enable()
     try:
         chaotic = _kernel_run(
-            netlist, jobs=JOBS, max_retries=1,
+            netlist, jobs=JOBS, retry=RetryPolicy(max_retries=1),
             chaos=FaultInjector(mode="crash", shard=0, times=10),
         )
         assert_identical(serial, chaotic)

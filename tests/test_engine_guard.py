@@ -17,6 +17,7 @@ import pytest
 
 from repro import telemetry
 from repro.engine import FaultInjector, simulate
+from repro.exec import CheckpointPolicy, RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
 from repro.guard import (
@@ -28,6 +29,7 @@ from repro.guard import (
     Budget,
     CancelToken,
 )
+from repro.library.scenarios import c3a2m_kernel
 from tests.conftest import make_random_netlist
 from tests.test_engine import JOBS, assert_identical
 
@@ -44,17 +46,21 @@ BATCH = 128
 
 
 def _run(netlist, faults, *, jobs: Optional[int] = None,
-         max_patterns: int = MAX_PATTERNS, **options):
+         max_patterns: int = MAX_PATTERNS, chunk_batches: int = 1,
+         **fields):
+    """One guarded run; ``fields`` are further :class:`RunConfig` fields.
+
+    One batch per round (the default) keeps round boundaries at
+    BATCH-pattern strides, so budget cuts land mid-run rather than
+    beyond it.
+    """
     source = RandomPatternSource(len(netlist.primary_inputs), seed=11)
-    # One batch per round keeps round boundaries at BATCH-pattern strides,
-    # so budget cuts land mid-run rather than beyond it.
-    options.setdefault("chunk_batches", 1)
-    return simulate(
-        netlist, faults, source,
-        max_patterns=max_patterns, jobs=jobs, batch_width=BATCH,
-        stop_when_complete=False, drop_detected=False,
-        **options,
-    )
+    config = RunConfig(
+        max_patterns=max_patterns, stop_when_complete=False,
+        drop_detected=False, **fields,
+    ).with_execution(jobs=jobs, batch_width=BATCH,
+                     chunk_batches=chunk_batches)
+    return simulate(netlist, faults, source, config=config)
 
 
 @pytest.fixture(scope="module")
@@ -110,17 +116,45 @@ def test_pattern_budget_stops_at_round_boundary(circuit, jobs):
     assert result.coverage() <= full.coverage()
 
 
+@pytest.fixture(scope="module")
+def c3a2m():
+    netlist = c3a2m_kernel()
+    faults, _ = collapse_faults(netlist)
+    return netlist, faults
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("cap,applied", [(1000, 0), (3000, 2048)])
+def test_pattern_budget_agrees_across_shard_counts(c3a2m, cap, applied,
+                                                    executor):
+    """Under default chunking (4 batches of 256 per round) a pattern cap
+    stops ``jobs=1`` at the same round boundary as ``jobs=2``."""
+    netlist, faults = c3a2m
+
+    def run(jobs, backend=None):
+        config = RunConfig(budget=Budget(max_patterns=cap)).with_execution(
+            jobs=jobs, executor=backend)
+        source = RandomPatternSource(len(netlist.primary_inputs), seed=5)
+        return simulate(netlist, faults, source, config=config)
+
+    one = run(1)
+    two = run(2, executor)
+    assert one.n_patterns == two.n_patterns == applied
+    assert one.stop_reason == two.stop_reason == STOP_PATTERNS
+    assert one.first_detection == two.first_detection
+
+
 def test_pattern_budget_cut_resumes_bit_identically(circuit, tmp_path):
     netlist, faults = circuit
     reference = _run(netlist, faults, jobs=JOBS)
     cut = _run(netlist, faults, jobs=JOBS,
                budget=Budget(max_patterns=MAX_PATTERNS // 2),
-               checkpoint_dir=tmp_path)
+               checkpoint=CheckpointPolicy(tmp_path))
     assert cut.partial
     # The budget is deliberately not part of the journal key: the same
     # run resumed *without* it completes from the cut point.
     resumed = _run(netlist, faults, jobs=JOBS,
-                   checkpoint_dir=tmp_path, resume=True)
+                   checkpoint=CheckpointPolicy(tmp_path, resume=True))
     assert not resumed.partial
     assert resumed.rounds_resumed > 0
     assert_identical(reference, resumed)
@@ -145,13 +179,13 @@ def test_chaos_sigterm_partial_then_resume(circuit, tmp_path):
     reference = _run(netlist, faults, jobs=JOBS)
     cut = _run(netlist, faults, jobs=JOBS,
                chaos=FaultInjector.parse("sigterm:1"),
-               checkpoint_dir=tmp_path)
+               checkpoint=CheckpointPolicy(tmp_path))
     assert cut.partial
     assert cut.stop_reason == STOP_SIGTERM
     assert 0 < cut.n_patterns < MAX_PATTERNS
     assert cut.to_json()["partial"] is True
     resumed = _run(netlist, faults, jobs=JOBS,
-                   checkpoint_dir=tmp_path, resume=True)
+                   checkpoint=CheckpointPolicy(tmp_path, resume=True))
     assert not resumed.partial
     assert resumed.rounds_resumed > 0
     assert_identical(reference, resumed)
@@ -171,6 +205,19 @@ def test_chaos_oom_ladder_degrades_but_stays_bit_identical(circuit):
     assert pressured.stop_reason is None
     assert pressured.memory_adaptations > 0
     assert pressured.degraded_shards
+    assert_identical(reference, pressured)
+
+
+def test_in_process_run_has_no_serial_rung(circuit):
+    """A one-shard run already executes in the parent: memory pressure
+    halves its rounds, but never degrades it onto a second simulator."""
+    netlist, faults = circuit
+    reference = _run(netlist, faults)
+    pressured = _run(netlist, faults, chunk_batches=2,
+                     chaos=FaultInjector.parse("oom:0:times=5"))
+    assert not pressured.partial
+    assert pressured.memory_adaptations == 1
+    assert not pressured.degraded_shards
     assert_identical(reference, pressured)
 
 
@@ -242,7 +289,7 @@ if HAVE_HYPOTHESIS:
         reference = _run(netlist, faults, jobs=2)
         cut = _run(netlist, faults, jobs=2,
                    chaos=FaultInjector.parse(f"sigterm:{cut_round}"),
-                   checkpoint_dir=tmp_path)
+                   checkpoint=CheckpointPolicy(tmp_path))
         assert cut.partial and cut.stop_reason == STOP_SIGTERM
         assert cut.n_patterns <= reference.n_patterns
         assert cut.coverage() <= reference.coverage()
@@ -250,6 +297,6 @@ if HAVE_HYPOTHESIS:
                   if i < cut.n_patterns}
         assert cut.first_detection == prefix
         resumed = _run(netlist, faults, jobs=2,
-                       checkpoint_dir=tmp_path, resume=True)
+                       checkpoint=CheckpointPolicy(tmp_path, resume=True))
         assert not resumed.partial
         assert_identical(reference, resumed)

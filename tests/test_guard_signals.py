@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.engine import simulate
+from repro.exec import CheckpointPolicy, RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
 from tests.conftest import make_random_netlist
@@ -45,6 +46,7 @@ CHUNK_BATCHES = 1
 CHILD_SCRIPT = f"""
 import json, sys
 from repro.engine import simulate
+from repro.exec import CheckpointPolicy, RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
 from repro.guard import CancelToken, exit_code, signal_scope
@@ -55,14 +57,14 @@ faults, _ = collapse_faults(netlist)
 faults = faults[::{FAULT_STRIDE}]
 source = RandomPatternSource({N_INPUTS}, seed={SRC_SEED})
 token = CancelToken()
+config = RunConfig(
+    checkpoint=CheckpointPolicy(sys.argv[1]), cancel=token,
+    max_patterns={MAX_PATTERNS}, stop_when_complete=False,
+    drop_detected=False,
+).with_execution(jobs={JOBS}, batch_width={BATCH_WIDTH},
+                 chunk_batches={CHUNK_BATCHES})
 with signal_scope(token):
-    result = simulate(
-        netlist, faults, source,
-        max_patterns={MAX_PATTERNS}, jobs={JOBS},
-        batch_width={BATCH_WIDTH}, chunk_batches={CHUNK_BATCHES},
-        stop_when_complete=False, drop_detected=False,
-        checkpoint_dir=sys.argv[1], cancel=token,
-    )
+    result = simulate(netlist, faults, source, config=config)
 print(json.dumps({{
     "partial": result.partial,
     "stop_reason": result.stop_reason,
@@ -106,12 +108,16 @@ def _reference():
     return netlist, faults[::FAULT_STRIDE]
 
 
-def _simulate_inprocess(netlist, faults, **options):
+def _simulate_inprocess(netlist, faults, **fields):
+    """The child's run in-process; ``fields`` are further RunConfig fields."""
+    config = RunConfig(
+        max_patterns=MAX_PATTERNS, stop_when_complete=False,
+        drop_detected=False, **fields,
+    ).with_execution(jobs=JOBS, batch_width=BATCH_WIDTH,
+                     chunk_batches=CHUNK_BATCHES)
     return simulate(
         netlist, faults, RandomPatternSource(N_INPUTS, seed=SRC_SEED),
-        max_patterns=MAX_PATTERNS, jobs=JOBS, batch_width=BATCH_WIDTH,
-        chunk_batches=CHUNK_BATCHES, stop_when_complete=False,
-        drop_detected=False, **options,
+        config=config,
     )
 
 
@@ -151,7 +157,8 @@ def test_sigterm_exits_143_with_partial_json_and_valid_checkpoint(tmp_path):
     netlist, faults = _reference()
     uninterrupted = _simulate_inprocess(netlist, faults)
     resumed = _simulate_inprocess(
-        netlist, faults, checkpoint_dir=tmp_path / "ckpt", resume=True,
+        netlist, faults,
+        checkpoint=CheckpointPolicy(tmp_path / "ckpt", resume=True),
     )
     assert not resumed.partial
     assert resumed.rounds_resumed > 0

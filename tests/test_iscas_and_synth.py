@@ -6,6 +6,7 @@ from repro.analysis.balance import is_balanced
 from repro.atpg.podem import PodemStatus, podem
 from repro.core.bibs import make_bibs_testable, mandatory_bilbo_registers
 from repro.core.flow import lower_kernel_to_netlist
+from repro.exec import RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import ExhaustivePatternSource
 from repro.faultsim.simulator import FaultSimulator
@@ -35,7 +36,10 @@ def test_c17_collapsed_fault_count():
 def test_c17_all_faults_detectable_exhaustively():
     netlist = c17()
     simulator = FaultSimulator(netlist)
-    result = simulator.run(ExhaustivePatternSource(5), 32, stop_when_complete=False)
+    result = simulator.run(
+        ExhaustivePatternSource(5), 32,
+        config=RunConfig(stop_when_complete=False),
+    )
     assert result.coverage() == 1.0
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import repro.engine.core as engine_core
 from repro.engine import simulate
 from repro.errors import LintError
+from repro.exec import RunConfig
 from repro.faultsim import RandomPatternSource
 from repro.lint import (
     Finding,
@@ -196,30 +197,34 @@ def test_builder_made_netlists_never_have_error_findings(
 
 def test_simulate_check_rejects_cyclic_netlist_before_spawning(monkeypatch):
     """The pre-flight must raise with the cycle as a witness before any
-    worker pool (and hence any shard process) is even constructed."""
+    executor (and hence any shard process) is even constructed — at one
+    shard as at two, since every run goes through ``create_executor``."""
 
     def explode(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("worker pool constructed despite lint failure")
+        raise AssertionError("executor created despite lint failure")
 
-    monkeypatch.setattr(engine_core, "_WorkerPool", explode)
+    monkeypatch.setattr(engine_core, "create_executor", explode)
     netlist = cyclic_netlist()
-    with pytest.raises(LintError) as excinfo:
-        simulate(netlist, None, RandomPatternSource(1, seed=1),
-                 max_patterns=4, jobs=2)
-    error = excinfo.value
-    assert any(f.rule == "NL001" for f in error.findings)
-    [cycle_finding] = [f for f in error.findings if f.rule == "NL001"]
-    assert set(cycle_finding.witness["cycle_nets"]) == {"x", "loop"}
+    for jobs in (1, 2):
+        with pytest.raises(LintError) as excinfo:
+            simulate(netlist, None, RandomPatternSource(1, seed=1),
+                     config=RunConfig(max_patterns=4).with_execution(
+                         jobs=jobs))
+        error = excinfo.value
+        assert any(f.rule == "NL001" for f in error.findings)
+        [cycle_finding] = [f for f in error.findings if f.rule == "NL001"]
+        assert set(cycle_finding.witness["cycle_nets"]) == {"x", "loop"}
 
 
 def test_simulate_check_false_is_bit_identical():
     netlist = tiny_and_or()
     source = RandomPatternSource(len(netlist.primary_inputs), seed=7)
-    checked = simulate(netlist, None, source, max_patterns=64)
+    checked = simulate(netlist, None, source,
+                       config=RunConfig(max_patterns=64))
     unchecked = simulate(
         netlist, None,
         RandomPatternSource(len(netlist.primary_inputs), seed=7),
-        max_patterns=64, check=False,
+        config=RunConfig(max_patterns=64, check=False),
     )
     assert checked.detected == unchecked.detected
     assert checked.coverage() == unchecked.coverage()

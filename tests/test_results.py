@@ -183,14 +183,16 @@ def test_shard_stats_round_trip_through_engine_json():
 
 
 def test_shard_stats_round_trip_from_live_engine_result():
-    from repro.engine import simulate
+    from repro.engine import RunConfig, simulate
     from repro.engine.instrumentation import ShardStats
     from tests.conftest import make_random_netlist
 
     netlist = make_random_netlist(5, 25, seed=6)
     result = simulate(
         netlist, None, RandomPatternSource(5, seed=4),
-        max_patterns=64, jobs=2, batch_width=16,
+        config=RunConfig(max_patterns=64).with_execution(
+            jobs=2, batch_width=16,
+        ),
     )
     payload = result.to_json()["engine"]["shards"]
     restored = [ShardStats.from_json(entry) for entry in payload]

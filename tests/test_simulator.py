@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.exec import RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault, full_fault_universe
 from repro.faultsim.patterns import (
@@ -91,7 +92,9 @@ def test_first_detection_indices_are_earliest():
     source = SequencePatternSource(patterns)
     simulator = FaultSimulator(netlist, batch_width=3)  # force batch splits
     faults, _ = collapse_faults(netlist)
-    result = simulator.run(source, max_patterns=4, stop_when_complete=False)
+    result = simulator.run(
+        source, max_patterns=4, config=RunConfig(stop_when_complete=False),
+    )
     for fault, index in result.first_detection.items():
         assert simulator.detects(fault, patterns[index])
         for earlier in range(index):
@@ -104,7 +107,10 @@ def test_batch_width_does_not_change_results():
     for width in (1, 7, 64):
         simulator = FaultSimulator(netlist, batch_width=width)
         source = RandomPatternSource(5, seed=77)
-        result = simulator.run(source, max_patterns=64, stop_when_complete=False)
+        result = simulator.run(
+            source, max_patterns=64,
+            config=RunConfig(stop_when_complete=False),
+        )
         results.append(dict(result.first_detection))
     assert results[0] == results[1] == results[2]
 
@@ -134,7 +140,8 @@ def test_patterns_for_coverage_unreachable():
     netlist = tiny_and_or()
     simulator = FaultSimulator(netlist)
     result = simulator.run(
-        SequencePatternSource([(0, 0, 0)]), max_patterns=4, stop_when_complete=False
+        SequencePatternSource([(0, 0, 0)]), max_patterns=4,
+        config=RunConfig(stop_when_complete=False),
     )
     assert result.patterns_for_coverage(1.0) is None
 
@@ -162,10 +169,9 @@ def test_undetectable_fault_never_detected():
     netlist.mark_output(y)
     simulator = FaultSimulator(netlist)
     result = simulator.run(
-        ExhaustivePatternSource(2),
-        max_patterns=4,
+        ExhaustivePatternSource(2), max_patterns=4,
         faults=[Fault(t, 0), Fault(t, 1)],
-        stop_when_complete=False,
+        config=RunConfig(stop_when_complete=False),
     )
     undetected = result.undetected
     assert Fault(t, 0) in undetected

@@ -12,6 +12,7 @@ import pytest
 
 from repro import telemetry
 from repro.engine import simulate
+from repro.exec import RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
 from repro.telemetry import export
@@ -119,8 +120,12 @@ def test_disabled_simulate_records_nothing():
     netlist = make_random_netlist(5, 20, seed=11)
     instance = telemetry.get_telemetry()
     instance.reset()
-    simulate(netlist, None, RandomPatternSource(5, seed=2),
-             max_patterns=32, jobs=1, batch_width=16)
+    simulate(
+        netlist, None, RandomPatternSource(5, seed=2),
+        config=RunConfig(max_patterns=32).with_execution(
+            jobs=1, batch_width=16,
+        ),
+    )
     assert instance.tracer.snapshot() == []
     assert instance.metrics.snapshot()["counters"] == {}
 
@@ -280,8 +285,12 @@ def test_manifest_round_trip(tmp_path, tele):
 def test_engine_publishes_metrics_from_shard_stats(tele):
     netlist = make_random_netlist(5, 30, seed=4)
     faults, _ = collapse_faults(netlist)
-    result = simulate(netlist, faults, RandomPatternSource(5, seed=7),
-                      max_patterns=64, jobs=1, batch_width=16)
+    result = simulate(
+        netlist, faults, RandomPatternSource(5, seed=7),
+        config=RunConfig(max_patterns=64).with_execution(
+            jobs=1, batch_width=16,
+        ),
+    )
     counters = tele.metrics.snapshot()["counters"]
     # Derived once per run from the summed ShardStats — the single source
     # of truth — so registry and result must agree exactly.
@@ -302,8 +311,12 @@ def test_engine_publishes_metrics_from_shard_stats(tele):
 
 def test_parallel_run_merges_worker_spans(tele):
     netlist = make_random_netlist(6, 40, seed=9)
-    result = simulate(netlist, None, RandomPatternSource(6, seed=5),
-                      max_patterns=64, jobs=2, batch_width=16)
+    result = simulate(
+        netlist, None, RandomPatternSource(6, seed=5),
+        config=RunConfig(max_patterns=64).with_execution(
+            jobs=2, batch_width=16,
+        ),
+    )
     assert result.jobs == 2
     spans = tele.tracer.snapshot()
     names = {record.name for record in spans}
@@ -321,18 +334,23 @@ def test_parallel_run_merges_worker_spans(tele):
 def test_tracing_on_preserves_bit_identical_equivalence(tele):
     netlist = make_random_netlist(6, 40, seed=21)
     source = lambda: RandomPatternSource(6, seed=13)  # noqa: E731
+    config = RunConfig(max_patterns=128).with_execution(batch_width=16)
     serial = simulate(netlist, None, source(),
-                      max_patterns=128, jobs=1, batch_width=16)
+                      config=config.with_execution(jobs=1))
     parallel = simulate(netlist, None, source(),
-                        max_patterns=128, jobs=3, batch_width=16)
+                        config=config.with_execution(jobs=3))
     assert parallel.first_detection == serial.first_detection
     assert parallel.n_patterns == serial.n_patterns
 
 
 def test_write_trace_and_metrics_files(tmp_path, tele):
     netlist = make_random_netlist(5, 20, seed=3)
-    result = simulate(netlist, None, RandomPatternSource(5, seed=2),
-                      max_patterns=32, jobs=1, batch_width=16)
+    result = simulate(
+        netlist, None, RandomPatternSource(5, seed=2),
+        config=RunConfig(max_patterns=32).with_execution(
+            jobs=1, batch_width=16,
+        ),
+    )
     manifest = RunManifest.collect(
         config={"test": True},
         shards=[s.to_json() for s in result.shards],
