@@ -4,53 +4,71 @@ The packed simulator (:class:`repro.faultsim.simulator.FaultSimulator`)
 propagates one fault at a time through an event-driven Python loop; its
 per-gate cost is a dict lookup and a bigint op, and ``BENCH_engine.json``
 shows that loop — not sharding — is the engine's bottleneck.  This module
-trades the event-driven cone walk for brute-force breadth: every live
-fault becomes a *lane*, every net's value across all lanes and all
-pattern words of the batch lives in one row of a 2-D ``uint64`` array,
-and each level of the levelised netlist is evaluated for all lanes with a
-handful of numpy ufunc calls.
+trades the event-driven cone walk for breadth: every live fault becomes a
+*lane*, every live net's value across all lanes and all pattern words of
+the batch lives in one row of a 2-D ``uint64`` array, and each level of
+the levelised netlist is evaluated for all lanes with a handful of numpy
+ufunc calls.
 
-Layout (``W`` = 64-bit words per batch, ``C`` = fault lanes per chunk)::
+Layout (``W`` = 64-bit words per batch, ``C`` = fault lanes per chunk,
+``R`` = state rows)::
 
-    state : uint64[n_nets, C*W]      # row = net, lanes-major
-    state.reshape(n_nets, C, W)[net, lane, :]   # one fault's words
+    state : uint64[R, C*W]                      # row = a slot, lanes-major
+    state.reshape(R, C, W)[slot[net], lane, :]  # one fault's words
 
-Per level, gates are grouped at compile time by ``(base type, fanin)``
-into index arrays, so evaluation is ``gather -> in-place AND/OR/XOR over
-pins -> optional XOR with the batch mask -> scatter``.  Fault injection:
+Rows are recycled.  :class:`CompiledVecNetlist` gives each net a row only
+from the level that defines it (primary inputs: level 0) through its last
+reader, or through its own level for a primary output or an unread net;
+a later level reuses the freed row.  synth20k needs 3 720 rows where a
+row per net would be 21 240.
 
-* **stem faults** overwrite their net's lane row with the forced constant
-  right after the level that finalises the net (primary inputs count as
-  level 0), so every downstream reader sees the stuck value;
-* **branch faults** (one gate input pin) patch only that gate's output
-  lane row, recomputed from golden input words with the pin forced —
-  everything else in the lane still reads the healthy stem.
+Lanes are sorted by *injection level* — the level after which a fault's
+value first differs: a stem fault's net level, a branch fault's gate
+level.  A chunk of lanes starts at the lowest injection level ``s`` among
+them.  The rows live at ``s`` are filled from golden words (the
+*boundary fill*), and only levels ``s+1`` onwards are evaluated: below
+``s`` every lane of the chunk is fault-free.  Per level, gates are
+grouped at compile time by ``(base type, fanin)`` into row-index arrays,
+so evaluation is ``gather -> in-place AND/OR/XOR over pins -> optional
+XOR with the batch mask -> scatter``.  After the gates of a level:
 
-Detection XORs each primary-output row against the golden words and ORs
-across outputs; the first set bit of a lane is its first-detecting
+* **stem faults** finalised at the level overwrite their net's lane row
+  with the forced constant, so every downstream reader sees it;
+* **branch faults** (one gate input pin) of the level's gates patch only
+  that gate's output lane row, recomputed from golden input words with
+  the pin forced — everything else in the lane still reads the healthy
+  stem;
+* **detection** XORs each primary output the level defines against its
+  golden words and ORs the result into the lane's detection words.
+
+The first set bit of a lane's detection words is its first-detecting
 pattern.  The surviving-fault bookkeeping then replays the packed
-simulator's merge semantics verbatim, which is what keeps the two kernels
-**bit-identical** — same detection tables, same first-detection indices,
-same survivor order — so checkpoints, chaos, guard and all three
-executors compose unchanged (see ``docs/ENGINE.md``).
+simulator's merge semantics verbatim, in the original lane order, which
+is what keeps the two kernels **bit-identical** — same detection tables,
+same first-detection indices, same survivor order — so checkpoints,
+chaos, guard and all four executors compose unchanged (see
+``docs/ENGINE.md``).  A batch with fewer live lanes than
+:data:`VEC_MIN_LANES` runs the inherited packed propagator instead.
 
 The kernel is an *execution strategy*, not a result parameter: it is
 excluded from :func:`repro.exec.config.canonical_fields`, journals resume
 across kernels, and :func:`resolve_kernel` silently falls back to the
 packed simulator (recording a reason) for netlists it does not support —
-missing numpy, fan-in beyond :data:`MAX_VEC_FANIN`, floating input nets.
+missing numpy, fan-in beyond :data:`MAX_VEC_FANIN`, floating nets.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.exec.config import KERNEL_CHOICES
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
 from repro.netlist.gates import GateType, evaluate_gate
-from repro.netlist.levelize import levels
+from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Netlist
 
 try:  # numpy is an optional extra; everything degrades to packed without it
@@ -73,13 +91,24 @@ KERNEL_ENV_VAR = "REPRO_ENGINE_KERNEL"
 #: where mac4 stays packed and c3a2m goes vec).
 VEC_AUTO_THRESHOLD = 100_000
 
+#: Per-batch crossover: a batch with fewer live lanes than this runs the
+#: inherited packed propagator, because a numpy pass costs about the same
+#: per gate group whatever the lane count while packed pays per fault.  A
+#: sweep of random collapsed faults on one 256-pattern batch (see
+#: ``docs/ENGINE.md``) put the crossover between 5 and 6 lanes on c3a2m
+#: (5 lanes: vec 1.30 ms, packed 1.11 ms; 6 lanes: 1.35 vs 1.63 ms) and
+#: between 3 and 4 on synth20k (3 lanes: 9.9 vs 8.0 ms; 4 lanes: 11.1 vs
+#: 12.0 ms).
+VEC_MIN_LANES = 5
+
 #: Widest gate the vectorised per-pin reduction compiles.  Beyond this the
 #: gather-per-pin cost grows linearly while the event-driven simulator
 #: still touches only the fault cone, so wider gates fall back to packed.
 MAX_VEC_FANIN = 16
 
-#: Per-chunk state budget in bytes; fault lanes are chunked so
-#: ``n_nets * C * W * 8`` stays under it.
+#: Per-call buffer budget in bytes: fault lanes are chunked so the state
+#: rows plus the two gather temporaries of the widest gate group,
+#: ``(rows + 2 * widest) * C * W * 8``, stay under it.
 VEC_MEMORY_BUDGET = 64 * 1024 * 1024
 
 
@@ -110,6 +139,9 @@ def vec_support_reason(netlist: Netlist) -> Optional[str]:
                     f"gate {gate.name or gate.gtype.value} reads floating "
                     f"net {netlist.net_name(net)}"
                 )
+    for net in netlist.primary_outputs:
+        if net not in driven:
+            return f"primary output {netlist.net_name(net)} is floating"
     return None
 
 
@@ -159,75 +191,158 @@ def resolve_kernel(
 
 
 class _GateGroup:
-    """Gates of one level sharing a base type and fan-in, as index arrays."""
+    """Gates of one level sharing a base type and fan-in, as row arrays.
 
-    __slots__ = ("base", "inverting", "out_idx", "in_idx")
+    ``op`` reduces the pins (``None`` for BUF and the constants), and
+    ``out_idx`` / ``in_idx`` are state rows, not net ids.
+    """
+
+    __slots__ = ("base", "inverting", "op", "out_idx", "in_idx")
 
     def __init__(self, base: GateType, inverting: bool,
                  out_idx: "np.ndarray", in_idx: List["np.ndarray"]):
         self.base = base
         self.inverting = inverting
+        reducers: Dict[GateType, Callable[..., Any]] = {
+            GateType.AND: np.bitwise_and,
+            GateType.OR: np.bitwise_or,
+            GateType.XOR: np.bitwise_xor,
+        }
+        self.op = reducers.get(base)
         self.out_idx = out_idx
         self.in_idx = in_idx
 
 
 class CompiledVecNetlist:
-    """A netlist lowered to per-level gate groups of numpy index arrays.
+    """A netlist lowered to per-level gate groups over recycled state rows.
 
     Compiled once per simulator; every :meth:`VecFaultSimulator.
-    simulate_batch` call reuses it.  ``net_level`` maps each driven net to
-    the level after which its value is final (primary inputs are level 0),
-    which is where stem-fault overrides are applied; ``gate_level`` places
-    branch-fault output patches.
+    simulate_batch` call reuses it.  ``net_level`` is the level after
+    which each net's value is final (primary inputs and undriven nets
+    are level 0), where stem-fault overrides apply; ``gate_level`` places
+    branch-fault output patches.  ``slot`` maps each net to its state
+    row; ``n_rows`` rows hold every net that is live at once.  ``order``
+    is a topological gate order (the simulator's ``Evaluator.order``);
+    it is computed when not given.
     """
 
-    def __init__(self, netlist: Netlist):
+    def __init__(self, netlist: Netlist,
+                 order: Optional[Sequence[int]] = None):
         reason = vec_support_reason(netlist)
         if reason is not None:
             raise SimulationError(f"netlist not vectorisable: {reason}")
         self.netlist = netlist
-        self.n_nets = netlist.n_nets
-        self.gate_level: Dict[int, int] = levels(netlist)
-        self.net_level: Dict[int, int] = {
-            net: 0 for net in netlist.primary_inputs
+        self.n_nets = n_nets = netlist.n_nets
+        gates = netlist.gates
+        if order is None:
+            order = levelize(netlist)
+        # One pass in topological order: each net's defining level,
+        # ``last``, the highest level of a gate reading it, and the gates
+        # grouped per level by (base, inverting, fanin) as net ids.
+        self.net_level = net_level = [0] * n_nets
+        self.gate_level = gate_level = [0] * len(gates)
+        last = [-1] * n_nets
+        kinds = {gtype: (gtype.base, gtype.is_inverting) for gtype in GateType}
+        grouped: Dict[Tuple[int, GateType, bool, int],
+                      Tuple[List[int], List[List[int]]]] = {}
+        for index in order:
+            gate = gates[index]
+            inputs = gate.inputs
+            level = 1 + max([net_level[net] for net in inputs], default=0)
+            gate_level[index] = level
+            net_level[gate.output] = level
+            for net in inputs:
+                if last[net] < level:
+                    last[net] = level
+            base, inverting = kinds[gate.gtype]
+            key = (level, base, inverting, len(inputs))
+            group = grouped.get(key)
+            if group is None:
+                group = grouped[key] = ([], [[] for _ in inputs])
+            group[0].append(gate.output)
+            for pins, net in zip(group[1], inputs):
+                pins.append(net)
+        self.depth = depth = max(gate_level, default=0)
+        end = [max(own, read) for own, read in zip(net_level, last)]
+
+        # Rows: a net takes a free row at its defining level and returns
+        # it after its last level, so no two nets live at once share one.
+        born: List[List[int]] = [[] for _ in range(depth + 1)]
+        dies: List[List[int]] = [[] for _ in range(depth + 1)]
+        for net in range(n_nets):
+            born[net_level[net]].append(net)
+            dies[end[net]].append(net)
+        slot = [0] * n_nets
+        free: List[int] = []
+        n_rows = 0
+        for level in range(depth + 1):
+            for net in born[level]:
+                if free:
+                    slot[net] = free.pop()
+                else:
+                    slot[net] = n_rows
+                    n_rows += 1
+            for net in dies[level]:
+                free.append(slot[net])
+        self.n_rows = n_rows
+        self.slot = rows = np.asarray(slot, dtype=np.intp)
+        self._def = np.asarray(net_level, dtype=np.intp)
+        self._end = np.asarray(end, dtype=np.intp)
+        self._boundary: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
+
+        self.level_groups: List[List[_GateGroup]] = [[] for _ in range(depth)]
+        per_level = [0] * (depth + 1)
+        for (level, base, inverting, _fanin), (outs, pins) in sorted(
+            grouped.items(),
+            key=lambda item: (item[0][0], item[0][1].value, *item[0][2:]),
+        ):
+            per_level[level] += len(outs)
+            self.level_groups[level - 1].append(_GateGroup(
+                base, inverting, rows[outs], [rows[p] for p in pins]))
+        #: gates evaluated by a chunk that starts at level ``s``
+        self.gates_after = [0] * (depth + 1)
+        for level in range(depth - 1, -1, -1):
+            self.gates_after[level] = (
+                self.gates_after[level + 1] + per_level[level + 1])
+
+        # Primary outputs, detected at their defining level.
+        po_by_level: Dict[int, List[int]] = {}
+        for net in dict.fromkeys(netlist.primary_outputs):
+            po_by_level.setdefault(net_level[net], []).append(net)
+        self.po_at: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {
+            level: (self.slot[nets], np.asarray(nets, dtype=np.intp))
+            for level, nets in po_by_level.items()
         }
-        for index, gate in enumerate(netlist.gates):
-            self.net_level[gate.output] = self.gate_level[index]
-        self.depth = max(self.gate_level.values(), default=0)
-        self.pi = list(netlist.primary_inputs)
-        self.po = list(netlist.primary_outputs)
-        # level -> [(base, inverting, fanin)] -> (out nets, per-pin inputs)
-        grouped: Dict[int, Dict[Tuple[GateType, bool, int],
-                                Tuple[List[int], List[List[int]]]]] = {}
-        for index, gate in enumerate(netlist.gates):
-            level = self.gate_level[index]
-            key = (gate.gtype.base, gate.gtype.is_inverting, len(gate.inputs))
-            outs, pins = grouped.setdefault(level, {}).setdefault(
-                key, ([], [[] for _ in range(len(gate.inputs))])
-            )
-            outs.append(gate.output)
-            for pin, net in enumerate(gate.inputs):
-                pins[pin].append(net)
-        self.level_groups: List[List[_GateGroup]] = []
-        for level in range(1, self.depth + 1):
-            groups = []
-            for (base, inverting, _fanin), (outs, pins) in sorted(
-                grouped.get(level, {}).items(),
-                key=lambda item: (item[0][0].value, item[0][1], item[0][2]),
-            ):
-                groups.append(_GateGroup(
-                    base, inverting,
-                    np.asarray(outs, dtype=np.intp),
-                    [np.asarray(p, dtype=np.intp) for p in pins],
-                ))
-            self.level_groups.append(groups)
+        #: rows of the widest gather: a gate group or one level's outputs
+        self.widest = max(
+            [len(group.out_idx) for groups in self.level_groups
+             for group in groups]
+            + [len(nets) for nets in po_by_level.values()],
+            default=0,
+        )
+
+    def injection_level(self, fault: Fault) -> int:
+        """The level after which ``fault``'s lane first differs."""
+        if fault.is_stem:
+            return self.net_level[fault.net]
+        return self.gate_level[fault.gate_index]
+
+    def boundary(self, level: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(nets, rows)`` live at ``level``: a chunk starting there
+        fills exactly these from golden words."""
+        cached = self._boundary.get(level)
+        if cached is None:
+            nets = np.flatnonzero((self._def <= level) & (self._end >= level))
+            cached = self._boundary[level] = (nets, self.slot[nets])
+        return cached
 
 
-def _words(value: int, n_words: int) -> "np.ndarray":
-    """One packed bigint -> little-endian uint64 words."""
-    return np.frombuffer(
-        value.to_bytes(n_words * 8, "little"), dtype="<u8"
-    ).astype(np.uint64, copy=False)
+def _words(values: Sequence[int], n_words: int) -> "np.ndarray":
+    """Packed bigints -> ``uint64[len(values), n_words]``, little-endian."""
+    size = n_words * 8
+    blob = b"".join([value.to_bytes(size, "little") for value in values])
+    return np.frombuffer(blob, dtype="<u8").astype(
+        np.uint64, copy=False).reshape(len(values), n_words)
 
 
 def _first_bits(det: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
@@ -251,6 +366,37 @@ def _first_bits(det: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return detected, first
 
 
+class _BatchGolden:
+    """One batch's golden values, as words for the nets the chunks read.
+
+    Only the rows live at the chunks' start levels and the primary
+    outputs are converted, never every net.
+    """
+
+    def __init__(self, compiled: CompiledVecNetlist, good: Dict[int, int],
+                 mask: int, n_words: int, starts: Sequence[int]):
+        self.good = good
+        self.mask = mask
+        self.n_words = n_words
+        self.mask_words = _words([mask], n_words)[0]
+        nets = np.unique(np.concatenate(
+            [compiled.boundary(level)[0] for level in starts]
+            + [po_nets for _rows, po_nets in compiled.po_at.values()]))
+        self.words = _words([good.get(net, 0) for net in nets.tolist()],
+                            n_words)
+        self.row_of = np.zeros(compiled.n_nets, dtype=np.intp)
+        self.row_of[nets] = np.arange(len(nets))
+        self.po_words = {
+            level: self.of(po_nets)
+            for level, (_rows, po_nets) in compiled.po_at.items()
+            if level >= starts[0]
+        }
+
+    def of(self, nets: "np.ndarray") -> "np.ndarray":
+        """Golden words of converted ``nets``, ``uint64[len(nets), W]``."""
+        return self.words[self.row_of[nets]]
+
+
 # ----------------------------------------------------------------- simulator
 
 
@@ -261,16 +407,18 @@ class VecFaultSimulator(FaultSimulator):
     rest of the surface — ``run``, ``detects``, ``evaluator``, the golden
     cache interplay — is inherited unchanged, so every engine code path
     that builds or receives a simulator works identically with either
-    kernel.  ``events_propagated`` counts gate evaluations times lanes
-    (the full-forward equivalent of the packed event count): honest work
-    accounting, not part of the bit-identity contract.
+    kernel.  ``events_propagated`` counts the gate × lane evaluations
+    actually performed: each chunk's lanes times the gates above the
+    chunk's start level.  Batches below :data:`VEC_MIN_LANES` count the
+    packed propagator's events.  Honest work accounting, not part of the
+    bit-identity contract.
     """
 
     kernel = "vec"
 
     def __init__(self, netlist: Netlist, batch_width: int = 256):
         super().__init__(netlist, batch_width)
-        self.compiled = CompiledVecNetlist(netlist)
+        self.compiled = CompiledVecNetlist(netlist, self.evaluator.order)
 
     # The packed simulate_batch signature, replayed exactly.
     def simulate_batch(
@@ -284,51 +432,67 @@ class VecFaultSimulator(FaultSimulator):
     ) -> List[Fault]:
         if not live:
             return []
+        if len(live) < VEC_MIN_LANES:
+            return super().simulate_batch(
+                live, good, mask, pattern_base, detections, drop_detected)
         compiled = self.compiled
-        width = mask.bit_length()
-        n_words = max(1, (width + 63) // 64)
-        mask_words = _words(mask, n_words)
+        n_lanes = len(live)
+        lane_level = [compiled.injection_level(fault) for fault in live]
+        order = sorted(range(n_lanes), key=lane_level.__getitem__)
+        n_words = max(1, (mask.bit_length() + 63) // 64)
+        row_words = compiled.n_rows + 2 * compiled.widest
+        chunk = max(1, min(n_lanes,
+                           VEC_MEMORY_BUDGET // (row_words * n_words * 8)))
+        firsts = range(0, n_lanes, chunk)
+        golden = _BatchGolden(compiled, good, mask, n_words,
+                              sorted({lane_level[order[i]] for i in firsts}))
+        buffer = np.empty(row_words * chunk * n_words, dtype=np.uint64)
 
-        # Golden words for the nets the kernel reads wholesale: primary
-        # inputs seed the state, primary outputs anchor detection.  Branch
-        # patches are evaluated on the packed bigints directly (cheaper
-        # than per-fault numpy calls) and converted to words in bulk.
-        needed = set(compiled.pi) | set(compiled.po)
-        good_rows = {net: _words(good.get(net, 0), n_words) for net in needed}
-
-        lanes_budget = max(
-            1, VEC_MEMORY_BUDGET // (max(1, compiled.n_nets) * n_words * 8)
-        )
-        survivors: List[Fault] = []
-        for start in range(0, len(live), lanes_budget):
-            chunk = list(live[start:start + lanes_budget])
-            detected, first = self._simulate_chunk(
-                chunk, good, good_rows, mask, mask_words, n_words
+        detected = np.zeros(n_lanes, dtype=bool)
+        first = np.zeros(n_lanes, dtype=np.uint64)
+        for begin in firsts:
+            lanes = order[begin:begin + chunk]
+            detected[lanes], first[lanes] = self._simulate_chunk(
+                [live[lane] for lane in lanes], lane_level[lanes[0]],
+                golden, buffer,
             )
-            for lane, fault in enumerate(chunk):
-                if detected[lane] and fault not in detections:
-                    detections[fault] = pattern_base + int(first[lane])
-                if not detected[lane] or not drop_detected:
-                    survivors.append(fault)
+
+        survivors: List[Fault] = []
+        for fault, hit, index in zip(live, detected.tolist(), first.tolist()):
+            if hit and fault not in detections:
+                detections[fault] = pattern_base + index
+            if not hit or not drop_detected:
+                survivors.append(fault)
         return survivors
 
     def _simulate_chunk(
         self,
         chunk: List[Fault],
-        good: Dict[int, int],
-        good_rows: Dict[int, "np.ndarray"],
-        mask: int,
-        mask_words: "np.ndarray",
-        n_words: int,
+        start: int,
+        golden: _BatchGolden,
+        buffer: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """All of ``chunk``'s faults through the full netlist at once."""
+        """``chunk``'s faults from level ``start`` to the outputs at once."""
         compiled = self.compiled
         n_lanes = len(chunk)
-        state = np.zeros((compiled.n_nets, n_lanes * n_words), dtype=np.uint64)
-        view = state.reshape(compiled.n_nets, n_lanes, n_words)
-        for net in compiled.pi:
-            view[net] = good_rows[net]
+        n_words = golden.n_words
+        width = n_lanes * n_words
+        n_rows, widest = compiled.n_rows, compiled.widest
+        state = buffer[:n_rows * width].reshape(n_rows, width)
+        view = state.reshape(n_rows, n_lanes, n_words)
+        acc_space = buffer[n_rows * width:(n_rows + widest) * width]
+        pin_space = buffer[(n_rows + widest) * width:
+                           (n_rows + 2 * widest) * width]
+        mask = golden.mask
+        mask_words = golden.mask_words
         mask_row = np.tile(mask_words, n_lanes)
+
+        # Boundary fill: every row live at the start level, golden in
+        # every lane; the injections below then fork the lanes.  A lane's
+        # words are copied as one opaque item, not W separate ones.
+        live_nets, live_rows = compiled.boundary(start)
+        lane_item = np.dtype(f"V{8 * n_words}")
+        state.view(lane_item)[live_rows] = golden.of(live_nets).view(lane_item)
 
         # Injection schedule: stem overrides keyed by the level at which
         # the net finalises, branch patches by the faulty gate's level.
@@ -337,9 +501,10 @@ class VecFaultSimulator(FaultSimulator):
         stem_at: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         branch_at: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         gates = self.netlist.gates
+        good = golden.good
         for lane, fault in enumerate(chunk):
             if fault.is_stem:
-                level = compiled.net_level.get(fault.net, 0)
+                level = compiled.net_level[fault.net]
                 nets, lns, stuck = stem_at.setdefault(level, ([], [], []))
                 nets.append(fault.net)
                 lns.append(lane)
@@ -358,32 +523,35 @@ class VecFaultSimulator(FaultSimulator):
                 lns.append(lane)
                 values.append(patched)
 
-        def apply_stems(level: int) -> None:
+        det = np.zeros((n_lanes, n_words), dtype=np.uint64)
+
+        def finish_level(level: int) -> None:
             sched = stem_at.get(level)
-            if sched is None:
-                return
-            nets, lns, stuck = sched
-            forced = np.where(
-                np.asarray(stuck, dtype=np.uint64)[:, None] != 0,
-                mask_words, np.uint64(0),
-            )
-            view[np.asarray(nets, dtype=np.intp),
-                 np.asarray(lns, dtype=np.intp)] = forced
-
-        def apply_branches(level: int) -> None:
+            if sched is not None:
+                stem_nets, lns, stuck = sched
+                view[compiled.slot[stem_nets], lns] = np.where(
+                    np.asarray(stuck, dtype=np.uint64)[:, None] != 0,
+                    mask_words, np.uint64(0),
+                )
             sched = branch_at.get(level)
-            if sched is None:
-                return
-            outs, lns, values = sched
-            blob = b"".join(v.to_bytes(n_words * 8, "little") for v in values)
-            rows = np.frombuffer(blob, dtype="<u8").reshape(-1, n_words)
-            view[np.asarray(outs, dtype=np.intp),
-                 np.asarray(lns, dtype=np.intp)] = rows
+            if sched is not None:
+                outs, lns, values = sched
+                view[compiled.slot[outs], lns] = _words(values, n_words)
+            outputs = compiled.po_at.get(level)
+            if outputs is not None:
+                po_rows = outputs[0]
+                diff = acc_space[:len(po_rows) * width].reshape(
+                    len(po_rows), width)
+                state.take(po_rows, axis=0, out=diff, mode="clip")
+                diff = diff.reshape(len(po_rows), n_lanes, n_words)
+                np.bitwise_xor(diff, golden.po_words[level][:, None, :],
+                               out=diff)
+                np.bitwise_or(det, np.bitwise_or.reduce(diff, axis=0),
+                              out=det)
 
-        apply_stems(0)
-        for level_index, groups in enumerate(compiled.level_groups):
-            level = level_index + 1
-            for group in groups:
+        finish_level(start)
+        for level in range(start + 1, compiled.depth + 1):
+            for group in compiled.level_groups[level - 1]:
                 if group.base in (GateType.CONST0, GateType.CONST1):
                     state[group.out_idx] = (
                         mask_row if group.base is GateType.CONST1 else 0
@@ -391,30 +559,19 @@ class VecFaultSimulator(FaultSimulator):
                     if group.inverting:  # pragma: no cover - no such type
                         state[group.out_idx] ^= mask_row
                     continue
-                acc = state[group.in_idx[0]]  # fancy index: already a copy
-                if group.base is GateType.AND:
+                size = len(group.out_idx) * width
+                acc = acc_space[:size].reshape(-1, width)
+                # Rows are always in range; the default mode="raise"
+                # would gather into a copy of ``out`` first.
+                state.take(group.in_idx[0], axis=0, out=acc, mode="clip")
+                if group.op is not None:  # BUF: acc is already the input
+                    pin_rows = pin_space[:size].reshape(-1, width)
                     for pin in group.in_idx[1:]:
-                        np.bitwise_and(acc, state[pin], out=acc)
-                elif group.base is GateType.OR:
-                    for pin in group.in_idx[1:]:
-                        np.bitwise_or(acc, state[pin], out=acc)
-                elif group.base is GateType.XOR:
-                    for pin in group.in_idx[1:]:
-                        np.bitwise_xor(acc, state[pin], out=acc)
-                # BUF: acc is already the input copy
+                        state.take(pin, axis=0, out=pin_rows, mode="clip")
+                        group.op(acc, pin_rows, out=acc)
                 if group.inverting:
                     np.bitwise_xor(acc, mask_row, out=acc)
                 state[group.out_idx] = acc
-            apply_stems(level)
-            apply_branches(level)
-
-        det = np.zeros((n_lanes, n_words), dtype=np.uint64)
-        flat_det = det.reshape(n_lanes * n_words)
-        good_po = {net: np.tile(good_rows[net], n_lanes)
-                   for net in set(compiled.po)}
-        for po in compiled.po:
-            np.bitwise_or(
-                flat_det, state[po] ^ good_po[po], out=flat_det
-            )
-        self.events_propagated += len(gates) * n_lanes
+            finish_level(level)
+        self.events_propagated += n_lanes * compiled.gates_after[start]
         return _first_bits(det)

@@ -353,7 +353,10 @@ def _direct_reference(max_patterns: int):
 def test_e2e_c3a2m_twice_cached_and_bit_identical(tmp_path):
     # Big enough that the first (simulating) run dwarfs the fixed HTTP
     # cost, so the >=10x cached-latency assertion has a wide margin.
-    max_patterns = 16384
+    # After its first batch c3a2m has one live (undetectable) fault, so
+    # the run costs ~3 us per pattern: 2^19 patterns take ~1.5 s against
+    # a 10-20 ms cache hit on a 2-CPU host.
+    max_patterns = 1 << 19
     submission = {"design": "c3a2m", "max_patterns": max_patterns,
                   "include_faults": True}
     process, port = spawn_server(tmp_path / "state", "--workers", "1")

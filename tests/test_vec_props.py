@@ -16,6 +16,15 @@ The end-to-end property closes the loop through the engine:
 curve exactly.  Profiles live in ``tests/conftest.py``: CI runs the
 ``ci`` profile derandomized, the nightly job searches harder (see
 ``docs/TESTING.md``).
+
+The suite pins the per-batch crossover (``VEC_MIN_LANES``) to 0, so its
+1–8-fault batches exercise the array path rather than the packed
+fallback, and the one-batch property also draws how many lanes go in a
+chunk.  Deterministic cases cover what random small netlists do not
+reach: the corpus kernels' full fault universes split into several
+chunks at one and four words per lane, a run whose live set crosses the
+shipped crossover, and the work count of a chunk that starts deep in
+the netlist.
 """
 
 from __future__ import annotations
@@ -27,20 +36,46 @@ np = pytest.importorskip("numpy")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
+import repro.engine.vec as vec_module  # noqa: E402
 from repro.engine import RunConfig, simulate  # noqa: E402
 from repro.engine.vec import VecFaultSimulator, vec_support_reason  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
 from repro.exec.config import ExecutionPolicy  # noqa: E402
 from repro.faultsim.coverage import coverage_curve  # noqa: E402
-from repro.faultsim.faults import full_fault_universe  # noqa: E402
-from repro.faultsim.patterns import SequencePatternSource  # noqa: E402
+from repro.faultsim.faults import Fault, full_fault_universe  # noqa: E402
+from repro.faultsim.patterns import (  # noqa: E402
+    RandomPatternSource,
+    SequencePatternSource,
+)
 from repro.faultsim.simulator import FaultSimulator  # noqa: E402
+from repro.library.scenarios import SCENARIOS  # noqa: E402
 from repro.netlist.evaluate import Evaluator  # noqa: E402
+from repro.netlist.gates import GateType  # noqa: E402
+from repro.netlist.netlist import Netlist  # noqa: E402
 from tests.test_differential_props import (  # noqa: E402
     _input_assignments,
     _pack,
     _reference_evaluate,
     netlist_and_patterns,
 )
+from tests.test_golden_coverage import CORPUS  # noqa: E402
+
+#: The shipped per-batch crossover, read before the suite pins it to 0.
+SHIPPED_MIN_LANES = vec_module.VEC_MIN_LANES
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _array_path():
+    """Run every batch of the suite on the array path.
+
+    The batch properties draw 1–8 faults; at the shipped crossover most
+    of those batches would run the packed propagator, and the three-way
+    differential would compare packed against packed.  Module scope,
+    because Hypothesis rejects function-scoped fixtures.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module, "VEC_MIN_LANES", 0)
+        yield
 
 
 def _good_values(netlist, patterns):
@@ -54,13 +89,17 @@ def _good_values(netlist, patterns):
 def test_vec_batch_matches_packed_and_scalar_reference(case, data):
     """One batch, three implementations: the vec kernel's detections and
     survivors equal the packed loop's, and both equal the brute-force
-    scalar reference's first differing pattern index per fault."""
+    scalar reference's first differing pattern index per fault.  The
+    memory budget is cut to a drawn number of lanes per chunk, so the
+    batch runs as one chunk or as several that start at different
+    levels."""
     netlist, patterns = case
     universe = full_fault_universe(netlist)
     faults = data.draw(
         st.lists(st.sampled_from(universe), min_size=1, max_size=8,
                  unique=True)
     )
+    chunk = data.draw(st.integers(min_value=1, max_value=len(faults)))
     assert vec_support_reason(netlist) is None
 
     good, mask = _good_values(netlist, patterns)
@@ -68,9 +107,13 @@ def test_vec_batch_matches_packed_and_scalar_reference(case, data):
 
     packed_sim = FaultSimulator(netlist, batch_width=len(patterns))
     vec_sim = VecFaultSimulator(netlist, batch_width=len(patterns))
+    compiled = vec_sim.compiled
+    lane_bytes = (compiled.n_rows + 2 * compiled.widest) * 8  # one word
     packed_det, vec_det = {}, {}
     packed_live = packed_sim.simulate_batch(faults, good, mask, 0, packed_det)
-    vec_live = vec_sim.simulate_batch(faults, good, mask, 0, vec_det)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module, "VEC_MEMORY_BUDGET", chunk * lane_bytes)
+        vec_live = vec_sim.simulate_batch(faults, good, mask, 0, vec_det)
 
     assert vec_det == packed_det
     assert vec_live == packed_live
@@ -150,3 +193,138 @@ def test_vec_engine_run_reproduces_packed_coverage_curve(case):
     assert runs["vec"].first_detection == runs["packed"].first_detection
     assert runs["vec"].n_patterns == runs["packed"].n_patterns
     assert coverage_curve(runs["vec"]) == coverage_curve(runs["packed"])
+
+
+# ------------------------------------------------------ deterministic cases
+
+def _spy_chunks(monkeypatch):
+    """Record ``(lanes, start level)`` of every chunk the kernel runs."""
+    seen = []
+    original = VecFaultSimulator._simulate_chunk
+
+    def spy(self, chunk, start, *rest):
+        seen.append((len(chunk), start))
+        return original(self, chunk, start, *rest)
+
+    monkeypatch.setattr(VecFaultSimulator, "_simulate_chunk", spy)
+    return seen
+
+
+@pytest.mark.parametrize("width", [64, 256])
+@pytest.mark.parametrize("scenario", sorted(CORPUS))
+def test_multi_chunk_batch_matches_packed(scenario, width, monkeypatch):
+    """A batch split into several lane chunks equals the packed loop.
+
+    The budget is cut so the full fault universe (stems and branches,
+    from the primary inputs to the deepest level) splits into three
+    equal chunks and an uneven fourth.  Each chunk starts at its own
+    injection level after filling the rows live there from golden words,
+    so a wrong boundary fill or start level moves a detection here.
+    """
+    netlist = SCENARIOS[scenario]()
+    faults = full_fault_universe(netlist)
+    vec_sim = VecFaultSimulator(netlist, batch_width=width)
+    compiled = vec_sim.compiled
+    levels = [compiled.injection_level(fault) for fault in faults]
+    assert min(levels) == 0 and max(levels) == compiled.depth
+    assert any(not fault.is_stem for fault in faults)
+
+    chunk = -(-2 * len(faults) // 7)
+    lane_bytes = (compiled.n_rows + 2 * compiled.widest) * (width // 64) * 8
+    monkeypatch.setattr(vec_module, "VEC_MEMORY_BUDGET", chunk * lane_bytes)
+    seen = _spy_chunks(monkeypatch)
+
+    source = RandomPatternSource(len(netlist.primary_inputs), seed=11)
+    packed_inputs = next(source.batches(width))
+    mask = (1 << width) - 1
+    good = Evaluator(netlist).run(
+        dict(zip(netlist.primary_inputs, packed_inputs)), mask)
+    packed_det, vec_det = {}, {}
+    packed_live = FaultSimulator(netlist, batch_width=width).simulate_batch(
+        faults, good, mask, 64, packed_det)
+    vec_live = vec_sim.simulate_batch(faults, good, mask, 64, vec_det)
+
+    sizes = [lanes for lanes, _start in seen]
+    assert sizes[:-1] == [chunk] * 3 and 0 < sizes[-1] < chunk
+    starts = [start for _lanes, start in seen]
+    assert starts == sorted(starts) and starts[-1] > 0
+    assert vec_det == packed_det
+    assert list(vec_det) == list(packed_det)
+    assert vec_live == packed_live
+
+
+def test_live_set_crossing_the_crossover_runs_both_paths(monkeypatch):
+    """c3a2m's live set falls from 1 328 faults to one after the first
+    batch.  At the shipped crossover the kernel runs that batch on the
+    array path and hands the tail to the packed propagator, and the run
+    still equals the packed kernel's."""
+    monkeypatch.setattr(vec_module, "VEC_MIN_LANES", SHIPPED_MIN_LANES)
+    seen = _spy_chunks(monkeypatch)
+    fallback = []
+    packed_batch = FaultSimulator.simulate_batch
+
+    def packed_spy(self, live, *rest, **kwargs):
+        if isinstance(self, VecFaultSimulator):
+            fallback.append(len(live))
+        return packed_batch(self, live, *rest, **kwargs)
+
+    monkeypatch.setattr(FaultSimulator, "simulate_batch", packed_spy)
+    netlist = SCENARIOS["c3a2m_kernel"]()
+    runs = {}
+    for kernel in ("packed", "vec"):
+        runs[kernel] = simulate(
+            netlist, None,
+            RandomPatternSource(len(netlist.primary_inputs), seed=7),
+            config=RunConfig(
+                execution=ExecutionPolicy(
+                    kernel=kernel, executor="serial", jobs=1),
+                max_patterns=2048,
+            ),
+        )
+    assert runs["vec"].kernel == "vec"
+    assert seen and sum(lanes for lanes, _ in seen) >= SHIPPED_MIN_LANES
+    assert fallback and max(fallback) < SHIPPED_MIN_LANES
+    assert runs["vec"].first_detection == runs["packed"].first_detection
+    assert runs["vec"].n_patterns == runs["packed"].n_patterns
+
+
+def test_events_count_only_levels_above_the_chunk_start():
+    """``events_propagated`` counts the gate × lane evaluations done.
+
+    On a six-inverter chain a lone fault at the last level starts its
+    chunk there and evaluates nothing; one level lower it evaluates the
+    last gate once.  The full-forward count would be 6 per lane.
+    """
+    netlist = Netlist("chain")
+    nets = [netlist.new_input("a")]
+    for index in range(6):
+        nets.append(netlist.add_gate(GateType.NOT, [nets[-1]],
+                                     name=f"g{index}"))
+    netlist.mark_output(nets[-1])
+    mask = 0b1111
+    good = Evaluator(netlist).run({nets[0]: 0b0110}, mask)
+    cases = (
+        ([Fault(nets[6], 0)], 0),
+        ([Fault(nets[5], 1)], 1),
+        ([Fault(nets[5], 1), Fault(nets[6], 0)], 2),
+    )
+    for faults, events in cases:
+        vec_sim = VecFaultSimulator(netlist, batch_width=4)
+        packed_det, vec_det = {}, {}
+        FaultSimulator(netlist, batch_width=4).simulate_batch(
+            faults, good, mask, 0, packed_det)
+        vec_sim.simulate_batch(faults, good, mask, 0, vec_det)
+        assert vec_det == packed_det == {fault: 1 for fault in faults}
+        assert vec_sim.events_propagated == events
+
+
+def test_floating_output_falls_back():
+    """A primary output nothing drives has no defining level, so the
+    kernel refuses it and the engine runs packed instead."""
+    netlist = Netlist("floating")
+    inputs = netlist.new_inputs(2, prefix="i")
+    netlist.mark_output(netlist.add_gate(GateType.AND, inputs, name="g"))
+    netlist.mark_output(netlist.add_net("dangling"))
+    assert "floating" in vec_support_reason(netlist)
+    with pytest.raises(SimulationError, match="floating"):
+        VecFaultSimulator(netlist)
