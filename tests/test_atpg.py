@@ -2,12 +2,17 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.podem import PodemStatus, classify_faults, podem
+from repro.core.bibs import make_bibs_testable
+from repro.core.flow import lower_kernel_to_netlist
+from repro.datapath.filters import all_filters
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault, full_fault_universe
 from repro.faultsim.simulator import FaultSimulator
+from repro.graph.build import build_circuit_graph
 from repro.netlist.builders import ripple_adder
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
@@ -109,3 +114,28 @@ def test_pin_fault_podem():
     simulator = FaultSimulator(netlist)
     pattern = [result.test[n] for n in netlist.primary_inputs]
     assert simulator.detects(pin_fault, pattern)
+
+
+def bibs_kernel(circuit_name):
+    """The single logic kernel of a filter's BIBS design, lowered."""
+    circuit = all_filters()[circuit_name].circuit
+    design = make_bibs_testable(build_circuit_graph(circuit))
+    (kernel,) = [k for k in design.kernels if k.logic_blocks]
+    return lower_kernel_to_netlist(circuit, kernel)
+
+
+@pytest.mark.parametrize("circuit_name,n_gates,faults,backtracks", [
+    ("c5a2m", 442, [Fault(170, 1, 109, 0), Fault(374, 1, 313, 0)], 339),
+    ("c4a4m", 680, [Fault(136, 1, 75, 0), Fault(306, 1, 245, 0),
+                    Fault(476, 1, 415, 0), Fault(612, 1, 551, 0)], 32),
+])
+def test_deep_redundancy_proofs_on_paper_kernels(circuit_name, n_gates, faults,
+                                                 backtracks):
+    """The random-resistant faults Table 2 leaves on the BIBS kernels are
+    redundant, and the proof takes the same number of backtracks as the
+    search has always taken."""
+    netlist = bibs_kernel(circuit_name)
+    assert len(netlist.gates) == n_gates
+    for fault in faults:
+        result = podem(netlist, fault)
+        assert (result.status, result.backtracks) == (PodemStatus.REDUNDANT, backtracks)

@@ -46,19 +46,21 @@ BATCH = 128
 
 
 def _run(netlist, faults, *, jobs: Optional[int] = None,
+         executor: Optional[str] = None,
          max_patterns: int = MAX_PATTERNS, chunk_batches: int = 1,
          **fields):
     """One guarded run; ``fields`` are further :class:`RunConfig` fields.
 
     One batch per round (the default) keeps round boundaries at
     BATCH-pattern strides, so budget cuts land mid-run rather than
-    beyond it.
+    beyond it.  ``executor`` pins the backend; ``None`` resolves it as
+    any run does.
     """
     source = RandomPatternSource(len(netlist.primary_inputs), seed=11)
     config = RunConfig(
         max_patterns=max_patterns, stop_when_complete=False,
         drop_detected=False, **fields,
-    ).with_execution(jobs=jobs, batch_width=BATCH,
+    ).with_execution(jobs=jobs, executor=executor, batch_width=BATCH,
                      chunk_batches=chunk_batches)
     return simulate(netlist, faults, source, config=config)
 
@@ -197,7 +199,10 @@ def test_chaos_sigterm_partial_then_resume(circuit, tmp_path):
 def test_chaos_oom_ladder_degrades_but_stays_bit_identical(circuit):
     netlist, faults = circuit
     reference = _run(netlist, faults, jobs=JOBS)
-    pressured = _run(netlist, faults, jobs=JOBS, chunk_batches=2,
+    # Only a parallel backend has a serial rung to degrade to; pin one so
+    # the ladder is the same under any ambient REPRO_ENGINE_EXECUTOR.
+    pressured = _run(netlist, faults, jobs=JOBS, executor="process",
+                     chunk_batches=2,
                      chaos=FaultInjector.parse("oom:0:times=5"))
     # Chaos pressure adapts (halve, then serial) but never stops: the run
     # completes and the merged results cannot drift.
@@ -263,7 +268,7 @@ def test_oom_adaptations_publish_metrics(circuit):
     telemetry.enable()
     try:
         telemetry.get_telemetry().metrics.reset()
-        _run(netlist, faults, jobs=JOBS, chunk_batches=2,
+        _run(netlist, faults, jobs=JOBS, executor="process", chunk_batches=2,
              chaos=FaultInjector.parse("oom:0:times=5"))
         counters = telemetry.get_telemetry().metrics.snapshot()["counters"]
         assert counters.get("guard.memory_pressure", 0) > 0
