@@ -249,9 +249,8 @@ def simulate(
         run configuration — it stays a direct parameter.
     simulator:
         An existing :class:`FaultSimulator` (``FaultSimulator.run`` passes
-        itself): it pins the run's evaluation kernel unless the config
-        names one, and its evaluator computes the golden batches when the
-        batch widths agree.  Also a resource.
+        itself): its evaluator computes the golden batches when the batch
+        widths agree.  Also a resource; it does not choose the kernel.
 
     The run is bit-identical across executors (``serial`` / ``thread`` /
     ``process``) and across every failure-recovery path: retries, degraded
@@ -296,15 +295,11 @@ def simulate(
             telemetry.count("analysis.preflight_runs")
             profile = analyze_netlist(netlist, fault_list)
     batch_width = config.execution.batch_width
-    # Resolve the evaluation kernel once for the whole run: an explicitly
-    # constructed simulator pins its own kernel (FaultSimulator.run passes
-    # itself); otherwise config -> $REPRO_ENGINE_KERNEL -> cost heuristic,
-    # with automatic packed fallback for unsupported netlists.
-    requested_kernel = config.execution.kernel
-    if requested_kernel is None and simulator is not None:
-        requested_kernel = getattr(simulator, "kernel", None)
+    # Resolve the evaluation kernel once for the whole run: config ->
+    # $REPRO_ENGINE_KERNEL -> cost heuristic, with automatic packed
+    # fallback for unsupported netlists.
     kernel, kernel_fallback = resolve_kernel(
-        requested_kernel, netlist, len(fault_list)
+        config.execution.kernel, netlist, len(fault_list)
     )
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0

@@ -28,9 +28,12 @@ level.  A chunk of lanes starts at the lowest injection level ``s`` among
 them.  The rows live at ``s`` are filled from golden words (the
 *boundary fill*), and only levels ``s+1`` onwards are evaluated: below
 ``s`` every lane of the chunk is fault-free.  Per level, gates are
-grouped at compile time by ``(base type, fanin)`` into row-index arrays,
-so evaluation is ``gather -> in-place AND/OR/XOR over pins -> optional
-XOR with the batch mask -> scatter``.  After the gates of a level:
+grouped at compile time by ``(base type, fanin)`` into row-index arrays
+of at most :data:`VEC_GROUP_WIDTH` gates, so evaluation is ``gather ->
+in-place AND/OR/XOR over pins -> optional XOR with the batch mask ->
+scatter`` and the gather temporaries never outgrow that cap.  A chunk holds
+at most ``VEC_ROW_WORDS // W`` lanes, so its buffer is a fixed number of
+8 KB rows whatever the fault list.  After the gates of a level:
 
 * **stem faults** finalised at the level overwrite their net's lane row
   with the forced constant, so every downstream reader sees it;
@@ -39,7 +42,8 @@ XOR with the batch mask -> scatter``.  After the gates of a level:
   the pin forced — everything else in the lane still reads the healthy
   stem;
 * **detection** XORs each primary output the level defines against its
-  golden words and ORs the result into the lane's detection words.
+  golden words and ORs the result into the lane's detection words, in
+  slices of at most :data:`VEC_GROUP_WIDTH` outputs.
 
 The first set bit of a lane's detection words is its first-detecting
 pattern.  The surviving-fault bookkeeping then replays the packed
@@ -86,9 +90,11 @@ else:
 KERNEL_ENV_VAR = "REPRO_ENGINE_KERNEL"
 
 #: Auto-selection cost heuristic: vectorisation pays once the per-batch
-#: work (every fault times every gate) dwarfs the numpy call overhead;
-#: below it the packed event-driven cone walk wins (see BENCH_engine.json,
-#: where mac4 stays packed and c3a2m goes vec).
+#: work (every fault times every gate) dwarfs the numpy call overhead.
+#: In a sweep at 2^14 patterns over every kernel the benchmark workloads
+#: run (``docs/ENGINE.md``), each kernel from 424 960 up ran 3.5-10x
+#: faster on vec; below 19 536 packed/vec straddled 1 (0.48-1.9) in runs
+#: of at most 27 ms, and no kernel fell in between.
 VEC_AUTO_THRESHOLD = 100_000
 
 #: Per-batch crossover: a batch with fewer live lanes than this runs the
@@ -106,9 +112,27 @@ VEC_MIN_LANES = 5
 #: still touches only the fault cone, so wider gates fall back to packed.
 MAX_VEC_FANIN = 16
 
-#: Per-call buffer budget in bytes: fault lanes are chunked so the state
-#: rows plus the two gather temporaries of the widest gate group,
-#: ``(rows + 2 * widest) * C * W * 8``, stay under it.
+#: Widest gather, in rows: compilation splits every gate group, and every
+#: level's primary-output detection, into pieces of at most this many
+#: rows, so the two gather temporaries stop growing with the widest
+#: level (c4a4m's KA kernels had 128-gate groups, synth20k 3 600).  In
+#: the first-batch sweep in ``docs/ENGINE.md`` time did not follow the
+#: cap from 16 to 128; at 32 synth20k's buffer is 29.6 MiB, against
+#: 64 MiB uncapped.
+VEC_GROUP_WIDTH = 32
+
+#: Words per state row: a chunk takes at most ``VEC_ROW_WORDS // W``
+#: lanes (at least one), so its buffer is ``(R + 2 * widest)`` rows of
+#: at most 8 KB up to 65 536 patterns per batch (c4a4m KA kernel5's
+#: first batch: 1.7 MiB, against 33 MiB in one chunk).  The narrowest
+#: row at the bottom of the first-batch sweep in ``docs/ENGINE.md``:
+#: 18.3 ms there against 30.2 ms for one chunk and 34.5 ms at 256 words.
+VEC_ROW_WORDS = 1024
+
+#: Per-call buffer ceiling in bytes: fault lanes are also chunked so the
+#: state rows plus the two gather temporaries,
+#: ``(rows + 2 * widest) * C * W * 8``, stay under it.  With
+#: :data:`VEC_ROW_WORDS` it binds only above about 8 000 live rows.
 VEC_MEMORY_BUDGET = 64 * 1024 * 1024
 
 
@@ -290,6 +314,9 @@ class CompiledVecNetlist:
         self._end = np.asarray(end, dtype=np.intp)
         self._boundary: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
 
+        # A level's gates never write a row another gate of the level
+        # reads, so a group may be cut into sub-groups of at most ``cap``.
+        cap = VEC_GROUP_WIDTH
         self.level_groups: List[List[_GateGroup]] = [[] for _ in range(depth)]
         per_level = [0] * (depth + 1)
         for (level, base, inverting, _fanin), (outs, pins) in sorted(
@@ -297,27 +324,32 @@ class CompiledVecNetlist:
             key=lambda item: (item[0][0], item[0][1].value, *item[0][2:]),
         ):
             per_level[level] += len(outs)
-            self.level_groups[level - 1].append(_GateGroup(
-                base, inverting, rows[outs], [rows[p] for p in pins]))
+            for lo in range(0, len(outs), cap):
+                self.level_groups[level - 1].append(_GateGroup(
+                    base, inverting, rows[outs[lo:lo + cap]],
+                    [rows[p[lo:lo + cap]] for p in pins]))
         #: gates evaluated by a chunk that starts at level ``s``
         self.gates_after = [0] * (depth + 1)
         for level in range(depth - 1, -1, -1):
             self.gates_after[level] = (
                 self.gates_after[level + 1] + per_level[level + 1])
 
-        # Primary outputs, detected at their defining level.
+        # Primary outputs, detected at their defining level in slices of
+        # at most ``cap``: ``po_at[level]`` lists ``(rows, nets)`` pairs.
         po_by_level: Dict[int, List[int]] = {}
         for net in dict.fromkeys(netlist.primary_outputs):
             po_by_level.setdefault(net_level[net], []).append(net)
-        self.po_at: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {
-            level: (self.slot[nets], np.asarray(nets, dtype=np.intp))
-            for level, nets in po_by_level.items()
-        }
-        #: rows of the widest gather: a gate group or one level's outputs
+        self.po_at: Dict[int, List[Tuple["np.ndarray", "np.ndarray"]]] = {}
+        for level, nets in po_by_level.items():
+            sliced = [np.asarray(nets[lo:lo + cap], dtype=np.intp)
+                      for lo in range(0, len(nets), cap)]
+            self.po_at[level] = [(self.slot[part], part) for part in sliced]
+        #: rows of the widest gather: a gate group or an output slice
         self.widest = max(
             [len(group.out_idx) for groups in self.level_groups
              for group in groups]
-            + [len(nets) for nets in po_by_level.values()],
+            + [len(part) for parts in self.po_at.values()
+               for _rows, part in parts],
             default=0,
         )
 
@@ -381,14 +413,16 @@ class _BatchGolden:
         self.mask_words = _words([mask], n_words)[0]
         nets = np.unique(np.concatenate(
             [compiled.boundary(level)[0] for level in starts]
-            + [po_nets for _rows, po_nets in compiled.po_at.values()]))
+            + [po_nets for parts in compiled.po_at.values()
+               for _rows, po_nets in parts]))
         self.words = _words([good.get(net, 0) for net in nets.tolist()],
                             n_words)
         self.row_of = np.zeros(compiled.n_nets, dtype=np.intp)
         self.row_of[nets] = np.arange(len(nets))
+        #: per level, the golden words of each of its output slices
         self.po_words = {
-            level: self.of(po_nets)
-            for level, (_rows, po_nets) in compiled.po_at.items()
+            level: [self.of(po_nets) for _rows, po_nets in parts]
+            for level, parts in compiled.po_at.items()
             if level >= starts[0]
         }
 
@@ -413,8 +447,6 @@ class VecFaultSimulator(FaultSimulator):
     packed propagator's events.  Honest work accounting, not part of the
     bit-identity contract.
     """
-
-    kernel = "vec"
 
     def __init__(self, netlist: Netlist, batch_width: int = 256):
         super().__init__(netlist, batch_width)
@@ -441,7 +473,7 @@ class VecFaultSimulator(FaultSimulator):
         order = sorted(range(n_lanes), key=lane_level.__getitem__)
         n_words = max(1, (mask.bit_length() + 63) // 64)
         row_words = compiled.n_rows + 2 * compiled.widest
-        chunk = max(1, min(n_lanes,
+        chunk = max(1, min(n_lanes, VEC_ROW_WORDS // n_words,
                            VEC_MEMORY_BUDGET // (row_words * n_words * 8)))
         firsts = range(0, n_lanes, chunk)
         golden = _BatchGolden(compiled, good, mask, n_words,
@@ -539,15 +571,15 @@ class VecFaultSimulator(FaultSimulator):
                 view[compiled.slot[outs], lns] = _words(values, n_words)
             outputs = compiled.po_at.get(level)
             if outputs is not None:
-                po_rows = outputs[0]
-                diff = acc_space[:len(po_rows) * width].reshape(
-                    len(po_rows), width)
-                state.take(po_rows, axis=0, out=diff, mode="clip")
-                diff = diff.reshape(len(po_rows), n_lanes, n_words)
-                np.bitwise_xor(diff, golden.po_words[level][:, None, :],
-                               out=diff)
-                np.bitwise_or(det, np.bitwise_or.reduce(diff, axis=0),
-                              out=det)
+                for (po_rows, _nets), expected in zip(
+                        outputs, golden.po_words[level]):
+                    diff = acc_space[:len(po_rows) * width].reshape(
+                        len(po_rows), width)
+                    state.take(po_rows, axis=0, out=diff, mode="clip")
+                    diff = diff.reshape(len(po_rows), n_lanes, n_words)
+                    np.bitwise_xor(diff, expected[:, None, :], out=diff)
+                    np.bitwise_or(det, np.bitwise_or.reduce(diff, axis=0),
+                                  out=det)
 
         finish_level(start)
         for level in range(start + 1, compiled.depth + 1):

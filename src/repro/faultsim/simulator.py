@@ -45,12 +45,6 @@ class FaultSimulator:
         Patterns simulated per packed pass (default 256).
     """
 
-    #: Kernel name this simulator implements; the engine's kernel
-    #: resolution respects an explicitly passed simulator's kernel (the
-    #: numpy-vectorised :class:`repro.engine.vec.VecFaultSimulator`
-    #: subclass overrides this with ``"vec"``).
-    kernel = "packed"
-
     def __init__(self, netlist: Netlist, batch_width: int = 256):
         if batch_width < 1:
             raise SimulationError("batch width must be positive")
@@ -174,8 +168,12 @@ class FaultSimulator:
         ``config`` is a :class:`repro.exec.RunConfig` — execution backend
         and shard count, retry/timeout policy, checkpointing, budget,
         cancellation and chaos all live there (the batch width is pinned
-        to this simulator's own).  Results are bit-identical across
-        backends and shard counts (see :func:`repro.engine.simulate`).
+        to this simulator's own).  The evaluation kernel resolves as for
+        any run — ``config.execution.kernel``, then
+        ``$REPRO_ENGINE_KERNEL``, then ``auto`` — so this simulator only
+        evaluates the golden batches.  Results are bit-identical across
+        kernels, backends and shard counts (see
+        :func:`repro.engine.simulate`).
         ``cache`` optionally supplies a :class:`repro.engine.GoldenCache`
         so fault-free batch evaluations are shared across shards and
         repeated runs.

@@ -9,6 +9,10 @@ from repro.core.flow import (
 )
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.compiler import Add, Mul, Var, compile_datapath
+from repro.datapath.filters import all_filters
+from repro.engine.vec import KERNEL_ENV_VAR
+from repro.exec.config import ExecutionPolicy, RunConfig
+from repro.experiments.table2 import measure_circuit
 from repro.graph.build import build_circuit_graph
 
 
@@ -106,3 +110,29 @@ def test_schedule_at_unreached_target():
         classify_undetected=False,
     )
     assert evaluation.scheduled_time(1.0) is None
+
+
+def test_flow_runs_follow_the_engine_kernel_resolution(monkeypatch):
+    """``FaultSimulator.run`` does not pin a kernel: the c5a2m BIBS kernel
+    runs vec under ``auto``, packed when ``$REPRO_ENGINE_KERNEL`` or the
+    config says so, and its Table 2 column is the same either way."""
+    circuit = all_filters()["c5a2m"].circuit
+    design = make_bibs_testable(build_circuit_graph(circuit))
+
+    def kernels(config=None):
+        evaluation = evaluate_design(
+            circuit, design, targets=(1.0,), max_patterns=1 << 10,
+            classify_undetected=False, config=config,
+        )
+        return [k.result.kernel for k in evaluation.kernel_evaluations]
+
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    assert kernels() == ["vec"]
+    packed = RunConfig(execution=ExecutionPolicy(kernel="packed"))
+    assert kernels(packed) == ["packed"]
+    monkeypatch.setenv(KERNEL_ENV_VAR, "packed")
+    assert kernels() == ["packed"]
+
+    auto = RunConfig(execution=ExecutionPolicy(kernel="auto"))
+    assert (measure_circuit("c5a2m", 1 << 12, n_seeds=1, config=auto)
+            == measure_circuit("c5a2m", 1 << 12, n_seeds=1, config=packed))

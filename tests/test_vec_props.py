@@ -20,14 +20,18 @@ curve exactly.  Profiles live in ``tests/conftest.py``: CI runs the
 The suite pins the per-batch crossover (``VEC_MIN_LANES``) to 0, so its
 1–8-fault batches exercise the array path rather than the packed
 fallback, and the one-batch property also draws how many lanes go in a
-chunk.  Deterministic cases cover what random small netlists do not
-reach: the corpus kernels' full fault universes split into several
-chunks at one and four words per lane, a run whose live set crosses the
-shipped crossover, and the work count of a chunk that starts deep in
-the netlist.
+chunk, which limit caps them (row width or memory ceiling), and a gate
+group cap of 1–4 rows.  Deterministic cases cover what random small
+netlists do not reach: the corpus kernels' full fault universes split
+into several chunks at one and four words per lane, a level wider than
+the shipped group cap, a run whose live set crosses the shipped
+crossover, and the work count of a chunk that starts deep in the
+netlist.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -85,13 +89,28 @@ def _good_values(netlist, patterns):
     return Evaluator(netlist).run(packed_inputs, mask), mask
 
 
+def _force_lanes(patch, compiled, n_words, lanes, bound):
+    """Cap chunks at ``lanes`` lanes of ``n_words`` words through one
+    limit: the row width (``"rows"``) or the memory ceiling
+    (``"budget"``).  The other limit is set so that it does not bind."""
+    lane_bytes = (compiled.n_rows + 2 * compiled.widest) * n_words * 8
+    if bound == "rows":
+        patch.setattr(vec_module, "VEC_ROW_WORDS", lanes * n_words)
+        patch.setattr(vec_module, "VEC_MEMORY_BUDGET", 1 << 62)
+    else:
+        patch.setattr(vec_module, "VEC_ROW_WORDS", 1 << 62)
+        patch.setattr(vec_module, "VEC_MEMORY_BUDGET", lanes * lane_bytes)
+
+
 @given(netlist_and_patterns(), st.data())
 def test_vec_batch_matches_packed_and_scalar_reference(case, data):
     """One batch, three implementations: the vec kernel's detections and
     survivors equal the packed loop's, and both equal the brute-force
     scalar reference's first differing pattern index per fault.  The
-    memory budget is cut to a drawn number of lanes per chunk, so the
-    batch runs as one chunk or as several that start at different
+    gate group cap is drawn from 1–4 rows before the netlist is
+    compiled, so levels and output gathers split into sub-groups, and
+    one of the two chunk limits is cut to a drawn number of lanes, so
+    the batch runs as one chunk or as several that start at different
     levels."""
     netlist, patterns = case
     universe = full_fault_universe(netlist)
@@ -100,19 +119,21 @@ def test_vec_batch_matches_packed_and_scalar_reference(case, data):
                  unique=True)
     )
     chunk = data.draw(st.integers(min_value=1, max_value=len(faults)))
+    bound = data.draw(st.sampled_from(["rows", "budget"]))
+    cap = data.draw(st.integers(min_value=1, max_value=4))
     assert vec_support_reason(netlist) is None
 
     good, mask = _good_values(netlist, patterns)
     scalar_inputs, _ = _input_assignments(netlist, patterns)
 
     packed_sim = FaultSimulator(netlist, batch_width=len(patterns))
-    vec_sim = VecFaultSimulator(netlist, batch_width=len(patterns))
-    compiled = vec_sim.compiled
-    lane_bytes = (compiled.n_rows + 2 * compiled.widest) * 8  # one word
     packed_det, vec_det = {}, {}
     packed_live = packed_sim.simulate_batch(faults, good, mask, 0, packed_det)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vec_module, "VEC_MEMORY_BUDGET", chunk * lane_bytes)
+        patch.setattr(vec_module, "VEC_GROUP_WIDTH", cap)
+        vec_sim = VecFaultSimulator(netlist, batch_width=len(patterns))
+        assert vec_sim.compiled.widest <= cap
+        _force_lanes(patch, vec_sim.compiled, 1, chunk, bound)
         vec_live = vec_sim.simulate_batch(faults, good, mask, 0, vec_det)
 
     assert vec_det == packed_det
@@ -212,14 +233,15 @@ def _spy_chunks(monkeypatch):
 
 @pytest.mark.parametrize("width", [64, 256])
 @pytest.mark.parametrize("scenario", sorted(CORPUS))
-def test_multi_chunk_batch_matches_packed(scenario, width, monkeypatch):
+def test_multi_chunk_batch_matches_packed(scenario, width):
     """A batch split into several lane chunks equals the packed loop.
 
-    The budget is cut so the full fault universe (stems and branches,
-    from the primary inputs to the deepest level) splits into three
-    equal chunks and an uneven fourth.  Each chunk starts at its own
-    injection level after filling the rows live there from golden words,
-    so a wrong boundary fill or start level moves a detection here.
+    Each chunk limit in turn, the row width and then the memory ceiling,
+    is cut so the full fault universe (stems and branches, from the
+    primary inputs to the deepest level) splits into three equal chunks
+    and an uneven fourth.  Each chunk starts at its own injection level
+    after filling the rows live there from golden words, so a wrong
+    boundary fill or start level moves a detection here.
     """
     netlist = SCENARIOS[scenario]()
     faults = full_fault_universe(netlist)
@@ -229,25 +251,55 @@ def test_multi_chunk_batch_matches_packed(scenario, width, monkeypatch):
     assert min(levels) == 0 and max(levels) == compiled.depth
     assert any(not fault.is_stem for fault in faults)
 
-    chunk = -(-2 * len(faults) // 7)
-    lane_bytes = (compiled.n_rows + 2 * compiled.widest) * (width // 64) * 8
-    monkeypatch.setattr(vec_module, "VEC_MEMORY_BUDGET", chunk * lane_bytes)
-    seen = _spy_chunks(monkeypatch)
-
     source = RandomPatternSource(len(netlist.primary_inputs), seed=11)
     packed_inputs = next(source.batches(width))
     mask = (1 << width) - 1
     good = Evaluator(netlist).run(
         dict(zip(netlist.primary_inputs, packed_inputs)), mask)
-    packed_det, vec_det = {}, {}
+    packed_det = {}
     packed_live = FaultSimulator(netlist, batch_width=width).simulate_batch(
         faults, good, mask, 64, packed_det)
-    vec_live = vec_sim.simulate_batch(faults, good, mask, 64, vec_det)
 
-    sizes = [lanes for lanes, _start in seen]
-    assert sizes[:-1] == [chunk] * 3 and 0 < sizes[-1] < chunk
-    starts = [start for _lanes, start in seen]
-    assert starts == sorted(starts) and starts[-1] > 0
+    chunk = -(-2 * len(faults) // 7)
+    for bound in ("rows", "budget"):
+        with pytest.MonkeyPatch.context() as patch:
+            _force_lanes(patch, compiled, width // 64, chunk, bound)
+            seen = _spy_chunks(patch)
+            vec_det = {}
+            vec_live = vec_sim.simulate_batch(faults, good, mask, 64, vec_det)
+
+        sizes = [lanes for lanes, _start in seen]
+        assert sizes[:-1] == [chunk] * 3 and 0 < sizes[-1] < chunk, bound
+        starts = [start for _lanes, start in seen]
+        assert starts == sorted(starts) and starts[-1] > 0
+        assert vec_det == packed_det
+        assert list(vec_det) == list(packed_det)
+        assert vec_live == packed_live
+
+
+def test_level_wider_than_the_group_cap_matches_packed():
+    """70 NANDs at level 1 over shared inputs, every one a primary
+    output: one gate group and one output gather of 70 rows, which
+    compilation must cut to at most ``VEC_GROUP_WIDTH`` rows each.  The
+    full fault universe on a 256-pattern batch equals the packed loop."""
+    netlist = Netlist("wide")
+    inputs = netlist.new_inputs(13, prefix="i")
+    for index, pair in enumerate(itertools.islice(
+            itertools.combinations(inputs, 2), 70)):
+        netlist.mark_output(netlist.add_gate(GateType.NAND, list(pair),
+                                             name=f"g{index}"))
+    faults = full_fault_universe(netlist)
+    vec_sim = VecFaultSimulator(netlist, batch_width=256)
+    assert vec_sim.compiled.widest <= vec_module.VEC_GROUP_WIDTH < 70
+
+    source = RandomPatternSource(len(inputs), seed=5)
+    mask = (1 << 256) - 1
+    good = Evaluator(netlist).run(
+        dict(zip(inputs, next(source.batches(256)))), mask)
+    packed_det, vec_det = {}, {}
+    packed_live = FaultSimulator(netlist, batch_width=256).simulate_batch(
+        faults, good, mask, 0, packed_det)
+    vec_live = vec_sim.simulate_batch(faults, good, mask, 0, vec_det)
     assert vec_det == packed_det
     assert list(vec_det) == list(packed_det)
     assert vec_live == packed_live
