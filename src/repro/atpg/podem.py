@@ -13,9 +13,11 @@ Classic Goel-style PODEM: objectives, backtrace to a primary input,
 three-valued (0/1/X) dual-machine implication, D-frontier tracking,
 chronological backtracking over PI assignments.
 
-Implication is event-driven.  Each :func:`podem` call builds flat tables
-of the netlist once (levels, gate functions, inputs, fanout, drivers) and
-keeps the good and the faulty machine's values in two flat lists.  A
+Implication is event-driven.  Flat tables of the netlist (levels, gate
+functions, inputs, fanout, drivers) are built once per netlist — by
+:func:`classify_faults` for its whole fault list, or by a lone
+:func:`podem` call for its one fault — and each search keeps the good
+and the faulty machine's values in two flat lists.  A
 decision, a flip, or the un-assignments of one backtrack change a few
 primary inputs; those changes are applied together, and only the gates
 they reach are re-evaluated, in level order.  A gate whose good *or*
@@ -303,9 +305,20 @@ class _Machine:
         return None
 
 
-def podem(netlist: Netlist, fault: Fault, max_backtracks: int = 5000) -> PodemResult:
-    """Run PODEM for one fault."""
-    machine = _Machine(_Tables(netlist), fault)
+def podem(
+    netlist: Netlist,
+    fault: Fault,
+    max_backtracks: int = 5000,
+    *,
+    tables: Optional[_Tables] = None,
+) -> PodemResult:
+    """Run PODEM for one fault.
+
+    ``tables`` optionally supplies the netlist's flat tables, already
+    built: a *resource*, not a search parameter, so
+    :func:`classify_faults` builds them once for its whole fault list.
+    """
+    machine = _Machine(_Tables(netlist) if tables is None else tables, fault)
     assignment: Dict[int, int] = {}
     decisions: List[Tuple[int, bool]] = []  # (pi net, tried_both)
     changed: List[int] = []  # PIs reassigned since the last implication
@@ -353,12 +366,16 @@ def classify_faults(
     faults: Sequence[Fault],
     max_backtracks: int = 5000,
 ) -> Tuple[List[Fault], Dict[Fault, Dict[int, int]], List[Fault]]:
-    """(redundant, tests for detectable, aborted) over a fault list."""
+    """(redundant, tests for detectable, aborted) over a fault list.
+
+    The netlist's tables are built once and shared by every fault.
+    """
+    tables = _Tables(netlist)
     redundant: List[Fault] = []
     tests: Dict[Fault, Dict[int, int]] = {}
     aborted: List[Fault] = []
     for fault in faults:
-        result = podem(netlist, fault, max_backtracks)
+        result = podem(netlist, fault, max_backtracks, tables=tables)
         if result.status is PodemStatus.REDUNDANT:
             redundant.append(fault)
         elif result.status is PodemStatus.DETECTED:

@@ -22,6 +22,7 @@ from repro.core.ka85 import make_ka_testable
 from repro.core.kernels import Kernel
 from repro.core.schedule import Schedule, ScheduledKernel, schedule_kernels
 from repro.errors import SimulationError
+from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimResult, FaultSimulator
 from repro.graph.build import build_circuit_graph
@@ -151,6 +152,57 @@ def _median(values: List[int]) -> int:
     return ordered[len(ordered) // 2]
 
 
+def _simulate_stream(
+    simulator: FaultSimulator,
+    source: RandomPatternSource,
+    config: "RunConfig",
+    cache: Optional["GoldenCache"],
+    verdicts: Dict[Fault, bool],
+) -> FaultSimResult:
+    """One kernel under one pattern stream, in the steps
+    :func:`evaluate_design` lists.
+
+    ``verdicts`` maps each fault PODEM has judged to whether it is
+    redundant; the kernel loop shares it across seeds.  A fault's first
+    detection depends only on the netlist, the fault and the stream, and
+    a verdict only on the netlist, the fault and the backtrack limit,
+    which is why these steps give the results of one full-length run.
+    """
+    netlist = simulator.netlist
+    prefix = min(
+        config.max_patterns,
+        simulator.batch_width * config.execution.chunk_batches,
+    )
+    result = simulator.run(
+        source, config=config.replace(max_patterns=prefix), cache=cache
+    )
+    survivors = result.undetected
+    if not survivors or result.partial:
+        return result
+    unjudged = [fault for fault in survivors if fault not in verdicts]
+    if unjudged:
+        from repro.atpg.podem import classify_faults
+
+        with telemetry.span(
+            "flow.classify_undetected",
+            kernel=netlist.name, n_faults=len(unjudged),
+        ):
+            redundant, _tests, _aborted = classify_faults(netlist, unjudged)
+        verdicts.update(dict.fromkeys(unjudged, False))
+        verdicts.update(dict.fromkeys(redundant, True))
+    live = [fault for fault in survivors if not verdicts[fault]]
+    if live and prefix < config.max_patterns:
+        tail = simulator.run(source, faults=live, config=config, cache=cache)
+        result.first_detection.update(tail.first_detection)
+        # A guard can stop the tail before its first round ends; the
+        # prefix's patterns were applied all the same.
+        result.n_patterns = max(result.n_patterns, tail.n_patterns)
+        result.partial = tail.partial
+        result.stop_reason = tail.stop_reason
+    result.merge_undetectable(fault for fault in survivors if verdicts[fault])
+    return result
+
+
 def evaluate_design(
     circuit: RTLCircuit,
     design: BIBSDesign,
@@ -166,11 +218,26 @@ def evaluate_design(
 ) -> DesignEvaluation:
     """Fault-simulate every kernel of a design under random patterns.
 
-    Faults still undetected after ``max_patterns`` are classified by the
-    PODEM ATPG when ``classify_undetected`` is set: proven-redundant faults
-    leave the coverage denominator (the paper reports coverage of
-    *detectable* faults); aborted/detectable leftovers keep the target
-    unreached (``patterns_at[target] = None``).
+    With ``classify_undetected`` set, each kernel and pattern stream runs
+    in three steps:
+
+    1. one engine round (``batch_width`` × ``chunk_batches`` patterns,
+       1,024 by default) against every fault;
+    2. the PODEM ATPG on the survivors: proven-redundant faults leave the
+       coverage denominator (the paper reports coverage of *detectable*
+       faults).  Verdicts are kept per kernel, so a fault is proven once
+       whatever ``n_seeds`` is;
+    3. only if survivors PODEM did not prove redundant remain, a second
+       run over the full ``max_patterns`` stream for those faults alone.
+       Aborted/detectable leftovers it does not detect keep the target
+       unreached (``patterns_at[target] = None``).
+
+    The detections, the redundant list and ``patterns_at`` equal those of
+    one run to ``max_patterns`` followed by PODEM on its survivors.
+    ``result.n_patterns`` counts the patterns actually applied: a kernel
+    whose survivors are all redundant reports one round, not
+    ``max_patterns``.  Without ``classify_undetected``, each stream is a
+    single run to ``max_patterns``.
 
     ``n_seeds > 1`` repeats each kernel's run with independent pattern
     streams and reports the per-target *median* pattern count — the
@@ -179,16 +246,19 @@ def evaluate_design(
 
     ``config`` (a :class:`repro.exec.RunConfig`) shapes every kernel run:
     execution backend and shard count, retry policy, checkpointing (keyed
-    per kernel/stream, so one directory serves the whole sweep), budget,
+    per engine run, so one directory serves the whole sweep), budget,
     cancellation and chaos.  The sweep's own ``max_patterns`` and
     ``batch_width`` arguments stay authoritative — they define *what* the
     flow measures, the config defines *how* it executes.  Results are
     bit-identical across backends and shard counts.
 
-    A run stopped early by a :mod:`repro.guard` limit (``result.partial``)
-    skips ATPG classification — faults left undetected by a truncated
-    pattern stream are not candidates for redundancy proofs — and its
-    unreached targets simply report ``patterns_at[target] = None``.
+    A guard limit (:mod:`repro.guard`) applies to each engine run.  A
+    first round it stops (``result.partial``), for instance under a
+    pattern budget below one round, skips ATPG classification — faults
+    left undetected by a truncated stream are not candidates for
+    redundancy proofs — and its unreached targets report ``None``.  A
+    pattern budget of at least one round leaves a kernel whose survivors
+    are all redundant untouched; it can only cut the second run short.
     """
     from repro.exec.config import RunConfig
 
@@ -203,24 +273,19 @@ def evaluate_design(
         ):
             netlist = lower_kernel_to_netlist(circuit, kernel)
             simulator = FaultSimulator(netlist, batch_width=batch_width)
+            verdicts: Dict[Fault, bool] = {}
             per_seed: List[Dict[float, Optional[int]]] = []
             first_result: Optional[FaultSimResult] = None
             for round_index in range(max(1, n_seeds)):
                 source = RandomPatternSource(
                     len(netlist.primary_inputs), seed=seed + 7919 * round_index
                 )
-                result = simulator.run(source, config=config, cache=cache)
-                if classify_undetected and result.undetected and not result.partial:
-                    from repro.atpg.podem import classify_faults
-
-                    with telemetry.span(
-                        "flow.classify_undetected",
-                        kernel=kernel.name, n_faults=len(result.undetected),
-                    ):
-                        redundant, _tests, _aborted = classify_faults(
-                            netlist, result.undetected
-                        )
-                    result.merge_undetectable(redundant)
+                if classify_undetected:
+                    result = _simulate_stream(
+                        simulator, source, config, cache, verdicts
+                    )
+                else:
+                    result = simulator.run(source, config=config, cache=cache)
                 if first_result is None:
                     first_result = result
                 per_seed.append(

@@ -159,12 +159,13 @@ def table2_columns(
     lets one token (typically tripped by SIGINT/SIGTERM) stop every
     remaining run.
 
-    The shared cache bounds per-entry golden-batch retention: a full-budget
-    run holds 2^17/256 = 512 batches of every-net packed values *per
-    kernel stream*, which across three circuits, two TDMs and three seeds
-    is the dominant memory cost of the sweep — so only a recent window is
-    kept (evicted batches recompute from the pure pattern stream on the
-    rare re-read).
+    The shared cache bounds per-entry golden-batch retention: a
+    full-length run (the flow makes one only for survivors PODEM does not
+    prove redundant) holds 2^17/256 = 512 batches of every-net packed
+    values *per kernel stream*, which across three circuits, two TDMs and
+    three seeds would dominate the sweep's memory — so only a recent
+    window is kept (evicted batches recompute from the pure pattern
+    stream on the rare re-read).
     """
     from repro.engine import GoldenCache
     from repro.exec.config import RunConfig

@@ -18,7 +18,9 @@ primary outputs.
 
 from __future__ import annotations
 
+import importlib
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
 import pytest
 
@@ -26,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.atpg.podem import podem  # noqa: E402
+from repro.atpg.podem import PodemStatus, podem  # noqa: E402
 from repro.faultsim.faults import Fault  # noqa: E402
 from repro.netlist.gates import GateType  # noqa: E402
 from repro.netlist.netlist import Netlist  # noqa: E402
@@ -265,3 +267,29 @@ def test_event_driven_podem_matches_resimulating_reference(netlist, max_backtrac
         result = podem(netlist, fault, max_backtracks)
         got = (result.status.value, result.test, result.backtracks)
         assert got == reference_podem(netlist, fault, max_backtracks), fault
+
+
+@given(netlists(), st.sampled_from([0, 1, 3, 50]))
+def test_classify_faults_shares_one_table_without_moving_a_search(netlist, max_backtracks):
+    """``classify_faults`` hands one set of netlist tables to every
+    per-fault ``podem`` call, and each search still returns what a lone
+    call returns: same status, same test, same backtrack count."""
+    faults = every_fault(netlist)
+    alone = [podem(netlist, fault, max_backtracks) for fault in faults]
+    module = importlib.import_module("repro.atpg.podem")
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = podem(*args, **kwargs)
+        calls.append((kwargs["tables"], result))
+        return result
+
+    with mock.patch.object(module, "podem", recording):
+        redundant, tests, aborted = module.classify_faults(netlist, faults, max_backtracks)
+    assert len({id(tables) for tables, _ in calls}) == 1
+    assert [(r.fault, r.status, r.test, r.backtracks) for _, r in calls] == [
+        (r.fault, r.status, r.test, r.backtracks) for r in alone
+    ]
+    assert redundant == [r.fault for r in alone if r.status is PodemStatus.REDUNDANT]
+    assert tests == {r.fault: r.test for r in alone if r.status is PodemStatus.DETECTED}
+    assert aborted == [r.fault for r in alone if r.status is PodemStatus.ABORTED]

@@ -12,7 +12,13 @@ from repro.experiments.figures import (
 )
 from repro.experiments.render import fmt, render_table
 from repro.experiments.table1 import render_table1, table1_rows
-from repro.experiments.table2 import PAPER_TABLE2, measure_circuit, render_table2
+from repro.experiments.table2 import (
+    PAPER_TABLE2,
+    Table2Column,
+    measure_circuit,
+    render_table2,
+    table2_columns,
+)
 
 
 def test_render_table_alignment():
@@ -107,6 +113,20 @@ def test_measure_circuit_small_budget():
     assert column.maximal_delay == (2, 4)
     text = render_table2([column])
     assert "c5a2m BIBS" in text and "Table 2 (paper)" in text
+
+
+def test_paper_protocol_reproduces_the_committed_table2():
+    """2^16 patterns × 3 seeds per kernel, as ``python -m
+    repro.experiments`` and ``benchmarks/test_table2_coverage.py`` run
+    it: the columns of ``results/table2_full.txt`` and EXPERIMENTS.md."""
+    assert table2_columns(max_patterns=1 << 16, n_seeds=3) == [
+        Table2Column("c5a2m", (1, 7), (1, 2), (9, 15), (2, 4),
+                     (46, 216), (46, 77), (173, 370), (173, 154)),
+        Table2Column("c3a2m", (1, 5), (1, 2), (7, 15), (2, 6),
+                     (58, 219), (58, 87), (228, 641), (228, 298)),
+        Table2Column("c4a4m", (1, 6), (1, 2), (10, 20), (2, 4),
+                     (69, 218), (69, 77), (168, 382), (168, 159)),
+    ]
 
 
 def test_paper_table_constants():

@@ -1,5 +1,8 @@
 """End-to-end flow: kernel lowering and TDM evaluation."""
 
+import importlib
+
+import pytest
 
 from repro.core.bibs import make_bibs_testable
 from repro.core.flow import (
@@ -13,7 +16,13 @@ from repro.datapath.filters import all_filters
 from repro.engine.vec import KERNEL_ENV_VAR
 from repro.exec.config import ExecutionPolicy, RunConfig
 from repro.experiments.table2 import measure_circuit
+from repro.faultsim.patterns import RandomPatternSource
+from repro.faultsim.simulator import FaultSimulator
 from repro.graph.build import build_circuit_graph
+from repro.guard import STOP_CANCELLED, Budget, CancelToken
+
+# The module, not the function ``repro.atpg`` re-exports under its name.
+podem = importlib.import_module("repro.atpg.podem")
 
 
 def small_filter(width=4):
@@ -136,3 +145,131 @@ def test_flow_runs_follow_the_engine_kernel_resolution(monkeypatch):
     auto = RunConfig(execution=ExecutionPolicy(kernel="auto"))
     assert (measure_circuit("c5a2m", 1 << 12, n_seeds=1, config=auto)
             == measure_circuit("c5a2m", 1 << 12, n_seeds=1, config=packed))
+
+
+def c5a2m_designs():
+    circuit = all_filters()["c5a2m"].circuit
+    graph = build_circuit_graph(circuit)
+    return circuit, {
+        "bibs": make_bibs_testable(graph),
+        "ka": make_ka_testable(graph).design,
+    }
+
+
+@pytest.mark.parametrize("batch_width, chunk_batches, tails", [
+    # Round one is 64 patterns: detectable faults outlive it on three
+    # kernels, which then need the run over the full stream.
+    (64, 1, {("bibs", "kernel1"), ("ka", "kernel6"), ("ka", "kernel7")}),
+    # Round one is 1,024 patterns: every survivor is redundant.
+    (256, 4, set()),
+])
+def test_round_one_then_podem_equals_one_full_run_then_podem(
+        monkeypatch, batch_width, chunk_batches, tails):
+    """Per kernel, the flow's detections, redundant list and pattern
+    counts equal those of one run to ``max_patterns`` followed by PODEM on
+    its survivors, whether or not a second run was needed."""
+    max_patterns = 1 << 12
+    targets = (0.995, 1.0)
+    config = RunConfig(execution=ExecutionPolicy(chunk_batches=chunk_batches))
+    circuit, designs = c5a2m_designs()
+    tail_runs = []
+    run = FaultSimulator.run
+
+    def recording_run(self, source, max_patterns=None, faults=None, **kwargs):
+        if faults is not None:
+            tail_runs.append((tdm, self.netlist.name.split(":")[1]))
+        return run(self, source, max_patterns, faults, **kwargs)
+
+    monkeypatch.setattr(FaultSimulator, "run", recording_run)
+    for seed in (1994, 7):
+        tail_runs.clear()
+        for tdm, design in designs.items():
+            evaluation = evaluate_design(
+                circuit, design, targets, max_patterns, seed,
+                batch_width=batch_width, config=config,
+            )
+            for kernel in evaluation.kernel_evaluations:
+                netlist = kernel.netlist
+                simulator = FaultSimulator(netlist, batch_width=batch_width)
+                source = RandomPatternSource(len(netlist.primary_inputs), seed=seed)
+                reference = simulator.run(
+                    source, config=config.replace(max_patterns=max_patterns))
+                redundant, _tests, _aborted = podem.classify_faults(
+                    netlist, reference.undetected)
+                reference.merge_undetectable(redundant)
+                result = kernel.result
+                assert result.first_detection == reference.first_detection
+                assert result.undetectable == reference.undetectable
+                assert kernel.patterns_at == {
+                    target: reference.patterns_for_coverage(target)
+                    for target in targets
+                }
+        assert set(tail_runs) == tails
+
+
+def test_kernel_with_only_redundant_survivors_applies_one_round():
+    """``n_patterns`` counts the patterns applied: the c5a2m BIBS kernel
+    stops after round one once PODEM proves both survivors redundant."""
+    circuit, designs = c5a2m_designs()
+    evaluation = evaluate_design(circuit, designs["bibs"], max_patterns=1 << 14)
+    (kernel,) = evaluation.kernel_evaluations
+    assert kernel.result.n_patterns == 1024
+    assert not kernel.result.partial
+    assert len(kernel.result.undetectable) == 2
+
+
+def test_cancel_during_podem_keeps_the_first_round_and_the_proofs(monkeypatch):
+    """A token tripped while PODEM runs stops the second run before its
+    first round: the kernel is partial, still reports the round it
+    applied, and keeps the redundant faults PODEM proved."""
+    token = CancelToken()
+    classify = podem.classify_faults
+
+    def tripping_classify(netlist, faults, max_backtracks=5000):
+        token.trip()
+        return classify(netlist, faults, max_backtracks)
+
+    monkeypatch.setattr(podem, "classify_faults", tripping_classify)
+    circuit, designs = c5a2m_designs()
+    config = RunConfig(cancel=token).with_execution(chunk_batches=1)
+    evaluation = evaluate_design(
+        circuit, designs["bibs"], max_patterns=1 << 12, batch_width=64,
+        config=config,
+    )
+    (kernel,) = evaluation.kernel_evaluations
+    assert kernel.result.partial
+    assert kernel.result.stop_reason == STOP_CANCELLED
+    assert kernel.result.n_patterns == 64
+    assert len(kernel.result.undetectable) == 2
+    assert kernel.patterns_at[1.0] is None
+
+
+def test_pattern_budget_of_one_round_keeps_the_column():
+    """A budget of at least one round cuts no c5a2m kernel short; one
+    below a round stops every first round and blanks the pattern rows."""
+    full = measure_circuit("c5a2m", 1 << 13, n_seeds=1)
+    capped = measure_circuit(
+        "c5a2m", 1 << 13, n_seeds=1,
+        config=RunConfig(budget=Budget(max_patterns=4096)))
+    assert capped == full
+    assert full.patterns_995 == (46, 229)
+    blank = measure_circuit(
+        "c5a2m", 1 << 13, n_seeds=1,
+        config=RunConfig(budget=Budget(max_patterns=512)))
+    for row in ("patterns_995", "time_995", "patterns_100", "time_100"):
+        assert getattr(blank, row) == (None, None), row
+
+
+def test_each_survivor_is_proven_once_across_seeds(monkeypatch):
+    """Seeds share a kernel's netlist, so its PODEM verdicts too: three
+    seeds of c5a2m classify its 36 redundant faults once, not 108 times."""
+    classify = podem.classify_faults
+    judged = []
+
+    def counting_classify(netlist, faults, max_backtracks=5000):
+        judged.extend((netlist.fingerprint(), fault) for fault in faults)
+        return classify(netlist, faults, max_backtracks)
+
+    monkeypatch.setattr(podem, "classify_faults", counting_classify)
+    measure_circuit("c5a2m", 1 << 13, n_seeds=3)
+    assert len(judged) == len(set(judged)) == 36
