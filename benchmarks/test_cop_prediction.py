@@ -7,15 +7,12 @@ the paper's adder and multiplier kernels — COP is exact on fanout-free
 logic and degrades gracefully under the multiplier's reconvergence.
 """
 
+from repro.analysis.random_testability import analyze_netlist
 from repro.core.flow import lower_kernel_to_netlist
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.filters import c5a2m
 from repro.experiments.render import render_table
 from repro.faultsim.collapse import collapse_faults
-from repro.faultsim.cop import (
-    estimate_detection_probabilities,
-    predicted_patterns_for_coverage,
-)
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimulator
 from repro.graph.build import build_circuit_graph
@@ -37,8 +34,7 @@ def _compare(target=0.95):
     rows = []
     for name, netlist in _kernels().items():
         faults, _ = collapse_faults(netlist)
-        estimates = estimate_detection_probabilities(netlist, faults)
-        predicted = predicted_patterns_for_coverage(estimates, target)
+        predicted = analyze_netlist(netlist, faults).expected_patterns_for(target)
         simulator = FaultSimulator(netlist)
         result = simulator.run(RandomPatternSource(16, seed=17), 1 << 15)
         measured = result.patterns_for_coverage(target)

@@ -16,14 +16,11 @@ contrast:
 Run:  python examples/testability_tour.py
 """
 
+from repro.analysis.random_testability import analyze_netlist
 from repro.core.bibs import make_bibs_testable
 from repro.core.flow import lower_kernel_to_netlist
 from repro.datapath.compiler import Add, Mul, Var, compile_datapath
 from repro.faultsim.collapse import collapse_faults
-from repro.faultsim.cop import (
-    estimate_detection_probabilities,
-    predicted_patterns_for_coverage,
-)
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.sequential import SequentialFault, minimum_detecting_length
 from repro.faultsim.simulator import FaultSimulator
@@ -64,9 +61,9 @@ def main() -> None:
     design = make_bibs_testable(build_circuit_graph(compiled.circuit))
     netlist = lower_kernel_to_netlist(compiled.circuit, design.kernels[0])
     faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
+    profile = analyze_netlist(netlist, faults)
     for target in (0.90, 0.95):
-        predicted = predicted_patterns_for_coverage(estimates, target)
+        predicted = profile.expected_patterns_for(target)
         simulator = FaultSimulator(netlist)
         result = simulator.run(
             RandomPatternSource(len(netlist.primary_inputs), seed=11), 1 << 14

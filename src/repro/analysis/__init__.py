@@ -18,6 +18,7 @@ from repro.analysis.random_testability import (
     TestabilityProfile,
     analyze_netlist,
     pin_observabilities,
+    signal_probabilities,
 )
 from repro.analysis.scoap import UNACHIEVABLE, ScoapMeasures, scoap
 from repro.analysis.testability import (
@@ -47,6 +48,7 @@ __all__ = [
     "TestabilityProfile",
     "analyze_netlist",
     "pin_observabilities",
+    "signal_probabilities",
     "UNACHIEVABLE",
     "ScoapMeasures",
     "scoap",

@@ -1,11 +1,12 @@
 """COP random-pattern testability: per-fault detection probabilities.
 
 The statistical half of the static-testability story (the structural half
-is :mod:`repro.analysis.scoap`).  Under uniform random patterns, each
-net's 1-probability follows from COP signal probabilities
-(:func:`repro.faultsim.cop.signal_probabilities`); an error's chance of
-reaching a primary output follows from a pin-resolved observability pass;
-and a stuck-at fault's single-pattern detection probability is
+is :mod:`repro.analysis.scoap`), and the repo's one COP model.  Under
+independent random inputs, each net's 1-probability follows from the
+signal-probability pass (:func:`signal_probabilities`); an error's chance
+of reaching a primary output follows from a pin-resolved observability
+pass (:func:`pin_observabilities`); and a stuck-at fault's single-pattern
+detection probability is
 
     P(detect) = P(excite) * P(observe)
 
@@ -16,7 +17,10 @@ per fault, the predicted coverage-vs-length curve, and — the payoff —
 the ranked random-pattern-resistant fault tail that reseeding/ATPG PRs
 must target (ROADMAP: beyond pure pseudo-random TPG).
 
-Estimates assume signal independence, so reconvergent fanout makes them
+Estimates assume signal independence.  Where that holds (fanout-free
+trees, and an input fanning out into trees whose other inputs are
+private) they are exact, which ``tests/test_cop_props.py`` checks
+against exhaustive enumeration.  Reconvergent fanout makes them
 approximate; how approximate is itself a checked artifact — the golden
 corpus (``tests/test_testability_golden.py``) pins predicted-vs-measured
 coverage deltas per scenario with a committed tolerance contract.  See
@@ -27,13 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.faultsim.cop import (
-    predicted_patterns_for_coverage,
-    signal_probabilities,
-)
 from repro.faultsim.faults import Fault
 from repro.netlist.gates import GateType
 from repro.netlist.levelize import levelize
@@ -47,6 +47,44 @@ DEFAULT_COVERAGE_TARGET = 0.995
 #: Default pattern window: the engine's default run length
 #: (:data:`repro.exec.config.DEFAULT_MAX_PATTERNS`, 2^16).
 DEFAULT_WINDOW = 1 << 16
+
+
+def signal_probabilities(
+    netlist: Netlist,
+    input_probabilities: Optional[Mapping[int, float]] = None,
+) -> Dict[int, float]:
+    """P(net = 1) per net under independent random inputs (COP C-measure).
+
+    Every primary input is 1 with probability 0.5 unless
+    ``input_probabilities`` maps it to its own probability, as weighted
+    random patterns do.
+    """
+    overrides = input_probabilities or {}
+    prob: Dict[int, float] = {
+        net: overrides.get(net, 0.5) for net in netlist.primary_inputs
+    }
+    for gate_index in levelize(netlist):
+        gate = netlist.gates[gate_index]
+        inputs = [prob[n] for n in gate.inputs]
+        base = gate.gtype.base
+        if base is GateType.AND:
+            value = math.prod(inputs)
+        elif base is GateType.OR:
+            value = 1.0 - math.prod(1.0 - p for p in inputs)
+        elif base is GateType.XOR:
+            value = 0.0
+            for p in inputs:
+                value = value * (1.0 - p) + (1.0 - value) * p
+        elif base is GateType.BUF:
+            value = inputs[0]
+        elif gate.gtype is GateType.CONST0:
+            value = 0.0
+        else:  # CONST1
+            value = 1.0
+        if gate.gtype.is_inverting:
+            value = 1.0 - value
+        prob[gate.output] = value
+    return prob
 
 
 def pin_observabilities(
@@ -212,16 +250,29 @@ class TestabilityProfile:
     def expected_patterns_for(self, target: float) -> Optional[int]:
         """Patterns needed for the *expected* coverage to reach ``target``.
 
+        Found by doubling, then bisection, on :meth:`predicted_coverage`.
         ``None`` when statically unreachable (undetectable faults push the
         ceiling below the target).
         """
-        from repro.faultsim.cop import FaultEstimate
-
-        estimates = [
-            FaultEstimate(e.fault, e.detection_probability)
-            for e in self.faults
-        ]
-        return predicted_patterns_for_coverage(estimates, target)
+        if not self.faults:
+            return 0
+        reachable = sum(
+            1 for e in self.faults if e.detection_probability > 0
+        ) / len(self.faults)
+        if reachable < target:
+            return None
+        low, high = 1, 1
+        while self.predicted_coverage(high) < target:
+            high *= 2
+            if high > 1 << 40:
+                return None
+        while low < high:
+            mid = (low + high) // 2
+            if self.predicted_coverage(mid) >= target:
+                high = mid
+            else:
+                low = mid + 1
+        return low
 
     def to_json(
         self,
@@ -261,8 +312,6 @@ class TestabilityProfile:
 def analyze_netlist(
     netlist: Netlist,
     faults: Optional[Sequence[Fault]] = None,
-    *,
-    pi_probability: float = 0.5,
 ) -> TestabilityProfile:
     """Build the :class:`TestabilityProfile` of a netlist's fault list.
 
@@ -279,7 +328,7 @@ def analyze_netlist(
         "analysis.profile", circuit=netlist.name,
         n_gates=len(netlist.gates), n_faults=len(fault_list),
     ):
-        probabilities = signal_probabilities(netlist, pi_probability)
+        probabilities = signal_probabilities(netlist)
         stem_obs, pin_obs = pin_observabilities(netlist, probabilities)
         entries: List[FaultTestability] = []
         for fault in fault_list:

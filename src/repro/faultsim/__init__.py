@@ -9,13 +9,6 @@ from repro.faultsim.patterns import (
     SequencePatternSource,
 )
 from repro.faultsim.simulator import FaultSimResult, FaultSimulator
-from repro.faultsim.cop import (
-    FaultEstimate,
-    estimate_detection_probabilities,
-    observabilities,
-    predicted_patterns_for_coverage,
-    signal_probabilities,
-)
 from repro.faultsim.sequential import (
     SequentialFault,
     UnrolledCircuit,
@@ -54,11 +47,6 @@ __all__ = [
     "coverage_at",
     "sample_curve",
     "patterns_to_targets",
-    "signal_probabilities",
-    "observabilities",
-    "estimate_detection_probabilities",
-    "predicted_patterns_for_coverage",
-    "FaultEstimate",
     "SequentialFault",
     "UnrolledCircuit",
     "unroll",

@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Sequence
 
-from repro.faultsim.collapse import collapse_faults
-from repro.faultsim.cop import estimate_detection_probabilities
+from repro.faultsim.faults import Fault
 from repro.netlist.netlist import Netlist
 
 
@@ -64,16 +63,11 @@ def cop_weights(
     ``strength`` bounds the nudge; ``floor`` keeps every probability inside
     [floor, 1-floor] so observability elsewhere never collapses.
     """
-    faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
-    estimates.sort(key=lambda e: e.detection_probability)
-    cutoff = max(1, int(len(estimates) * hardest_fraction))
-    hard = [e for e in estimates[:cutoff] if e.detection_probability > 0]
+    hard = _hardest_faults(netlist, hardest_fraction)
 
     pis = netlist.primary_inputs
     votes: Dict[int, float] = {net: 0.0 for net in pis}
-    for estimate in hard:
-        fault = estimate.fault
+    for fault in hard:
         want = 1 - fault.stuck_at  # the excitation value at the site
         support = netlist.support_of([fault.net])
         for net in support:
@@ -168,16 +162,12 @@ def cop_weight_sets(
     cluster centres are the member-average distributions.  Falls back to a
     single fair set when nothing is biased.
     """
-    faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
-    estimates.sort(key=lambda e: e.detection_probability)
-    cutoff = max(1, int(len(estimates) * hardest_fraction))
-    hard = [e for e in estimates[:cutoff] if e.detection_probability > 0]
+    hard = _hardest_faults(netlist, hardest_fraction)
     if not hard:
         return [[0.5] * len(netlist.primary_inputs)]
 
     vectors = [
-        fault_weight_vector(netlist, e.fault, strength=strength) for e in hard
+        fault_weight_vector(netlist, fault, strength=strength) for fault in hard
     ]
     # Greedy clustering by bias-direction similarity.
     clusters: List[List[List[float]]] = []
@@ -207,6 +197,19 @@ def cop_weight_sets(
     return sets
 
 
+def _hardest_faults(netlist: Netlist, fraction: float) -> List[Fault]:
+    """The ``fraction`` of collapsed faults with the lowest COP detection
+    probability, hardest first (ties in collapse order), minus those COP
+    calls undetectable."""
+    from repro.analysis.random_testability import analyze_netlist
+
+    ranked = sorted(
+        analyze_netlist(netlist).faults, key=lambda e: e.detection_probability
+    )
+    cutoff = max(1, int(len(ranked) * fraction))
+    return [e.fault for e in ranked[:cutoff] if e.detection_probability > 0]
+
+
 def _input_sensitivity(netlist: Netlist, pi: int, site: int, want: int) -> float:
     """d P(site == want) / d P(pi = 1), two-point estimate."""
     low = _site_probability(netlist, pi, 0.25, site)
@@ -216,41 +219,6 @@ def _input_sensitivity(netlist: Netlist, pi: int, site: int, want: int) -> float
 
 
 def _site_probability(netlist: Netlist, pi: int, p: float, site: int) -> float:
-    from repro.faultsim.cop import signal_probabilities
+    from repro.analysis.random_testability import signal_probabilities
 
-    # signal_probabilities takes a uniform pi probability; emulate a single
-    # overridden input by a small wrapper propagation.
-    probabilities = {net: 0.5 for net in netlist.primary_inputs}
-    probabilities[pi] = p
-    return _propagate(netlist, probabilities)[site]
-
-
-def _propagate(netlist: Netlist, pi_probabilities: Dict[int, float]) -> Dict[int, float]:
-    import math
-
-    from repro.netlist.gates import GateType
-    from repro.netlist.levelize import levelize
-
-    prob = dict(pi_probabilities)
-    for gate_index in levelize(netlist):
-        gate = netlist.gates[gate_index]
-        inputs = [prob[n] for n in gate.inputs]
-        base = gate.gtype.base
-        if base is GateType.AND:
-            value = math.prod(inputs)
-        elif base is GateType.OR:
-            value = 1.0 - math.prod(1.0 - x for x in inputs)
-        elif base is GateType.XOR:
-            value = 0.0
-            for x in inputs:
-                value = value * (1.0 - x) + (1.0 - value) * x
-        elif base is GateType.BUF:
-            value = inputs[0]
-        elif gate.gtype is GateType.CONST0:
-            value = 0.0
-        else:
-            value = 1.0
-        if gate.gtype.is_inverting:
-            value = 1.0 - value
-        prob[gate.output] = value
-    return prob
+    return signal_probabilities(netlist, {pi: p})[site]

@@ -5,13 +5,14 @@ import math
 
 import pytest
 
-from repro.faultsim.collapse import collapse_faults
-from repro.faultsim.cop import (
-    estimate_detection_probabilities,
-    observabilities,
-    predicted_patterns_for_coverage,
+from repro.analysis.random_testability import (
+    FaultTestability,
+    TestabilityProfile,
+    analyze_netlist,
+    pin_observabilities,
     signal_probabilities,
 )
+from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
 from repro.netlist.gates import GateType
@@ -58,14 +59,13 @@ def test_probabilities_exact_on_fanout_free_tree():
 
 def test_observability_of_po_is_one():
     netlist = tiny_and_or()
-    obs = observabilities(netlist)
+    obs = pin_observabilities(netlist)[0]
     assert obs[netlist.find_net("y")] == pytest.approx(1.0)
 
 
 def test_observability_through_and_gate():
     netlist = tiny_and_or()
-    obs = observabilities(netlist)
-    prob = signal_probabilities(netlist)
+    obs = pin_observabilities(netlist)[0]
     # t reaches y through OR: observable iff c=0 -> 0.5.
     assert obs[netlist.find_net("t")] == pytest.approx(0.5)
     # a reaches y through AND (needs b=1) then OR (needs c=0).
@@ -78,14 +78,14 @@ def test_xor_path_fully_observable():
     b = netlist.new_input("b")
     y = netlist.add_gate(GateType.XOR, [a, b])
     netlist.mark_output(y)
-    obs = observabilities(netlist)
+    obs = pin_observabilities(netlist)[0]
     assert obs[a] == pytest.approx(1.0)
 
 
 def test_detection_probability_estimates():
     netlist = tiny_and_or()
     faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
+    estimates = analyze_netlist(netlist, faults).faults
     by_fault = {e.fault: e for e in estimates}
     y = netlist.find_net("y")
     # y s-a-0: excite needs y=1 (p = 1 - 0.75*0.5 = 0.625), O = 1.
@@ -96,27 +96,25 @@ def test_detection_probability_estimates():
 
 def test_expected_patterns_inverse():
     netlist = tiny_and_or()
-    estimates = estimate_detection_probabilities(
-        netlist, [Fault(netlist.find_net("y"), 0)]
-    )
+    estimates = analyze_netlist(netlist, [Fault(netlist.find_net("y"), 0)]).faults
     assert estimates[0].expected_patterns() == pytest.approx(1 / 0.625)
 
 
 def test_predicted_patterns_monotone_in_target():
     netlist = make_random_netlist(5, 25, seed=9)
     faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
+    profile = analyze_netlist(netlist, faults)
     # Random netlists contain constant cones, hence zero-probability
     # (estimated-undetectable) faults; target below the reachable fraction.
     reachable = sum(
-        1 for e in estimates if e.detection_probability > 0
-    ) / len(estimates)
+        1 for e in profile.faults if e.detection_probability > 0
+    ) / profile.n_faults
     lo, hi = 0.5 * reachable, 0.9 * reachable
-    p_lo = predicted_patterns_for_coverage(estimates, lo)
-    p_hi = predicted_patterns_for_coverage(estimates, hi)
+    p_lo = profile.expected_patterns_for(lo)
+    p_hi = profile.expected_patterns_for(hi)
     assert p_lo is not None and p_hi is not None and p_lo <= p_hi
     # Beyond the reachable fraction the prediction is None.
-    assert predicted_patterns_for_coverage(estimates, reachable + 0.05) is None
+    assert profile.expected_patterns_for(reachable + 0.05) is None
 
 
 def test_prediction_correlates_with_measurement():
@@ -131,8 +129,7 @@ def test_prediction_correlates_with_measurement():
     for net in ripple_adder(netlist, a, b):
         netlist.mark_output(net)
     faults, _ = collapse_faults(netlist)
-    estimates = estimate_detection_probabilities(netlist, faults)
-    predicted = predicted_patterns_for_coverage(estimates, 0.95)
+    predicted = analyze_netlist(netlist, faults).expected_patterns_for(0.95)
     simulator = FaultSimulator(netlist)
     result = simulator.run(RandomPatternSource(8, seed=5), 4096)
     measured = result.patterns_for_coverage(0.95)
@@ -142,12 +139,8 @@ def test_prediction_correlates_with_measurement():
 
 def test_unreachable_target_returns_none():
     netlist = tiny_and_or()
-    estimates = estimate_detection_probabilities(
-        netlist, [Fault(netlist.find_net("y"), 0)]
-    )
+    estimates = analyze_netlist(netlist, [Fault(netlist.find_net("y"), 0)]).faults
     # A fabricated zero-probability fault makes 100% unreachable.
-    from repro.faultsim.cop import FaultEstimate
-
-    estimates = estimates + [FaultEstimate(Fault(0, 1), 0.0)]
-    assert predicted_patterns_for_coverage(estimates, 1.0) is None
+    estimates = estimates + [FaultTestability(Fault(0, 1), 0.0, 0.0)]
+    assert TestabilityProfile(netlist, estimates).expected_patterns_for(1.0) is None
     assert math.isinf(estimates[-1].expected_patterns())
