@@ -22,6 +22,7 @@ from repro.core.ka85 import make_ka_testable
 from repro.core.kernels import Kernel
 from repro.core.schedule import Schedule, ScheduledKernel, schedule_kernels
 from repro.errors import SimulationError
+from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import RandomPatternSource
 from repro.faultsim.simulator import FaultSimResult, FaultSimulator
@@ -155,12 +156,13 @@ def _median(values: List[int]) -> int:
 def _simulate_stream(
     simulator: FaultSimulator,
     source: RandomPatternSource,
+    faults: List[Fault],
     config: "RunConfig",
     cache: Optional["GoldenCache"],
     verdicts: Dict[Fault, bool],
 ) -> FaultSimResult:
-    """One kernel under one pattern stream, in the steps
-    :func:`evaluate_design` lists.
+    """One kernel's collapsed ``faults`` under one pattern stream, in the
+    steps :func:`evaluate_design` lists.
 
     ``verdicts`` maps each fault PODEM has judged to whether it is
     redundant; the kernel loop shares it across seeds.  A fault's first
@@ -174,7 +176,8 @@ def _simulate_stream(
         simulator.batch_width * config.execution.chunk_batches,
     )
     result = simulator.run(
-        source, config=config.replace(max_patterns=prefix), cache=cache
+        source, faults=faults, config=config.replace(max_patterns=prefix),
+        cache=cache,
     )
     survivors = result.undetected
     if not survivors or result.partial:
@@ -273,6 +276,9 @@ def evaluate_design(
         ):
             netlist = lower_kernel_to_netlist(circuit, kernel)
             simulator = FaultSimulator(netlist, batch_width=batch_width)
+            # Collapsed once for every seed: the list (and so each run's
+            # key) is the one ``simulate`` would build itself.
+            faults, _ = collapse_faults(netlist)
             verdicts: Dict[Fault, bool] = {}
             per_seed: List[Dict[float, Optional[int]]] = []
             first_result: Optional[FaultSimResult] = None
@@ -282,10 +288,12 @@ def evaluate_design(
                 )
                 if classify_undetected:
                     result = _simulate_stream(
-                        simulator, source, config, cache, verdicts
+                        simulator, source, faults, config, cache, verdicts
                     )
                 else:
-                    result = simulator.run(source, config=config, cache=cache)
+                    result = simulator.run(
+                        source, faults=faults, config=config, cache=cache
+                    )
                 if first_result is None:
                     first_result = result
                 per_seed.append(

@@ -6,10 +6,11 @@ golden signature before faulty signatures mean anything.  Both are pure
 functions of (circuit structure, stimulus stream), so the engine memoizes
 them:
 
-* **batch entries** hold packed fault-free net values per pattern batch,
+* **batch entries** hold packed fault-free net values per engine round
+  (a run of consecutive pattern batches evaluated as one wide word),
   keyed by ``(netlist fingerprint, pattern-source fingerprint, batch
   width)``.  Within one parallel run the parent process evaluates each
-  golden batch once and ships it to every shard; across runs the entry is
+  round once and ships it to every shard; across runs the entry is
   reused outright (``experiments/table2.py`` re-simulating a kernel, a
   benchmark re-running a budget sweep).
 * a **generic memo** stores small derived values under caller-built keys —
@@ -24,7 +25,7 @@ collision).  Entries are bounded LRU.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.faultsim.patterns import PatternSource, source_fingerprint
@@ -35,16 +36,22 @@ from repro.netlist.netlist import Netlist
 class GoldenBatches:
     """Lazily extended cache of fault-free packed evaluations for one stream.
 
-    ``golden_batch(i)`` returns the full-width packed value of every net
-    under patterns ``[i * batch_width, (i+1) * batch_width)``.  Batches are
-    computed on demand and retained, so any consumer — every shard of a
-    round, a later run with the same key — pays for each batch once.
+    ``golden_batch(first, widths)`` returns the packed value of every net
+    under the *round* made of batches ``first … first + len(widths) - 1``:
+    the stimulus is still drawn from ``source.batches(batch_width)``, batch
+    ``k`` of the round cut to ``widths[k]`` patterns, and the batches'
+    input words are joined into one word of ``sum(widths)`` bits for a
+    single :meth:`Evaluator.run`.  Rounds are computed on demand and
+    retained, so any consumer — every shard of a round, a later run with
+    the same key and round geometry — pays for each round once.
 
-    ``max_cached_batches`` bounds retention: past it, the oldest batches
-    are evicted LRU-fashion (a 2^17-pattern Table 2 run is 512 batches of
-    every-net packed values per kernel; unbounded retention across a sweep
-    dominates memory).  A re-request of an evicted batch restarts the
-    pattern stream and recomputes — correct for any source that can state a
+    ``max_cached_batches`` bounds retention in batches (a round of four
+    counts four): past it, the oldest rounds are evicted LRU-fashion, but
+    never the round being returned (a 2^17-pattern Table 2 run is 512
+    batches of every-net packed values per kernel; unbounded retention
+    across a sweep dominates memory).  A round read again after eviction,
+    or under another geometry, restarts the pattern stream and recomputes
+    — correct for any source that can state a
     :func:`~repro.faultsim.patterns.source_fingerprint`, because such
     sources are pure by contract (that purity is the whole reason their
     golden values are cacheable).
@@ -63,48 +70,63 @@ class GoldenBatches:
         self._source = source
         self._source_batches = source.batches(batch_width)
         self._pis = list(evaluator.netlist.primary_inputs)
-        self._full_mask = (1 << batch_width) - 1
         self.batch_width = batch_width
         self.max_cached_batches = max_cached_batches
-        self._golden: "OrderedDict[int, Dict[int, int]]" = OrderedDict()
+        #: first batch -> (round widths, golden values)
+        self._golden: "OrderedDict[int, Tuple[Tuple[int, ...], Dict]]" = (
+            OrderedDict())
         self._next_index = 0  #: next batch the stream iterator will yield
         self.evictions = 0
-        self.recomputes = 0  #: batches re-evaluated after eviction
+        self.recomputes = 0  #: stream restarts for a round read again
 
     @property
     def n_cached_batches(self) -> int:
-        return len(self._golden)
+        return sum(len(widths) for widths, _values in self._golden.values())
 
-    def _evaluate_next(self) -> Dict[int, int]:
-        packed = next(self._source_batches)
-        inputs = {
-            net: packed[position] & self._full_mask
-            for position, net in enumerate(self._pis)
-        }
-        self._next_index += 1
-        return self._evaluator.run(inputs, self._full_mask)
-
-    def golden_batch(self, index: int) -> Dict[int, int]:
-        """Fault-free net values for batch ``index`` (computed if new)."""
-        cached = self._golden.get(index)
-        if cached is not None:
-            self._golden.move_to_end(index)
-            return cached
-        if index < self._next_index:
-            # Evicted: restart the (pure) stream and re-advance to it.
+    def golden_batch(
+        self, first: int, widths: Optional[Sequence[int]] = None
+    ) -> Dict[int, int]:
+        """Fault-free net values for the round of batches starting at
+        ``first`` (computed if new).  ``widths`` lists the patterns each
+        batch contributes; ``None`` means one full batch."""
+        geometry = (self.batch_width,) if widths is None else tuple(widths)
+        cached = self._golden.get(first)
+        if cached is not None and cached[0] == geometry:
+            self._golden.move_to_end(first)
+            return cached[1]
+        if first < self._next_index:
+            # Evicted or read under another geometry: restart the (pure)
+            # stream and re-advance to it.
             self.recomputes += 1
             self._source_batches = self._source.batches(self.batch_width)
             self._next_index = 0
-        while self._next_index <= index:
-            position = self._next_index
-            values = self._golden[position] = self._evaluate_next()
-            if (
-                self.max_cached_batches is not None
-                and len(self._golden) > self.max_cached_batches
-            ):
-                self._golden.popitem(last=False)
-                self.evictions += 1
-                telemetry.count("cache.batch_evictions")
+        while self._next_index < first:
+            # Batches a resumed run replays from its journal: drawn to
+            # keep the stream aligned, never evaluated.
+            next(self._source_batches)
+            self._next_index += 1
+        words = [0] * len(self._pis)
+        offset = 0
+        for width in geometry:
+            packed = next(self._source_batches)
+            mask = (1 << width) - 1
+            for position in range(len(words)):
+                words[position] |= (packed[position] & mask) << offset
+            offset += width
+        self._next_index += len(geometry)
+        values = self._evaluator.run(
+            dict(zip(self._pis, words)), (1 << offset) - 1
+        )
+        self._golden[first] = (geometry, values)
+        self._golden.move_to_end(first)
+        while (
+            self.max_cached_batches is not None
+            and self.n_cached_batches > self.max_cached_batches
+            and len(self._golden) > 1
+        ):
+            self._golden.popitem(last=False)
+            self.evictions += 1
+            telemetry.count("cache.batch_evictions")
         return values
 
 

@@ -6,7 +6,7 @@ and runs them, round by round, on a pluggable :mod:`repro.exec` backend —
 worker pool, the default for ``jobs>1``), ``thread`` or ``remote`` — each
 worker running the existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
-golden batches the parent ships it.  Per-shard ``first_detection`` maps are
+golden round the parent ships it.  Per-shard ``first_detection`` maps are
 merged deterministically — shards are disjoint and rounds arrive in
 pattern order — so the result is **bit-identical across shard counts** for
 every backend and every combination of ``stop_when_complete`` /
@@ -33,9 +33,11 @@ checkpoint directory, completed rounds are journaled
 of re-executing; a deterministic :class:`~repro.engine.chaos.FaultInjector`
 (config field or ``$REPRO_CHAOS``) makes all of these paths testable in CI.
 
-The fault-free (golden) evaluation of each batch is computed once in the
-parent, optionally through a :class:`~repro.engine.cache.GoldenCache`
-shared across shards and across repeated runs.
+The fault-free (golden) evaluation of each round — ``chunk_batches``
+batches joined into one wide word — is computed once in the parent,
+optionally through a :class:`~repro.engine.cache.GoldenCache` shared
+across shards and across repeated runs, and every shard propagates its
+faults over the round in one pass.
 """
 
 from __future__ import annotations
@@ -139,17 +141,6 @@ class EngineResult(FaultSimResult):
 
 
 # --------------------------------------------------------------- parent side
-
-def _narrow(good: Dict[int, int], mask: int, batch_width: int) -> Dict[int, int]:
-    """Restrict full-width golden values to a narrower final batch.
-
-    Packed evaluation is bitwise per pattern lane, so masking the wide
-    result equals evaluating at the narrow width directly.
-    """
-    if mask == (1 << batch_width) - 1:
-        return good
-    return {net: value & mask for net, value in good.items()}
-
 
 def _plan_round(
     pattern_base: int, max_patterns: int, batch_width: int, n_batches: int
@@ -479,17 +470,15 @@ def _simulate_rounds(
                     (shard_id, round_index) not in journal
                     for shard_id in active
                 )
+                # One fault-free evaluation and one (mask, values) pair
+                # for the whole round; a short final round has a narrower
+                # mask.
                 round_batches: List[Tuple[int, Dict[int, int]]] = []
-                for offset, width in enumerate(widths):
-                    mask = (1 << width) - 1
-                    if need_golden:
-                        round_batches.append((
-                            mask,
-                            _narrow(
-                                golden.golden_batch(batch_index + offset),
-                                mask, batch_width,
-                            ),
-                        ))
+                if need_golden:
+                    round_batches.append((
+                        (1 << sum(widths)) - 1,
+                        golden.golden_batch(batch_index, widths),
+                    ))
                 batch_index += len(widths)
 
                 # Replay journaled rounds; execute the rest fault-tolerantly.

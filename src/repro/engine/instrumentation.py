@@ -32,7 +32,7 @@ class ShardStats:
     n_faults: int = 0              #: faults assigned to this shard
     faults_dropped: int = 0        #: faults removed after first detection
     events_propagated: int = 0     #: gate evaluations during fault propagation
-    patterns_simulated: int = 0    #: patterns this shard actually consumed
+    patterns_simulated: int = 0    #: patterns of the rounds this shard ran
     wall_time: float = 0.0         #: seconds spent inside the shard worker
     retries: int = 0               #: rounds re-executed after a failure
     timeouts: int = 0              #: attempts that exceeded the shard timeout

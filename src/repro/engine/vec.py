@@ -51,8 +51,9 @@ simulator's merge semantics verbatim, in the original lane order, which
 is what keeps the two kernels **bit-identical** — same detection tables,
 same first-detection indices, same survivor order — so checkpoints,
 chaos, guard and all four executors compose unchanged (see
-``docs/ENGINE.md``).  A batch with fewer live lanes than
-:data:`VEC_MIN_LANES` runs the inherited packed propagator instead.
+``docs/ENGINE.md``).  An engine round is worked through one batch at a
+time while at least :data:`VEC_MIN_LANES` lanes are live; the rest of
+the round runs in one pass of the inherited packed propagator.
 
 The kernel is an *execution strategy*, not a result parameter: it is
 excluded from :func:`repro.exec.config.canonical_fields`, journals resume
@@ -97,14 +98,14 @@ KERNEL_ENV_VAR = "REPRO_ENGINE_KERNEL"
 #: of at most 27 ms, and no kernel fell in between.
 VEC_AUTO_THRESHOLD = 100_000
 
-#: Per-batch crossover: a batch with fewer live lanes than this runs the
-#: inherited packed propagator, because a numpy pass costs about the same
-#: per gate group whatever the lane count while packed pays per fault.  A
-#: sweep of random collapsed faults on one 256-pattern batch (see
-#: ``docs/ENGINE.md``) put the crossover between 5 and 6 lanes on c3a2m
-#: (5 lanes: vec 1.30 ms, packed 1.11 ms; 6 lanes: 1.35 vs 1.63 ms) and
-#: between 3 and 4 on synth20k (3 lanes: 9.9 vs 8.0 ms; 4 lanes: 11.1 vs
-#: 12.0 ms).
+#: Per-batch crossover: once fewer lanes than this are live, the rest of
+#: the round runs on the inherited packed propagator, because a numpy pass
+#: costs about the same per gate group whatever the lane count while
+#: packed pays per fault.  A sweep of random collapsed faults on one
+#: 256-pattern batch (see ``docs/ENGINE.md``) put the crossover between 5
+#: and 6 lanes on c3a2m (5 lanes: vec 1.30 ms, packed 1.11 ms; 6 lanes:
+#: 1.35 vs 1.63 ms) and between 3 and 4 on synth20k (3 lanes: 9.9 vs
+#: 8.0 ms; 4 lanes: 11.1 vs 12.0 ms).
 VEC_MIN_LANES = 5
 
 #: Widest gate the vectorised per-pin reduction compiles.  Beyond this the
@@ -443,9 +444,10 @@ class VecFaultSimulator(FaultSimulator):
     that builds or receives a simulator works identically with either
     kernel.  ``events_propagated`` counts the gate × lane evaluations
     actually performed: each chunk's lanes times the gates above the
-    chunk's start level.  Batches below :data:`VEC_MIN_LANES` count the
-    packed propagator's events.  Honest work accounting, not part of the
-    bit-identity contract.
+    chunk's start level.  Patterns run while fewer than
+    :data:`VEC_MIN_LANES` faults are live count the packed propagator's
+    events.  Honest work accounting, not part of the bit-identity
+    contract.
     """
 
     def __init__(self, netlist: Netlist, batch_width: int = 256):
@@ -462,11 +464,46 @@ class VecFaultSimulator(FaultSimulator):
         detections: Dict[Fault, int],
         drop_detected: bool = True,
     ) -> List[Fault]:
-        if not live:
-            return []
-        if len(live) < VEC_MIN_LANES:
-            return super().simulate_batch(
-                live, good, mask, pattern_base, detections, drop_detected)
+        """One engine round (or one batch) against the live faults.
+
+        A mask wider than ``batch_width`` is worked through one
+        ``batch_width`` slice at a time while at least
+        :data:`VEC_MIN_LANES` faults are live, so lanes detected early
+        are not carried across the whole round; the rest of the round
+        then runs in one packed pass.
+        """
+        width = mask.bit_length()
+        offset = 0
+        while live and len(live) >= VEC_MIN_LANES and offset < width:
+            step = min(self.batch_width, width - offset)
+            if step == width:
+                sliced, slice_mask = good, mask
+            else:
+                slice_mask = (1 << step) - 1
+                sliced = {net: (value >> offset) & slice_mask
+                          for net, value in good.items()}
+            live = self._simulate_slice(live, sliced, slice_mask,
+                                        pattern_base + offset, detections,
+                                        drop_detected)
+            offset += step
+        if live and offset < width:
+            rest = good if offset == 0 else {
+                net: value >> offset for net, value in good.items()}
+            live = super().simulate_batch(
+                live, rest, mask >> offset, pattern_base + offset,
+                detections, drop_detected)
+        return list(live)
+
+    def _simulate_slice(
+        self,
+        live: Sequence[Fault],
+        good: Dict[int, int],
+        mask: int,
+        pattern_base: int,
+        detections: Dict[Fault, int],
+        drop_detected: bool,
+    ) -> List[Fault]:
+        """Every live fault a lane, over the patterns of ``mask``."""
         compiled = self.compiled
         n_lanes = len(live)
         lane_level = [compiled.injection_level(fault) for fault in live]

@@ -202,8 +202,10 @@ class NodeStats:
 class WorkUnit:
     """One shard's work for one fan-out round.
 
-    ``golden_batches`` is a list of ``(mask, golden values)`` pairs; the
-    batch width is recovered from the mask.  ``attempt`` distinguishes
+    ``golden_batches`` is a list of ``(mask, golden values)`` pairs, which
+    the engine fills with one pair per round: every batch of the round
+    joined into one wide word, so the pattern count is recovered from the
+    mask (a short final round has a narrower one).  ``attempt`` distinguishes
     retry waves so a deterministic chaos plan can let a retry succeed.
     The unit must stay picklable end to end — it is what a process (or,
     later, remote) backend ships to its workers.

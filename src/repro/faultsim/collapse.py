@@ -53,7 +53,6 @@ def collapse_faults(netlist: Netlist) -> Tuple[List[Fault], Dict[Fault, Fault]]:
     callers translate results back to the full universe.
     """
     universe = full_fault_universe(netlist)
-    by_key: Dict[Tuple, Fault] = {_key(f): f for f in universe}
     uf = _UnionFind()
 
     fanout = netlist.fanout_map()

@@ -42,7 +42,9 @@ class FaultSimulator:
     netlist:
         The combinational circuit under test.
     batch_width:
-        Patterns simulated per packed pass (default 256).
+        Patterns per stimulus batch (default 256).  The engine joins
+        ``chunk_batches`` batches into one round and :meth:`simulate_batch`
+        takes any mask width, so one packed pass covers a whole round.
     """
 
     def __init__(self, netlist: Netlist, batch_width: int = 256):
@@ -131,7 +133,8 @@ class FaultSimulator:
         detections: Dict[Fault, int],
         drop_detected: bool = True,
     ) -> List[Fault]:
-        """Simulate one packed batch of patterns against the live faults.
+        """Simulate one packed pass of patterns (a batch, or a whole engine
+        round: ``mask`` may have any width) against the live faults.
 
         Records first detections (absolute pattern indices, offset by
         ``pattern_base``) into ``detections`` and returns the surviving

@@ -10,7 +10,10 @@ netlists (Hypothesis drives the generation):
 * the event-driven :meth:`FaultSimulator._simulate_fault` propagator
   (schedules only gates reached by events) against brute-force full
   re-evaluation with the fault forced, per pattern, asserting identical
-  packed detection masks.
+  packed detection masks;
+* the engine's golden rounds (:meth:`GoldenBatches.golden_batch`: several
+  batches of a pattern stream evaluated as one wide word) against the
+  same batches evaluated one at a time and joined.
 
 The references share no code with the implementations under test — gate
 truth tables are written out independently — so any disagreement is a real
@@ -29,7 +32,14 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
+from repro.engine.cache import GoldenBatches  # noqa: E402
 from repro.faultsim.faults import Fault, full_fault_universe  # noqa: E402
+from repro.faultsim.patterns import (  # noqa: E402
+    ExhaustivePatternSource,
+    LFSRPatternSource,
+    RandomPatternSource,
+    SequencePatternSource,
+)
 from repro.faultsim.simulator import FaultSimulator  # noqa: E402
 from repro.netlist.evaluate import Evaluator  # noqa: E402
 from repro.netlist.gates import GateType  # noqa: E402
@@ -251,3 +261,90 @@ def test_simulate_batch_detection_indices_match_reference(case, data):
                 expected = index
                 break
         assert detections.get(fault) == expected
+
+
+# ---------------------------------------------------------- golden rounds
+
+@st.composite
+def golden_rounds(draw):
+    """A random netlist, a built-in pattern source of any kind, a batch
+    width of 1–300 and one engine round: its first batch (0–5) and 1–6
+    batch widths, all full but the last, which may be short."""
+    n_inputs = draw(st.integers(min_value=2, max_value=6))
+    n_gates = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=1 << 20))
+    netlist = make_random_netlist(n_inputs, n_gates, seed)
+    kind = draw(st.sampled_from(["random", "lfsr", "exhaustive", "sequence"]))
+    if kind == "random":
+        source = RandomPatternSource(n_inputs, seed=draw(st.integers(0, 999)))
+    elif kind == "lfsr":
+        source = LFSRPatternSource(
+            n_inputs, seed=draw(st.integers(1, (1 << n_inputs) - 1)))
+    elif kind == "exhaustive":
+        source = ExhaustivePatternSource(n_inputs)
+    else:
+        row = st.lists(st.integers(0, 1), min_size=n_inputs,
+                       max_size=n_inputs)
+        source = SequencePatternSource(
+            draw(st.lists(row, min_size=1, max_size=20)))
+    batch_width = draw(st.integers(min_value=1, max_value=300))
+    n_batches = draw(st.integers(min_value=1, max_value=6))
+    last = draw(st.integers(min_value=1, max_value=batch_width))
+    widths = [batch_width] * (n_batches - 1) + [last]
+    first = draw(st.integers(min_value=0, max_value=5))
+    return netlist, source, batch_width, first, widths
+
+
+def _joined_batches(netlist, source, batch_width, first, widths):
+    """The reference round: batches ``first…`` of the stream drawn at
+    ``batch_width``, each cut to its width and evaluated on its own, the
+    per-batch values then joined at their pattern offsets."""
+    evaluator = Evaluator(netlist)
+    stream = source.batches(batch_width)
+    for _ in range(first):
+        next(stream)
+    joined: Dict[int, int] = {}
+    offset = 0
+    for width in widths:
+        mask = (1 << width) - 1
+        packed = next(stream)
+        inputs = {net: packed[position] & mask
+                  for position, net in enumerate(netlist.primary_inputs)}
+        for net, value in evaluator.run(inputs, mask).items():
+            joined[net] = joined.get(net, 0) | (value << offset)
+        offset += width
+    return joined
+
+
+@given(golden_rounds())
+def test_golden_round_equals_joined_per_batch_evaluations(case):
+    """``GoldenBatches.golden_batch(first, widths)`` evaluates a round
+    once and equals the per-batch evaluations joined bit for bit; the
+    batches before it are drawn but not evaluated.  Under a bound below
+    the round's size, a round read again after eviction, or under
+    another geometry, returns the same values and counts a recompute."""
+    netlist, source, batch_width, first, widths = case
+    expected = _joined_batches(netlist, source, batch_width, first, widths)
+    evaluator = Evaluator(netlist)
+    calls = []
+    run = evaluator.run
+    evaluator.run = lambda *args: calls.append(args) or run(*args)
+    golden = GoldenBatches(evaluator, source, batch_width)
+    assert golden.golden_batch(first, widths) == expected
+    assert len(calls) == 1
+    assert golden.n_cached_batches == len(widths)
+
+    bounded = GoldenBatches(Evaluator(netlist), source, batch_width,
+                            max_cached_batches=max(1, len(widths) - 1))
+    after = first + len(widths)
+    assert bounded.golden_batch(first, widths) == expected
+    assert bounded.golden_batch(first, widths) == expected
+    assert bounded.golden_batch(after, widths) == _joined_batches(
+        netlist, source, batch_width, after, widths)
+    assert (bounded.n_cached_batches, bounded.evictions) == (len(widths), 1)
+    assert bounded.recomputes == 0
+    assert bounded.golden_batch(first, widths) == expected
+    assert bounded.recomputes == 1
+    assert bounded.golden_batch(first) == _joined_batches(
+        netlist, source, batch_width, first, [batch_width])
+    assert bounded.recomputes == (1 if widths == [batch_width] else 2)

@@ -23,6 +23,9 @@ from repro.guard import STOP_CANCELLED, Budget, CancelToken
 
 # The module, not the function ``repro.atpg`` re-exports under its name.
 podem = importlib.import_module("repro.atpg.podem")
+collapse_module = importlib.import_module("repro.faultsim.collapse")
+flow_module = importlib.import_module("repro.core.flow")
+engine_core = importlib.import_module("repro.engine.core")
 
 
 def small_filter(width=4):
@@ -176,7 +179,9 @@ def test_round_one_then_podem_equals_one_full_run_then_podem(
     run = FaultSimulator.run
 
     def recording_run(self, source, max_patterns=None, faults=None, **kwargs):
-        if faults is not None:
+        # Round one also names its (collapsed) faults; only the second
+        # run covers the full stream.
+        if faults is not None and kwargs["config"].max_patterns == 1 << 12:
             tail_runs.append((tdm, self.netlist.name.split(":")[1]))
         return run(self, source, max_patterns, faults, **kwargs)
 
@@ -273,3 +278,26 @@ def test_each_survivor_is_proven_once_across_seeds(monkeypatch):
     monkeypatch.setattr(podem, "classify_faults", counting_classify)
     measure_circuit("c5a2m", 1 << 13, n_seeds=3)
     assert len(judged) == len(set(judged)) == 36
+
+
+def test_each_kernel_is_collapsed_once_across_seeds(monkeypatch):
+    """Seeds share a kernel's collapsed fault list: three seeds of every
+    c5a2m kernel collapse each netlist once, in the flow, and no engine
+    run collapses it again."""
+    collapsed = []
+    collapse = collapse_module.collapse_faults
+
+    def counting_collapse(netlist):
+        collapsed.append(netlist)
+        return collapse(netlist)
+
+    for module in (collapse_module, flow_module, engine_core):
+        monkeypatch.setattr(module, "collapse_faults", counting_collapse)
+    circuit, designs = c5a2m_designs()
+    kernels = []
+    for design in designs.values():
+        evaluation = evaluate_design(circuit, design, max_patterns=1 << 13,
+                                     n_seeds=3)
+        kernels.extend(k.netlist for k in evaluation.kernel_evaluations)
+    assert len(collapsed) == len(kernels) > 1
+    assert all(a is b for a, b in zip(collapsed, kernels))

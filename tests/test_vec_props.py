@@ -9,7 +9,9 @@ gate truth tables, its own fixpoint traversal — no shared code).
 Hypothesis drives random levelised netlists × random fault samples ×
 random pattern blocks through all three and asserts identical detection
 tables, first-detection indices and batch-merge results (survivor lists,
-``pattern_base`` offsets, ``drop_detected`` in both positions).
+``pattern_base`` offsets, ``drop_detected`` in both positions), and that
+one pass over a whole engine round equals the same round run one batch
+at a time, on both kernels.
 
 The end-to-end property closes the loop through the engine:
 ``simulate(..., kernel="vec")`` must reproduce the packed run's coverage
@@ -25,8 +27,9 @@ group cap of 1–4 rows.  Deterministic cases cover what random small
 netlists do not reach: the corpus kernels' full fault universes split
 into several chunks at one and four words per lane, a level wider than
 the shipped group cap, a run whose live set crosses the shipped
-crossover, and the work count of a chunk that starts deep in the
-netlist.
+crossover, a round whose live set crosses it mid-round (so the rest of
+the round runs packed), and the work count of a chunk that starts deep
+in the netlist.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.engine import RunConfig, simulate  # noqa: E402
 from repro.engine.vec import VecFaultSimulator, vec_support_reason  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.exec.config import ExecutionPolicy  # noqa: E402
+from repro.faultsim.collapse import collapse_faults  # noqa: E402
 from repro.faultsim.coverage import coverage_curve  # noqa: E402
 from repro.faultsim.faults import Fault, full_fault_universe  # noqa: E402
 from repro.faultsim.patterns import (  # noqa: E402
@@ -186,6 +190,40 @@ def test_vec_merge_semantics_match_packed_across_batches(case, data):
     if not drop:
         # Without dropping every fault survives every batch.
         assert vec_live == list(faults)
+
+
+@given(netlist_and_patterns(), st.data())
+def test_round_wide_batch_equals_per_batch_calls(case, data):
+    """One ``simulate_batch`` over a whole engine round, its mask wider
+    than the simulator's ``batch_width``, equals the same faults run one
+    batch at a time: same detections, same survivors, for both kernels
+    and both ``drop_detected`` settings.  The vec kernel works through
+    the round in ``batch_width`` slices, each at its own pattern base,
+    the last one short when the width does not divide the round."""
+    netlist, patterns = case
+    universe = full_fault_universe(netlist)
+    faults = data.draw(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=8,
+                 unique=True)
+    )
+    batch_width = data.draw(st.integers(min_value=1, max_value=len(patterns)))
+    drop = data.draw(st.booleans())
+    base = data.draw(st.integers(min_value=0, max_value=100))
+    good, mask = _good_values(netlist, patterns)
+    for kernel in (FaultSimulator, VecFaultSimulator):
+        round_det, batch_det = {}, {}
+        round_live = kernel(netlist, batch_width).simulate_batch(
+            faults, good, mask, base, round_det, drop_detected=drop)
+        simulator = kernel(netlist, batch_width)
+        batch_live = list(faults)
+        for offset in range(0, len(patterns), batch_width):
+            block_good, block_mask = _good_values(
+                netlist, patterns[offset:offset + batch_width])
+            batch_live = simulator.simulate_batch(
+                batch_live, block_good, block_mask, base + offset,
+                batch_det, drop_detected=drop)
+        assert round_det == batch_det, kernel.__name__
+        assert round_live == batch_live, kernel.__name__
 
 
 @given(netlist_and_patterns())
@@ -338,6 +376,55 @@ def test_live_set_crossing_the_crossover_runs_both_paths(monkeypatch):
     assert fallback and max(fallback) < SHIPPED_MIN_LANES
     assert runs["vec"].first_detection == runs["packed"].first_detection
     assert runs["vec"].n_patterns == runs["packed"].n_patterns
+
+
+def test_round_crossing_the_crossover_mid_round_matches_per_batch(
+        monkeypatch):
+    """At the shipped crossover, a 256-pattern round of four 64-pattern
+    batches on c3a2m runs its first two batches on the array path; four
+    faults are then live, and the last 128 patterns run in one packed
+    pass that detects three of them.  The round equals four per-batch
+    packed calls."""
+    monkeypatch.setattr(vec_module, "VEC_MIN_LANES", SHIPPED_MIN_LANES)
+    seen = _spy_chunks(monkeypatch)
+    remainder = []
+    packed_batch = FaultSimulator.simulate_batch
+
+    def packed_spy(self, live, good, mask, pattern_base, *rest):
+        if isinstance(self, VecFaultSimulator):
+            remainder.append((len(live), pattern_base, mask.bit_length()))
+        return packed_batch(self, live, good, mask, pattern_base, *rest)
+
+    monkeypatch.setattr(FaultSimulator, "simulate_batch", packed_spy)
+    netlist = SCENARIOS["c3a2m_kernel"]()
+    faults = collapse_faults(netlist)[0]
+    width = 64
+    batches = RandomPatternSource(
+        len(netlist.primary_inputs), seed=7).batches(width)
+    blocks = [dict(zip(netlist.primary_inputs, next(batches)))
+              for _ in range(4)]
+    evaluator = Evaluator(netlist)
+    block_mask = (1 << width) - 1
+    round_inputs = {
+        net: sum(block[net] << (width * k) for k, block in enumerate(blocks))
+        for net in netlist.primary_inputs
+    }
+    good = evaluator.run(round_inputs, (1 << 4 * width) - 1)
+
+    vec_det = {}
+    vec_live = VecFaultSimulator(netlist, width).simulate_batch(
+        faults, good, (1 << 4 * width) - 1, 0, vec_det)
+    assert seen and remainder == [(4, 2 * width, 2 * width)]
+    assert sum(index >= 2 * width for index in vec_det.values()) == 3
+
+    packed = FaultSimulator(netlist, width)
+    packed_det, packed_live = {}, list(faults)
+    for k, block in enumerate(blocks):
+        packed_live = packed.simulate_batch(
+            packed_live, evaluator.run(block, block_mask), block_mask,
+            k * width, packed_det)
+    assert vec_det == packed_det
+    assert vec_live == packed_live
 
 
 def test_events_count_only_levels_above_the_chunk_start():
