@@ -12,7 +12,7 @@ The standing scenarios come from :mod:`repro.library.scenarios` and
 bracket the engine's operating range: the c3a2m multiplier kernel (large
 fault universe, where vectorisation and process sharding pay), the mac4
 multiply-accumulate kernel (small, where the process pool's spawn/pickle
-tax loses to the thread and serial backends) and the ~20k-gate synthetic
+tax loses to the serial backend) and the ~20k-gate synthetic
 array multiplier (an order of magnitude beyond the paper's kernels; its
 fault universe is stride-sampled so a cell completes in seconds).  The
 ``kernel`` axis measures the packed bigint loop against the numpy
@@ -23,7 +23,7 @@ speed.
 Each entry is flat and stable by design::
 
     {"scenario": "c3a2m_kernel", "kernel": "vec", "jobs": 2,
-     "executor": "thread", "wall_time": 0.123,
+     "executor": "process", "wall_time": 0.123,
      "patterns_per_second": 16600.0, "n_patterns": 2048,
      "n_faults": 1328, "coverage": 0.994, "git": "c4cfedf"}
 
@@ -61,7 +61,7 @@ BENCH_VERSION = 3
 
 #: Backends measured at every sharded job level (jobs=1 is always the
 #: historical serial loop, recorded once per kernel as executor "serial").
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: Evaluation kernels measured for every cell of the matrix.
 KERNELS = ("packed", "vec")
@@ -249,10 +249,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-patterns", type=int, default=2048)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--smoke", action="store_true",
-                        help="CI harness check: 256 patterns, thread "
-                             "backend only — verifies the matrix runs and "
-                             "stays bit-identical without recording "
-                             "meaningful timings")
+                        help="CI harness check: 256 patterns, process "
+                             "backend only (the local parallel one) — "
+                             "verifies the matrix runs and stays "
+                             "bit-identical without recording meaningful "
+                             "timings")
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="enable telemetry and write a Chrome trace of "
                              "the measured runs")
@@ -268,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry.enable()
     if args.smoke:
         args.max_patterns = 256
-        args.executors = "thread"
+        args.executors = "process"
         # Keep the synthetic scenario's sampled universe but cut the
         # pattern override so the smoke run stays fast.
         SCENARIO_SPECS["synth20k_kernel"]["max_patterns"] = 256

@@ -9,7 +9,7 @@ The library's tool face, mirroring the BITS flow on JSON circuit files
     python -m repro bibs     circuit.json [--method exact|greedy|auto] [--json]
     python -m repro tpg      circuit.json [--kernel N] [--json]
     python -m repro selftest circuit.json [--cycles N] [--max-faults N]
-                             [--jobs N] [--executor {serial,process,thread}]
+                             [--jobs N] [--executor {serial,process,remote}]
                              [--seed N] [--json] [--quiet]
                              [--checkpoint-dir DIR] [--resume]
                              [--shard-timeout S] [--deadline S]

@@ -25,7 +25,7 @@ import argparse
 import json
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
-from repro.exec.base import available_executors
+from repro.exec import available_executors
 from repro.exec.config import (
     KERNEL_CHOICES,
     CheckpointPolicy,

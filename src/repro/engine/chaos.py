@@ -46,9 +46,9 @@ Failure modes
 ``node_down``
     Coordinator-side (remote executor only): peer node ``R`` — the spec's
     shard field names a *node*, not a shard — is killed hard (the worker
-    agent process exits) the first time the coordinator dispatches round
-    ``round_index`` work to it, exercising the re-dispatch path the way a
-    real node death would.  See ``docs/DISTRIBUTED.md``.
+    agent process exits) on the first unit the coordinator dispatches to
+    it at or after round ``round_index``, exercising the re-dispatch path
+    the way a real node death would.  See ``docs/DISTRIBUTED.md``.
 ``node_hang``
     Coordinator-side: node ``R`` wedges for ``seconds`` before serving
     the dispatched unit, so the coordinator's dispatch timeout declares
@@ -214,18 +214,24 @@ class FaultInjector:
     ) -> Optional[str]:
         """Coordinator-side: how dispatching to ``node`` should misbehave.
 
-        Consulted by the remote executor before every unit dispatch;
-        ``attempt`` is the *dispatch* attempt for that unit (0 on first
-        dispatch, bumped on every re-dispatch), so ``times`` bounds how
-        many consecutive dispatches are sabotaged — exactly the worker-
-        side ``times`` contract, transplanted to the node axis.  Returns
-        the mode name to act on, or None.
+        Consulted by the remote executor before every unit dispatch.  The
+        plan targets the first unit node ``N`` (the spec's shard field)
+        dispatches at or after round ``R``, not a unit of round ``R``
+        exactly: the coordinator's dispatcher threads race for one queue,
+        so another node may take all of round ``R``.  This method answers
+        for any unit of such a round; the coordinator fires on the first
+        one and on no other unit of the run.  ``attempt`` is the
+        *dispatch* attempt for that unit (0 on first dispatch, bumped on
+        every re-dispatch), so ``times`` bounds how many consecutive
+        dispatches of it are sabotaged — exactly the worker-side ``times``
+        contract, transplanted to the node axis.  Returns the mode name to
+        act on, or None.
         """
         if self.mode not in _NODE_MODES:
             return None
         if (
             node == self.shard
-            and round_index == self.round_index
+            and round_index >= self.round_index
             and attempt < self.times
         ):
             return self.mode

@@ -1,9 +1,9 @@
 """The fault-simulation engine (single entry point: ``simulate``).
 
 ``simulate`` partitions the collapsed fault list into round-robin shards
-and runs them, round by round, on a pluggable :mod:`repro.exec` backend —
+and runs them, round by round, on a :mod:`repro.exec` backend —
 ``serial`` (in the parent: every ``jobs=1`` run), ``process`` (a warm
-worker pool, the default for ``jobs>1``), ``thread`` or ``remote`` — each
+worker pool, the default for ``jobs>1``) or ``remote`` — each
 worker running the existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
 golden round the parent ships it.  Per-shard ``first_detection`` maps are
@@ -53,12 +53,8 @@ from repro.engine.chaos import ChaosInterrupt, FaultInjector
 from repro.engine.instrumentation import ShardStats, publish_engine_metrics
 from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
-from repro.exec.base import (
-    ExecutionContext,
-    NodeStats,
-    create_executor,
-    resolve_executor_name,
-)
+from repro.exec import create_executor
+from repro.exec.base import ExecutionContext, NodeStats, resolve_executor_name
 from repro.exec.config import RunConfig, shard_count
 from repro.exec.driver import RoundDriver
 from repro.faultsim.collapse import collapse_faults
@@ -243,8 +239,8 @@ def simulate(
         itself): its evaluator computes the golden batches when the batch
         widths agree.  Also a resource; it does not choose the kernel.
 
-    The run is bit-identical across executors (``serial`` / ``thread`` /
-    ``process``) and across every failure-recovery path: retries, degraded
+    The run is bit-identical across executors (``serial`` / ``process`` /
+    ``remote``) and across every failure-recovery path: retries, degraded
     in-process fallback, checkpoint resume, and the guard's memory ladder.
     A tripped budget or cancel token stops the run cleanly at a round
     boundary with ``partial=True`` and a structured ``stop_reason`` — see
@@ -398,9 +394,8 @@ def _simulate_rounds(
     cancellation/deadline/pattern-cap stops, after it for chaos
     cancellation and the memory ladder (halve ``chunk_batches``, then
     release the backend and run rounds in-process, then stop) — uniformly,
-    whatever the backend, except that a backend which already runs in the
-    parent (``capabilities.parallel=False``) has no pool to release and
-    skips that middle rung.
+    whatever the backend, except that the ``serial`` backend already runs
+    in the parent, has no pool to release and skips that middle rung.
     """
     max_patterns = config.max_patterns
     batch_width = config.execution.batch_width
@@ -544,7 +539,7 @@ def _simulate_rounds(
                 guard.after_round(round_index)
                 action = guard.memory_action(
                     round_index, executor.worker_pids(), chunk_batches,
-                    force_serial or not executor.capabilities.parallel,
+                    force_serial or executor_name == "serial",
                 )
                 if action is not None:
                     for shard_id, live in shards.items():

@@ -1,29 +1,27 @@
-"""``repro.exec``: pluggable execution backends and the run configuration.
+"""``repro.exec``: the execution backends and the run configuration.
 
 The engine (:func:`repro.engine.simulate`) describes *what* to compute; a
 :class:`RunConfig` describes how a run is shaped; an :class:`Executor`
 backend decides *where* the shard rounds actually execute — in-process
-(``serial``), on a thread pool (``thread``), on a warm process pool
-(``process``) or on peer worker hosts (``remote``, see
-``docs/DISTRIBUTED.md``).  Results are bit-identical across all of them;
-the choice only moves cost.  See ``docs/EXECUTORS.md`` for the protocol
-and how to write a backend.
+(``serial``), on a warm process pool (``process``) or on peer worker
+hosts (``remote``, see ``docs/DISTRIBUTED.md``).  Results are
+bit-identical across all three; the choice only moves cost.  See
+``docs/EXECUTORS.md`` for the protocol and the timeout contract.
 """
 
+from typing import Dict, Optional, Tuple, Type
+
+from repro.errors import SimulationError
 from repro.exec.base import (
     DEFAULT_EXECUTOR,
     EXECUTOR_ENV_VAR,
     ExecutionContext,
     Executor,
-    ExecutorCapabilities,
     ExecutorStartError,
     NodeStats,
     RoundHandle,
     RoundResult,
     WorkUnit,
-    available_executors,
-    create_executor,
-    register_executor,
     resolve_executor_name,
 )
 from repro.exec.config import (
@@ -37,12 +35,31 @@ from repro.exec.driver import CorruptShardRound, RoundDriver
 from repro.exec.process import ProcessExecutor
 from repro.exec.remote import PEERS_ENV_VAR, RemoteExecutor, set_default_peers
 from repro.exec.serial import SerialExecutor
-from repro.exec.thread import ThreadExecutor
 
-register_executor("serial", SerialExecutor)
-register_executor("thread", ThreadExecutor)
-register_executor("process", ProcessExecutor)
-register_executor("remote", RemoteExecutor)
+#: Every backend, by name.
+_EXECUTORS: Dict[str, Type[Executor]] = {
+    "process": ProcessExecutor,
+    "remote": RemoteExecutor,
+    "serial": SerialExecutor,
+}
+
+
+def available_executors() -> Tuple[str, ...]:
+    """The backend names, sorted (the CLI's ``--executor`` choices)."""
+    return tuple(sorted(_EXECUTORS))
+
+
+def create_executor(name: Optional[str]) -> Executor:
+    """Instantiate the backend named (or defaulted) by ``name``."""
+    resolved = resolve_executor_name(name)
+    backend = _EXECUTORS.get(resolved)
+    if backend is None:
+        raise SimulationError(
+            f"unknown executor {resolved!r} "
+            f"(available: {', '.join(available_executors())})"
+        )
+    return backend()
+
 
 __all__ = [
     "DEFAULT_EXECUTOR",
@@ -53,7 +70,6 @@ __all__ = [
     "ExecutionContext",
     "ExecutionPolicy",
     "Executor",
-    "ExecutorCapabilities",
     "ExecutorStartError",
     "NodeStats",
     "ProcessExecutor",
@@ -64,12 +80,10 @@ __all__ = [
     "RoundResult",
     "RunConfig",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkUnit",
     "available_executors",
     "canonical_fields",
     "create_executor",
-    "register_executor",
     "resolve_executor_name",
     "set_default_peers",
 ]

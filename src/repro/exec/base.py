@@ -1,25 +1,21 @@
 """The executor protocol: how the engine fans shard rounds out.
 
-An :class:`Executor` is a *pluggable execution substrate* for the parallel
-engine.  The engine hands it one :class:`WorkUnit` per pending shard per
-fan-out round; the executor returns a :class:`RoundHandle` whose
+An :class:`Executor` is an execution substrate for the engine.  The
+engine hands it one :class:`WorkUnit` per pending shard per fan-out
+round; the executor returns a :class:`RoundHandle` whose
 ``result(timeout)`` yields a :class:`RoundResult`.  Everything above the
 boundary — retry waves, backoff, integrity checksums, chaos accounting,
 checkpoint journaling, guard governance — lives in
-:class:`repro.exec.driver.RoundDriver` and is therefore inherited by
-*every* backend, present and future (a ``RemoteExecutor`` shipping units
-over sockets slots in without touching the engine).
+:class:`repro.exec.driver.RoundDriver` and is therefore shared by every
+backend.
 
-Four backends ship today (see ``docs/EXECUTORS.md``):
+Three backends ship, named in one table in :mod:`repro.exec` (see
+``docs/EXECUTORS.md``):
 
 ``serial``
     In-process, one shard at a time — the backend of every one-shard
-    (``jobs=1``) run, the degradation target every other backend falls
-    back to, and the cheapest choice for tiny kernels.
-``thread``
-    A thread pool with per-thread simulators — parallel timeout handling
-    without process-pool spin-up/pickling tax (small kernels, see
-    ``BENCH_engine.json``).
+    (``jobs=1``) run and the degradation target every other backend
+    falls back to.
 ``process``
     A warm process pool — true CPU parallelism, crash isolation, worker
     RSS accounting.
@@ -29,35 +25,28 @@ Four backends ship today (see ``docs/EXECUTORS.md``):
     degradation to the local ``process`` backend.  See
     ``docs/DISTRIBUTED.md``.
 
-Capability flags (:class:`ExecutorCapabilities`) tell the driver and the
-guard what a backend can honour: whether hung rounds can be preempted
-(``supports_timeout``), whether a worker crash is contained
-(``isolated``), whether worker PIDs exist for RSS sampling
-(``worker_pids``).  The guard's halve -> serial -> stop memory ladder is
-applied uniformly: the "serial" rung stops *any* parallel backend and
-continues in-process (a non-``parallel`` backend already runs there and
-skips the rung), so governance is an executor-layer contract rather
-than ProcessPool-specific code.
+The guard's halve -> serial -> stop memory ladder applies to every
+backend: the "serial" rung releases a ``process`` or ``remote`` backend
+and continues in-process, while a ``serial`` run already runs there and
+skips the rung.
 
 The timeout contract
 --------------------
 
-Who watches for a hung round depends on two flags, and exactly one party
-may own the deadline:
+The :class:`~repro.exec.driver.RoundDriver` arms one deadline per retry
+wave from ``RetryPolicy.shard_timeout`` and passes what is left of it to
+every ``RoundHandle.result(timeout)``.  The handle decides what that
+means:
 
-* ``supports_timeout=True`` — ``RoundHandle.result(timeout)`` honours its
-  argument, and the :class:`~repro.exec.driver.RoundDriver` arms its
-  shared per-wave deadline from ``RetryPolicy.shard_timeout`` (``thread``,
-  ``process``).
-* ``supports_timeout=False, detects_hangs=True`` — the backend detects
-  and recovers hangs *internally* (its own dispatch timeouts and
-  heartbeats, fed the same ``RetryPolicy`` via :meth:`Executor.configure`)
-  and its handles block until an outcome exists.  The driver must NOT arm
-  a deadline on top: a driver deadline equal to the backend's internal
-  one would race it and double-count every hang (``remote``).
-* ``supports_timeout=False, detects_hangs=False`` — nobody can interrupt
-  the round; ``shard_timeout`` is silently ignored and a delay simply
-  runs to completion (``serial``: the round *is* the parent thread).
+* ``process`` honours it: a round past the deadline raises
+  :class:`concurrent.futures.TimeoutError`, and the driver rebuilds the
+  pool and retries the round.
+* ``serial`` ignores it: the round *is* the parent thread, which nobody
+  can preempt, so a slow round runs to completion.
+* ``remote`` ignores it: the coordinator owns its deadlines (per-dispatch
+  socket timeouts fed the same ``RetryPolicy`` via
+  :meth:`Executor.configure`); a driver deadline at the same value would
+  race them and count every hang twice.
 """
 
 from __future__ import annotations
@@ -65,7 +54,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -76,48 +65,6 @@ EXECUTOR_ENV_VAR = "REPRO_ENGINE_EXECUTOR"
 
 #: Fallback backend when neither the config nor the environment chooses.
 DEFAULT_EXECUTOR = "process"
-
-
-@dataclass(frozen=True)
-class ExecutorCapabilities:
-    """What an execution backend can honour.
-
-    Attributes
-    ----------
-    parallel:
-        Rounds of several shards make progress concurrently.  Without it
-        the backend already runs in the parent, so the memory ladder
-        has no "serial" rung to take.
-    isolated:
-        A worker failure (crash, OOM kill) cannot corrupt the parent;
-        non-isolated backends have hard chaos ``crash`` mapped to a clean
-        in-process exception so the retry contract still holds.
-    supports_timeout:
-        ``RoundHandle.result(timeout)`` honours its timeout, so the
-        driver may arm a shared deadline from
-        ``RetryPolicy.shard_timeout``.  Backends where this is False must
-        never be handed a driver deadline — see "The timeout contract" in
-        the module docstring.
-    detects_hangs:
-        A hung round is still *detected and recovered* even though (or
-        regardless of whether) the driver arms no deadline — either
-        because ``supports_timeout`` makes the driver's deadline work, or
-        because the backend watches its own dispatches internally
-        (``remote``).  False only on ``serial``, where the round runs on
-        the parent thread and nobody can interrupt it.
-    worker_pids:
-        The backend exposes worker process ids, so the memory watchdog
-        can sample worker RSS alongside the parent's.
-    remote:
-        Work units leave this host (the ``remote`` backend).
-    """
-
-    parallel: bool
-    isolated: bool
-    supports_timeout: bool
-    detects_hangs: bool = False
-    worker_pids: bool = False
-    remote: bool = False
 
 
 @dataclass(frozen=True)
@@ -246,10 +193,11 @@ class RoundHandle(ABC):
     def result(self, timeout: Optional[float] = None) -> RoundResult:
         """The round's result; raises what the execution raised.
 
-        ``timeout`` (seconds) applies only on backends whose capabilities
-        claim ``supports_timeout``; others complete the work and return.
-        On timeout the backend raises :class:`concurrent.futures.
-        TimeoutError` and the driver treats the round as hung.
+        ``timeout`` (seconds) is what is left of the driver's wave
+        deadline.  A handle that honours it raises
+        :class:`concurrent.futures.TimeoutError` when it passes, and the
+        driver treats the round as hung; a handle that cannot preempt its
+        round ignores it — see "The timeout contract" above.
         """
 
 
@@ -263,21 +211,15 @@ class Executor(ABC):
     stop a backend mid-run and continue in-process.
     """
 
-    #: Registry name; subclasses override.
+    #: The backend's name in :mod:`repro.exec`'s table; subclasses override.
     name: str = "abstract"
-
-    @property
-    @abstractmethod
-    def capabilities(self) -> ExecutorCapabilities:
-        """The backend's capability flags (stable for its lifetime)."""
 
     def configure(self, retry: Any) -> None:
         """Receive the run's :class:`~repro.exec.driver.RetryPolicy`.
 
-        Called by the driver before :meth:`start`.  Backends that own
-        their hang detection (``supports_timeout=False,
-        detects_hangs=True``) derive their internal dispatch timeout and
-        backoff from the same policy the driver would have used, so one
+        Called by the driver once it is built.  A backend that owns its
+        hang detection (``remote``) derives its internal dispatch timeout
+        and backoff from the same policy the driver uses, so one
         ``--shard-timeout`` governs every rung of the ladder.  Default:
         ignore it.
         """
@@ -324,36 +266,9 @@ class Executor(ABC):
         self.stop()
 
 
-# ------------------------------------------------------------------ registry
-
-_REGISTRY: Dict[str, Callable[[], Executor]] = {}
-
-
-def register_executor(name: str, factory: Callable[[], Executor]) -> None:
-    """Register a backend factory under ``name`` (last write wins)."""
-    _REGISTRY[name] = factory
-
-
-def available_executors() -> Tuple[str, ...]:
-    """Registered backend names, sorted (the CLI's ``--executor`` choices)."""
-    return tuple(sorted(_REGISTRY))
-
-
 def resolve_executor_name(name: Optional[str]) -> str:
     """Config name -> env (``$REPRO_ENGINE_EXECUTOR``) -> ``"process"``."""
     if name:
         return name
     ambient = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
     return ambient or DEFAULT_EXECUTOR
-
-
-def create_executor(name: Optional[str]) -> Executor:
-    """Instantiate the backend named (or defaulted) by ``name``."""
-    resolved = resolve_executor_name(name)
-    factory = _REGISTRY.get(resolved)
-    if factory is None:
-        raise SimulationError(
-            f"unknown executor {resolved!r} "
-            f"(available: {', '.join(available_executors())})"
-        )
-    return factory()

@@ -11,7 +11,7 @@ results map, whatever happened on the way.
 The driver also owns the guard's memory-ladder "serial" rung: when the
 watchdog demands in-process execution it *releases* the backend (worker
 RSS actually drops) and runs subsequent rounds through the same
-:func:`~repro.exec.worker.run_work_unit` primitive in the parent, so
+:func:`~repro.exec.worker.consume_batches` primitive in the parent, so
 results — and journal records — stay bit-identical while peak memory
 falls.
 """
@@ -28,12 +28,7 @@ from repro import telemetry
 from repro.errors import ReproError, SimulationError
 from repro.exec.base import Executor, RoundHandle, WorkUnit
 from repro.exec.config import RetryPolicy
-from repro.exec.worker import (
-    consume_batches,
-    make_simulator,
-    round_checksum,
-    run_work_unit,
-)
+from repro.exec.worker import consume_batches, make_simulator, round_checksum
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
 from repro.netlist.netlist import Netlist
@@ -70,19 +65,10 @@ class RoundDriver:
         self._chaos = chaos
         self._kernel = kernel
         self._degraded_simulator: Optional[FaultSimulator] = None
-        # Backends that own their hang detection (supports_timeout=False,
-        # detects_hangs=True — the remote coordinator) derive internal
-        # deadlines from the same policy; see "The timeout contract" in
-        # repro.exec.base.
+        # A backend that owns its hang detection (the remote coordinator)
+        # derives its internal deadlines from the same policy; see "The
+        # timeout contract" in repro.exec.base.
         executor.configure(retry)
-        # A driver deadline is armed ONLY where handle.result(timeout)
-        # honours it; elsewhere it would either be ignored (serial) or
-        # race the backend's internal deadline (remote).
-        self._timeout: Optional[float] = (
-            retry.shard_timeout
-            if executor.capabilities.supports_timeout
-            else None
-        )
 
     # ------------------------------------------------------------- internals
 
@@ -94,6 +80,21 @@ class RoundDriver:
                 self._netlist, self._batch_width, self._kernel
             )
         return self._degraded_simulator
+
+    def _run_in_parent(
+        self,
+        faults: List[Fault],
+        round_batches: List[Tuple[int, Dict[int, int]]],
+        pattern_base: int,
+        drop_detected: bool,
+        **span_attributes: object,
+    ) -> ShardOutcome:
+        """One shard round on the parent's own simulator, off the backend."""
+        with telemetry.span("engine.shard_round.degraded", **span_attributes):
+            return consume_batches(
+                self._parent_simulator(), faults, round_batches,
+                pattern_base, drop_detected,
+            )
 
     def _unit(
         self,
@@ -147,9 +148,11 @@ class RoundDriver:
                 ))
                 for shard_id in sorted(pending)
             }
+            # One deadline per wave; each handle decides whether it can
+            # honour it (see "The timeout contract" in repro.exec.base).
+            timeout = self._retry.shard_timeout
             deadline = (
-                None if self._timeout is None
-                else time.monotonic() + self._timeout
+                None if timeout is None else time.monotonic() + timeout
             )
             failed: List[int] = []
             for shard_id, handle in handles.items():
@@ -197,16 +200,11 @@ class RoundDriver:
             for shard_id in failed:
                 attempts[shard_id] += 1
                 if attempts[shard_id] > self._retry.max_retries:
-                    with telemetry.span(
-                        "engine.shard_round.degraded",
-                        shard=shard_id, round=round_index,
+                    results[shard_id] = self._run_in_parent(
+                        shards[shard_id], round_batches, pattern_base,
+                        drop_detected, shard=shard_id, round=round_index,
                         attempts=attempts[shard_id],
-                    ):
-                        detections, survivors, measured = consume_batches(
-                            self._parent_simulator(), shards[shard_id],
-                            round_batches, pattern_base, drop_detected,
-                        )
-                    results[shard_id] = (detections, survivors, measured)
+                    )
                     stats[shard_id].degraded_reason = (
                         f"retry budget exhausted after {attempts[shard_id]} "
                         f"attempts at round {round_index}; ran in-process"
@@ -237,15 +235,10 @@ class RoundDriver:
         peak memory drops.
         """
         for shard_id in sorted(pending):
-            with telemetry.span(
-                "engine.shard_round.degraded",
+            results[shard_id] = self._run_in_parent(
+                shards[shard_id], round_batches, pattern_base, drop_detected,
                 shard=shard_id, round=round_index, reason="memory",
-            ):
-                detections, survivors, measured = consume_batches(
-                    self._parent_simulator(), shards[shard_id], round_batches,
-                    pattern_base, drop_detected,
-                )
-            results[shard_id] = (detections, survivors, measured)
+            )
         pending.clear()
 
 
@@ -253,5 +246,4 @@ __all__ = [
     "CorruptShardRound",
     "RoundDriver",
     "ShardOutcome",
-    "run_work_unit",
 ]

@@ -30,21 +30,11 @@ from repro import telemetry
 from repro.exec.base import (
     ExecutionContext,
     Executor,
-    ExecutorCapabilities,
     RoundHandle,
     RoundResult,
     WorkUnit,
 )
 from repro.exec.worker import execute_unit, init_worker
-
-_CAPABILITIES = ExecutorCapabilities(
-    parallel=True,
-    isolated=True,
-    supports_timeout=True,
-    detects_hangs=True,
-    worker_pids=True,
-)
-
 
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
@@ -129,6 +119,8 @@ class _FutureHandle(RoundHandle):
         self._future = future
 
     def result(self, timeout: Optional[float] = None) -> RoundResult:
+        # Honours the driver's deadline: a hung worker raises TimeoutError
+        # here, and the driver's restart() terminates it with its pool.
         return self._future.result(timeout=timeout)
 
 
@@ -136,10 +128,6 @@ class ProcessExecutor(Executor):
     """Sharded execution over a warm, restartable process pool."""
 
     name = "process"
-
-    @property
-    def capabilities(self) -> ExecutorCapabilities:
-        return _CAPABILITIES
 
     def __init__(self) -> None:
         self._pool: Optional[_WorkerPool] = None

@@ -27,12 +27,12 @@ Fault-tolerance ladder (each rung bounded, none raises mid-run):
    peers, so respawned agents rejoin), and ultimately the in-parent
    degraded rung.
 
-Hang detection is *internal* (``supports_timeout=False,
-detects_hangs=True`` — see the contract in :mod:`repro.exec.base`): every
-dispatch carries a socket timeout derived from the run's
-``RetryPolicy.shard_timeout`` (via :meth:`RemoteExecutor.configure`,
-falling back to ``$REPRO_REMOTE_TIMEOUT``), so the driver must not arm
-its own deadline on top.
+Hang detection is *internal* (see the timeout contract in
+:mod:`repro.exec.base`): every dispatch carries a socket timeout derived
+from the run's ``RetryPolicy.shard_timeout`` (via
+:meth:`RemoteExecutor.configure`, falling back to
+``$REPRO_REMOTE_TIMEOUT``), so a round handle ignores the driver's
+deadline and waits for the coordinator to settle the unit.
 
 Peers come from :func:`set_default_peers` (the CLI's ``--peers``) or
 ``$REPRO_PEERS`` (``host:port,host:port``).  ``start()`` raises
@@ -55,7 +55,6 @@ import queue
 import socket
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
 from typing import Any, List, Optional, Tuple
 
@@ -64,7 +63,6 @@ from repro.errors import SimulationError
 from repro.exec.base import (
     ExecutionContext,
     Executor,
-    ExecutorCapabilities,
     ExecutorStartError,
     NodeStats,
     RoundHandle,
@@ -93,17 +91,6 @@ DEFAULT_START_GRACE_SECONDS = 5.0
 
 _CONNECT_TIMEOUT = 2.0
 _QUEUE_POLL_SECONDS = 0.2
-
-_CAPABILITIES = ExecutorCapabilities(
-    parallel=True,
-    isolated=True,
-    # The coordinator owns its deadlines (per-dispatch socket timeouts);
-    # a driver deadline at the same shard_timeout would race them.
-    supports_timeout=False,
-    detects_hangs=True,
-    remote=True,
-)
-
 
 # ------------------------------------------------------------------- peers
 
@@ -176,8 +163,11 @@ class _RemoteHandle(RoundHandle):
         self._done.set()
 
     def result(self, timeout: Optional[float] = None) -> RoundResult:
-        if not self._done.wait(timeout):
-            raise FutureTimeoutError()
+        # ``timeout`` is ignored: the coordinator owns its deadlines (per-
+        # dispatch socket timeouts), and every unit it accepts is settled
+        # — by a peer, the local fallback or a failure.  A driver deadline
+        # at the same shard_timeout would race them.
+        self._done.wait()
         if self._error is not None:
             raise self._error
         assert self._result is not None
@@ -226,10 +216,6 @@ class RemoteExecutor(Executor):
 
     name = "remote"
 
-    @property
-    def capabilities(self) -> ExecutorCapabilities:
-        return _CAPABILITIES
-
     def __init__(self) -> None:
         self._context: Optional[ExecutionContext] = None
         self._payload: Optional[bytes] = None
@@ -242,6 +228,8 @@ class RemoteExecutor(Executor):
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._cancel_thread: Optional[threading.Thread] = None
         self._dispatch_timeout = DEFAULT_DISPATCH_TIMEOUT
+        # (shard, round) of the unit node chaos fired on; one per run.
+        self._chaos_unit: Optional[Tuple[int, int]] = None
         self._backoff = 0.05
         self._max_dispatches = 3  # overwritten by configure()
 
@@ -381,16 +369,31 @@ class RemoteExecutor(Executor):
                 continue
             self._dispatch(node, item)
 
+    def _node_chaos(self, node: _Node, unit: WorkUnit) -> Optional[str]:
+        """The node-chaos action for dispatching ``unit`` to ``node``.
+
+        The plan fires on the first unit its node dispatches at or after
+        its round, and on no other unit of the run; re-dispatches of that
+        unit still obey ``attempt < times`` (``FaultInjector.node_action``).
+        """
+        # Duck-typed: repro.exec must stay importable without
+        # repro.engine, so the injector is never imported here.
+        node_action = getattr(unit.chaos, "node_action", None)
+        if node_action is None:
+            return None
+        key = (unit.shard_id, unit.round_index)
+        with self._lock:
+            if self._chaos_unit not in (None, key):
+                return None
+            action = node_action(node.index, unit.round_index, unit.attempt)
+            if action is not None:
+                self._chaos_unit = key
+        return action
+
     def _dispatch(self, node: _Node, item: _PendingUnit) -> None:
         unit = item.unit
         chaos = unit.chaos
-        action = None
-        if chaos is not None:
-            # Duck-typed: repro.exec must stay importable without
-            # repro.engine, so the injector is never imported here.
-            node_action = getattr(chaos, "node_action", None)
-            if node_action is not None:
-                action = node_action(node.index, unit.round_index, unit.attempt)
+        action = self._node_chaos(node, unit)
         first = item.dispatches == 0
         item.dispatches += 1
         node.stats.dispatched += 1

@@ -7,11 +7,7 @@ exhausted, memory ladder's "serial" rung), so it is deliberately the
 simplest possible implementation: one simulator in the parent process,
 work executed lazily inside ``handle.result()`` so failures (including
 chaos) surface inside the driver's retry machinery exactly like a worker
-failure would.
-
-It is also the *fastest* backend for small kernels: no pool spin-up, no
-golden-batch pickling, no IPC — see the committed ``BENCH_engine.json``
-matrix where ``serial`` beats ``process`` on sub-millisecond rounds.
+failure would.  It pays no pool spin-up, golden-word pickling or IPC.
 """
 
 from __future__ import annotations
@@ -21,24 +17,12 @@ from typing import Callable, Optional
 from repro.exec.base import (
     ExecutionContext,
     Executor,
-    ExecutorCapabilities,
     RoundHandle,
     RoundResult,
     WorkUnit,
 )
 from repro.exec.worker import make_simulator, run_work_unit
 from repro.faultsim.simulator import FaultSimulator
-
-_CAPABILITIES = ExecutorCapabilities(
-    parallel=False,
-    isolated=False,
-    # The round runs on the parent thread: nobody can preempt OR detect a
-    # hang, so the driver must not arm a deadline (it could never fire)
-    # and ``shard_timeout`` is documented as inert here.
-    supports_timeout=False,
-    detects_hangs=False,
-)
-
 
 class _LazyHandle(RoundHandle):
     """Runs the work at ``result()`` time, inside the driver's try block."""
@@ -47,8 +31,8 @@ class _LazyHandle(RoundHandle):
         self._thunk = thunk
 
     def result(self, timeout: Optional[float] = None) -> RoundResult:
-        # ``timeout`` is ignored: capabilities say supports_timeout=False,
-        # so the driver never passes one in anger.
+        # ``timeout`` is ignored: the round runs on the parent thread,
+        # which nobody can preempt, so it always runs to completion.
         return self._thunk()
 
 
@@ -56,10 +40,6 @@ class SerialExecutor(Executor):
     """One in-parent simulator; shard rounds run one at a time."""
 
     name = "serial"
-
-    @property
-    def capabilities(self) -> ExecutorCapabilities:
-        return _CAPABILITIES
 
     def __init__(self) -> None:
         self._context: Optional[ExecutionContext] = None

@@ -1,8 +1,9 @@
 """The one shard-round primitive every execution backend runs.
 
-Bit-identity across ``serial`` / ``thread`` / ``process`` backends (and the
-engine's degraded in-process fallback) holds because they all execute the
-*same* function, :func:`run_work_unit`, against per-worker
+Bit-identity across the ``serial``, ``process`` and ``remote`` backends
+(and the driver's in-parent rounds) holds because they all execute the
+*same* loop, :func:`consume_batches` — behind :func:`run_work_unit` in
+every backend — against per-worker
 :class:`~repro.faultsim.simulator.FaultSimulator` instances.  This module
 also hosts the process-backend worker entry points — they must live at
 module level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle
@@ -11,12 +12,13 @@ references to them.
 Integrity: every round's result carries a checksum taken *before* any
 chaos corruption is applied, so a tampered payload is detectable by the
 :class:`~repro.exec.driver.RoundDriver`.  Chaos: the ``crash`` mode is
-mapped to a clean :class:`~repro.engine.chaos.ChaosError` on in-process
-backends (``os._exit`` would take the parent down with the "worker"),
-which exercises the identical retry path.  Telemetry: out-of-process
-workers drain their span buffer into the result for the parent to absorb;
-in-process backends record straight into the parent tracer (draining
-would steal the parent's own spans) and ship none.
+mapped to a clean :class:`~repro.engine.chaos.ChaosError` on the
+in-process ``serial`` backend (``os._exit`` would take the parent down
+with the "worker"), which exercises the identical retry path.
+Telemetry: out-of-process workers drain their span buffer into the
+result for the parent to absorb; in-process rounds record straight into
+the parent tracer (draining would steal the parent's own spans) and ship
+none.
 """
 
 from __future__ import annotations

@@ -96,8 +96,8 @@ def mac4_kernel() -> Netlist:
     """A 4-bit multiply-accumulate kernel — the small-kernel scenario.
 
     Small enough that per-round work is dominated by dispatch overhead:
-    the cell where the thread and serial backends should beat the
-    process pool, and where the packed kernel should beat vec.
+    the cell where the serial backend should beat the process pool,
+    and where the packed kernel should beat vec.
     """
     compiled = compile_datapath(
         [("o", Add(Mul(Var("a"), Var("b")), Var("c")))], "mac4", width=4

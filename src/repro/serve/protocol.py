@@ -151,7 +151,7 @@ class JobRequest:
             deadline = float(deadline)
         executor = doc.get("executor")
         if executor is not None:
-            from repro.exec.base import available_executors
+            from repro.exec import available_executors
 
             if executor not in available_executors():
                 raise bad_request(

@@ -71,7 +71,7 @@ def test_run_key_ignores_execution_strategy():
     base = RunConfig(execution=ExecutionPolicy(jobs=2), max_patterns=256)
     key = run_key(netlist, source, faults, base, 2)
     for variant in (
-        base.with_execution(executor="thread"),
+        base.with_execution(executor="serial"),
         base.with_execution(kernel="vec"),
         base.replace(retry=base.retry.__class__(max_retries=9)),
         base.replace(check=False),

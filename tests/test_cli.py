@@ -133,6 +133,13 @@ def test_selftest_without_gate_behaviour(capsys, figure4_json):
     assert "gate expander" in err
 
 
+def test_selftest_rejects_retired_thread_executor(capsys, mac4_json):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["selftest", mac4_json, "--executor", "thread"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c.json"
     process = subprocess.run(

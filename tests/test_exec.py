@@ -1,9 +1,9 @@
-"""repro.exec backend suite: protocol, registry, and cross-backend identity.
+"""repro.exec backend suite: protocol, backend table, cross-backend identity.
 
 The executor layer's contract is the engine's oldest invariant restated
-one level down: *where* a shard round runs — in-process, on a thread, in
-a worker process — can never move a result.  The suite pins the registry
-and capability surface, proves all three backends bit-identical to the
+one level down: *where* a shard round runs — in-process or in a worker
+process — can never move a result.  The suite pins the backend names and
+the timeout contract, proves both local backends bit-identical to the
 serial baseline (with and without chaos injection), and exercises the
 process backend's warm-pool reuse across ``simulate()`` calls.
 """
@@ -18,7 +18,6 @@ from repro.errors import SimulationError
 from repro.exec import (
     ExecutionPolicy,
     Executor,
-    ExecutorCapabilities,
     RetryPolicy,
     RunConfig,
     available_executors,
@@ -33,19 +32,21 @@ from repro.guard.budget import STOP_PATTERNS, Budget
 from repro.library.scenarios import c3a2m_kernel
 from tests.conftest import make_random_netlist
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 KERNELS = ("packed", "vec")
 
 
 def _run(netlist, faults, *, executor=None, jobs=None, chaos=None,
-         max_retries=2, kernel=None, budget=None, max_patterns=512):
+         max_retries=2, kernel=None, budget=None, max_patterns=512,
+         shard_timeout=None):
     source = RandomPatternSource(len(netlist.primary_inputs), seed=23)
     config = RunConfig(
         execution=ExecutionPolicy(
             executor=executor, jobs=jobs, batch_width=64, chunk_batches=1,
             kernel=kernel,
         ),
-        retry=RetryPolicy(max_retries=max_retries, backoff=0.0),
+        retry=RetryPolicy(max_retries=max_retries, backoff=0.0,
+                          shard_timeout=shard_timeout),
         chaos=chaos,
         budget=budget,
         max_patterns=max_patterns,
@@ -59,16 +60,29 @@ def assert_identical(baseline, result):
     assert coverage_curve(result) == coverage_curve(baseline)
 
 
-# ----------------------------------------------------------------- registry
+# ------------------------------------------------------------ backend table
 
 
 def test_registry_lists_all_backends():
-    assert available_executors() == ("process", "remote", "serial", "thread")
+    assert available_executors() == ("process", "remote", "serial")
 
 
 def test_create_executor_unknown_name_raises():
-    with pytest.raises(SimulationError, match="unknown executor"):
-        create_executor("quantum")
+    # "thread" names a retired backend: refused like any unknown name.
+    for name in ("quantum", "thread"):
+        with pytest.raises(SimulationError, match="unknown executor"):
+            create_executor(name)
+
+
+def test_retired_backend_from_environment_is_refused(monkeypatch):
+    """$REPRO_ENGINE_EXECUTOR naming no backend fails the run at start,
+    and the error names every backend there is."""
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+    netlist = make_random_netlist(8, 20, seed=10)
+    faults, _ = collapse_faults(netlist)
+    with pytest.raises(SimulationError,
+                       match=r"'thread' \(available: process, remote, serial\)"):
+        _run(netlist, faults, jobs=2)
 
 
 def test_created_executors_satisfy_protocol():
@@ -76,17 +90,16 @@ def test_created_executors_satisfy_protocol():
         backend = create_executor(name)
         assert isinstance(backend, Executor)
         assert backend.name == name
-        assert isinstance(backend.capabilities, ExecutorCapabilities)
 
 
 def test_resolve_explicit_name_wins(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "remote")
     assert resolve_executor_name("serial") == "serial"
 
 
 def test_resolve_falls_back_to_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
-    assert resolve_executor_name(None) == "thread"
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "remote")
+    assert resolve_executor_name(None) == "remote"
 
 
 def test_resolve_defaults_to_process(monkeypatch):
@@ -94,27 +107,20 @@ def test_resolve_defaults_to_process(monkeypatch):
     assert resolve_executor_name(None) == "process"
 
 
-def test_capability_flags_per_backend():
-    serial = create_executor("serial").capabilities
-    assert not serial.parallel and not serial.isolated
-    assert not serial.supports_timeout and not serial.worker_pids
-    assert not serial.detects_hangs  # nobody can watch the parent thread
-    thread = create_executor("thread").capabilities
-    assert thread.parallel and thread.supports_timeout
-    assert not thread.isolated and not thread.worker_pids
-    assert thread.detects_hangs
-    process = create_executor("process").capabilities
-    assert process.parallel and process.isolated
-    assert process.supports_timeout and process.worker_pids
-    assert process.detects_hangs
-    remote = create_executor("remote").capabilities
-    assert remote.parallel and remote.isolated and remote.remote
-    # The remote coordinator owns its deadlines: the driver must never
-    # arm a shared deadline on top of the backend's internal one.
-    assert not remote.supports_timeout
-    assert remote.detects_hangs
-    for name in ("serial", "thread", "process"):
-        assert not create_executor(name).capabilities.remote
+def test_serial_rounds_run_past_the_shard_timeout():
+    """A serial round runs on the parent thread, so its handle ignores the
+    driver's deadline: a delay longer than ``shard_timeout`` completes
+    without a timeout or a retry."""
+    netlist = make_random_netlist(8, 30, seed=5)
+    faults, _ = collapse_faults(netlist)
+    baseline = _run(netlist, faults)
+    chaos = FaultInjector("delay", shard=0, round_index=0, seconds=0.2)
+    result = _run(netlist, faults, executor="serial", jobs=2, chaos=chaos,
+                  shard_timeout=0.05)
+    assert_identical(baseline, result)
+    assert result.executor == "serial"
+    assert all(s.timeouts == 0 for s in result.shards)
+    assert result.retries == 0
 
 
 # ------------------------------------------------------------- bit-identity
@@ -176,8 +182,8 @@ def test_jobs_one_stays_on_historical_serial_path():
 def test_executor_surfaces_in_json():
     netlist = make_random_netlist(8, 20, seed=10)
     faults, _ = collapse_faults(netlist)
-    result = _run(netlist, faults, executor="thread", jobs=2)
-    assert result.to_json()["engine"]["executor"] == "thread"
+    result = _run(netlist, faults, executor="process", jobs=2)
+    assert result.to_json()["engine"]["executor"] == "process"
 
 
 # ---------------------------------------------------------- warm-pool reuse
@@ -278,13 +284,13 @@ def test_degraded_shards_are_kernel_agnostic(c3a2m, c3a2m_baseline, kernel):
     _require_kernel(kernel)
     netlist, faults = c3a2m
     chaos = FaultInjector("crash", shard=0, round_index=0, times=100)
-    result = _run(netlist, faults, executor="thread", jobs=2, chaos=chaos,
+    result = _run(netlist, faults, executor="serial", jobs=2, chaos=chaos,
                   max_retries=1, kernel=kernel)
     assert_identical(c3a2m_baseline, result)
     assert 0 in result.degraded_shards
 
 
-@pytest.mark.parametrize("backend", ("serial", "thread"))
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_budget_cut_partial_runs_report_identical_undetected_sets(
         c3a2m, backend):
     """A guard budget that cuts the run mid-universe must leave the two
@@ -374,7 +380,7 @@ def test_journal_resumes_across_kernels(tmp_path, c3a2m):
 def test_kernel_surfaces_in_json(c3a2m):
     pytest.importorskip("numpy")
     netlist, faults = c3a2m
-    result = _run(netlist, faults, executor="thread", jobs=2, kernel="vec")
+    result = _run(netlist, faults, executor="process", jobs=2, kernel="vec")
     engine = result.to_json()["engine"]
     assert engine["kernel"] == "vec"
     assert engine["kernel_fallback"] is None

@@ -114,14 +114,15 @@ def agent_peer(monkeypatch):
 
 def _run(netlist, faults, *, executor=None, jobs=None, chaos=None,
          max_retries=2, budget=None, cancel=None, checkpoint=None,
-         max_patterns=512, batch_width=64):
+         max_patterns=512, batch_width=64, shard_timeout=None):
     source = RandomPatternSource(len(netlist.primary_inputs), seed=23)
     config = RunConfig(
         execution=ExecutionPolicy(
             executor=executor, jobs=jobs, batch_width=batch_width,
             chunk_batches=1,
         ),
-        retry=RetryPolicy(max_retries=max_retries, backoff=0.0),
+        retry=RetryPolicy(max_retries=max_retries, backoff=0.0,
+                          shard_timeout=shard_timeout),
         chaos=chaos,
         budget=budget,
         cancel=cancel,
@@ -185,15 +186,55 @@ def test_node_chaos_is_bit_identical_to_serial(two_workers, build, mode):
     assert sum(n.redispatched for n in result.nodes) >= 1
 
 
-def test_node_hang_times_out_and_redispatches(two_workers, monkeypatch):
-    """A wedged peer trips the coordinator's internal dispatch timeout
-    (the driver arms none: supports_timeout=False, detects_hangs=True)."""
-    monkeypatch.setenv(TIMEOUT_ENV_VAR, "0.6")
+def test_node_chaos_fires_once_on_first_unit_at_or_after_its_round():
+    """A node-chaos plan targets the first unit its node dispatches at or
+    after the plan's round — another node may drain that round itself —
+    and no other unit of the run; re-dispatches of that unit obey
+    ``times``."""
+    from types import SimpleNamespace
+
+    from repro.exec.base import WorkUnit
+    from repro.exec.remote import RemoteExecutor
+
+    chaos = FaultInjector("net_drop", shard=0, round_index=1, times=2)
+    executor = RemoteExecutor()
+    node0, node1 = SimpleNamespace(index=0), SimpleNamespace(index=1)
+
+    def unit(shard, round_index, attempt=0):
+        return WorkUnit(
+            shard_id=shard, faults=(), golden_batches=(), pattern_base=0,
+            round_index=round_index, drop_detected=True, attempt=attempt,
+            chaos=chaos,
+        )
+
+    assert executor._node_chaos(node0, unit(0, 0)) is None  # before round 1
+    assert executor._node_chaos(node1, unit(1, 1)) is None  # another node
+    # Node 0 took no round-1 unit: its first round-2 unit is the target.
+    assert executor._node_chaos(node0, unit(2, 2)) == "net_drop"
+    assert executor._node_chaos(node1, unit(2, 2, attempt=1)) is None
+    assert executor._node_chaos(node0, unit(2, 2, attempt=1)) == "net_drop"
+    assert executor._node_chaos(node0, unit(2, 2, attempt=2)) is None
+    assert executor._node_chaos(node0, unit(0, 3)) is None  # once per run
+
+
+@pytest.mark.parametrize("source", ["env", "retry-policy"])
+def test_node_hang_times_out_and_redispatches(two_workers, monkeypatch,
+                                              source):
+    """A wedged peer trips the coordinator's internal dispatch timeout,
+    set by $REPRO_REMOTE_TIMEOUT or by the run's RetryPolicy.  The driver
+    arms the RetryPolicy deadline too, but a remote round handle ignores
+    it: the coordinator owns the deadline."""
+    shard_timeout = None
+    if source == "env":
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "0.6")
+    else:
+        shard_timeout = 0.6
     netlist = figure4_kernel()
     faults = _scenario_faults(netlist)
     baseline = _run(netlist, faults)
     chaos = FaultInjector("node_hang", shard=0, round_index=0, seconds=30.0)
-    result = _run(netlist, faults, executor="remote", jobs=3, chaos=chaos)
+    result = _run(netlist, faults, executor="remote", jobs=3, chaos=chaos,
+                  shard_timeout=shard_timeout)
     assert_identical(baseline, result)
     assert sum(n.redispatched for n in result.nodes) >= 1
     # No driver-level timeout accounting: the hang never reached it.

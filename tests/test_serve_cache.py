@@ -46,7 +46,7 @@ def test_identical_submissions_share_a_key(service):
 @pytest.mark.parametrize("fields", [
     {"kernel": "packed"},
     {"kernel": "vec"},
-    {"executor": "thread"},
+    {"executor": "serial"},
     {"deadline": 30},                 # governance never moves results
     {"tenant": "alice"},              # tenancy is routing, not semantics
     {"include_faults": True},         # serialization shape, not semantics

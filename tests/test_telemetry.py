@@ -407,7 +407,7 @@ def test_benchmark_record_script(tmp_path):
     for scenario in ("c3a2m_kernel", "mac4_kernel"):
         for kernel in ("packed", "vec"):
             assert (scenario, kernel, 1, "serial") in cells
-            for executor in ("serial", "thread", "process"):
+            for executor in ("serial", "process"):
                 assert (scenario, kernel, 2, executor) in cells
     for entry in payload["entries"]:
         assert entry["wall_time"] > 0.0
