@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
-import subprocess
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -188,44 +186,6 @@ def record(
     }
 
 
-def spawn_remote_workers(count: int) -> List["subprocess.Popen[str]"]:
-    """Launch ``count`` localhost worker agents and pin them as the peer
-    set, so ``remote`` can appear on the executor axis.  The measured
-    tax is the honest one — real sockets, real pickling — just without
-    the network between the hosts."""
-    from repro.exec import set_default_peers
-
-    workers = []
-    for _ in range(count):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-            cwd=str(REPO_ROOT),
-            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
-        )
-        assert process.stdout is not None
-        line = process.stdout.readline().strip()
-        if not line.startswith("worker listening on "):
-            raise RuntimeError(f"worker did not announce: {line!r}")
-        process.address = line.rsplit(" ", 1)[-1]  # type: ignore[attr-defined]
-        workers.append(process)
-    set_default_peers(",".join(w.address for w in workers))
-    return workers
-
-
-def stop_remote_workers(workers: List["subprocess.Popen[str]"]) -> None:
-    from repro.exec import set_default_peers
-
-    set_default_peers(None)
-    for worker in workers:
-        if worker.poll() is None:
-            worker.terminate()
-        worker.wait(timeout=10)
-        if worker.stdout is not None:
-            worker.stdout.close()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks/record.py",
@@ -257,10 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="enable telemetry and write a Chrome trace of "
                              "the measured runs")
-    parser.add_argument("--remote-workers", type=int, default=0, metavar="N",
-                        help="launch N localhost worker agents and add the "
-                             "remote backend to the executor axis "
-                             "(docs/DISTRIBUTED.md)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress text")
     args = parser.parse_args(argv)
@@ -284,17 +240,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                  if name.strip()]
     kernels = [name.strip() for name in args.kernels.split(",")
                if name.strip()]
-    workers: List["subprocess.Popen[str]"] = []
-    if args.remote_workers > 0:
-        workers = spawn_remote_workers(args.remote_workers)
-        if "remote" not in executors:
-            executors.append("remote")
-    try:
-        payload = record(scenario_names, job_levels, executors, kernels,
-                         args.max_patterns, args.seed, quiet=args.quiet)
-    finally:
-        if workers:
-            stop_remote_workers(workers)
+    payload = record(scenario_names, job_levels, executors, kernels,
+                     args.max_patterns, args.seed, quiet=args.quiet)
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

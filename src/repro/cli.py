@@ -9,7 +9,7 @@ The library's tool face, mirroring the BITS flow on JSON circuit files
     python -m repro bibs     circuit.json [--method exact|greedy|auto] [--json]
     python -m repro tpg      circuit.json [--kernel N] [--json]
     python -m repro selftest circuit.json [--cycles N] [--max-faults N]
-                             [--jobs N] [--executor {serial,process,remote}]
+                             [--jobs N] [--executor {process,serial}]
                              [--seed N] [--json] [--quiet]
                              [--checkpoint-dir DIR] [--resume]
                              [--shard-timeout S] [--deadline S]
@@ -71,6 +71,7 @@ from repro.bits import io_json
 from repro.cli_args import (
     emit_json as _emit_json,
     engine_parent_parser,
+    executor_env_error,
     result_payload,
     runconfig_from_args,
     write_telemetry_artifacts,
@@ -332,6 +333,10 @@ def cmd_selftest(args) -> int:
         signal_scope,
     )
 
+    env_error = executor_env_error()
+    if env_error is not None:
+        print(env_error, file=sys.stderr)
+        return 2
     if args.seed == 0:
         print("error: --seed must be non-zero (an all-zero LFSR state "
               "never advances)", file=sys.stderr)
@@ -613,11 +618,11 @@ def cmd_serve(args) -> int:
     from repro import telemetry
     from repro.serve import BistService
 
+    env_error = executor_env_error()
+    if env_error is not None:
+        print(env_error, file=sys.stderr)
+        return 2
     telemetry.enable()
-    if args.peers:
-        from repro.exec.remote import set_default_peers
-
-        set_default_peers(args.peers)
     state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-serve-")
     service = BistService(
         state_dir,
@@ -634,83 +639,6 @@ def cmd_serve(args) -> int:
             print(text, flush=True)
 
     return asyncio.run(service.run(args.host, args.port, announce=announce))
-
-
-def cmd_worker(args) -> int:
-    """Run a remote-executor worker agent (``repro worker``).
-
-    The announce line (``worker listening on HOST:PORT``) is the machine
-    interface for wrappers that bind ``--listen host:0``: it is flushed
-    before the first coordinator can connect.  SIGTERM/SIGINT stop the
-    agent cleanly with the conventional 143/130 exit codes.
-
-    ``--respawn`` runs the agent as a *supervised child* restarted
-    whenever it dies — the harness the chaos suites need, since hard
-    chaos (``crash``/``node_down``) kills the agent process by design and
-    later runs still expect a live peer on the same port.
-    """
-    from repro.guard.cancel import CancelToken, exit_code, signal_scope
-
-    host, sep, port_text = args.listen.rpartition(":")
-    if not sep or not host:
-        print(f"--listen {args.listen!r} must look like HOST:PORT",
-              file=sys.stderr)
-        return 2
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"--listen port {port_text!r} is not an int", file=sys.stderr)
-        return 2
-
-    token = CancelToken()
-    if args.respawn:
-        if port == 0:
-            # Each respawned child would bind a fresh ephemeral port and
-            # strand every coordinator that learned the old one.
-            print("--respawn requires an explicit port (not 0)",
-                  file=sys.stderr)
-            return 2
-        import subprocess
-
-        with signal_scope(token):
-            while not token.cancelled:
-                child = subprocess.Popen([
-                    sys.executable, "-m", "repro", "worker",
-                    "--listen", f"{host}:{port}",
-                    *(["--quiet"] if args.quiet else []),
-                ])
-                while child.poll() is None:
-                    if token.wait(0.2):
-                        child.terminate()
-                        child.wait()
-                        break
-                if not token.cancelled and not args.quiet:
-                    print(
-                        f"worker on {host}:{port} exited "
-                        f"(code {child.returncode}); respawning",
-                        flush=True,
-                    )
-        return exit_code(token)
-
-    import threading
-
-    from repro.exec.agent import WorkerAgent
-
-    agent = WorkerAgent(host, port)
-    bound_host, bound_port = agent.start()
-    if not args.quiet:
-        print(f"worker listening on {bound_host}:{bound_port}", flush=True)
-    with signal_scope(token):
-        # Serve on a helper thread so the main thread can watch the token
-        # (signal handlers only interrupt the main thread's waits).
-        server = threading.Thread(target=agent.serve_forever, daemon=True)
-        server.start()
-        while server.is_alive():
-            if token.wait(0.2):
-                agent.shutdown()
-                break
-        server.join(timeout=2.0)
-    return exit_code(token)
 
 
 def cmd_telemetry(args) -> int:
@@ -922,25 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "drains in-flight jobs")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the announce/drain lines")
-    p.add_argument("--peers", default=None, metavar="HOST:PORT,HOST:PORT",
-                   help="worker-agent peer set for jobs submitted with "
-                        "\"executor\": \"remote\" (also via $REPRO_PEERS; "
-                        "see docs/DISTRIBUTED.md)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        help="run a remote-executor worker agent (docs/DISTRIBUTED.md)",
-    )
-    p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="bind address; port 0 picks a free port (announced "
-                        "on stdout as 'worker listening on HOST:PORT')")
-    p.add_argument("--respawn", action="store_true",
-                   help="supervise the agent in a child process and restart "
-                        "it whenever it dies (requires an explicit port)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the announce/respawn lines")
-    p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(
         "telemetry",

@@ -8,7 +8,9 @@ same four flag families independently — execution (``--jobs``,
 ``--quiet``).  This module defines them once as an argparse *parent*
 parser, and maps the parsed namespace onto the engine's
 :class:`~repro.exec.RunConfig` so both CLIs drive the run API the same
-way a library caller would.
+way a library caller would.  :func:`executor_env_error` vets
+``$REPRO_ENGINE_EXECUTOR`` for every command that simulates, so a bad
+value is a one-line usage error rather than a traceback mid-run.
 
 It is also the home of the one true ``--json`` serialization path:
 :func:`render_json` / :func:`emit_json` fix the byte format (two-space
@@ -25,7 +27,11 @@ import argparse
 import json
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
-from repro.exec import available_executors
+from repro.exec import (
+    EXECUTOR_ENV_VAR,
+    available_executors,
+    resolve_executor_name,
+)
 from repro.exec.config import (
     KERNEL_CHOICES,
     CheckpointPolicy,
@@ -71,11 +77,6 @@ def engine_parent_parser() -> argparse.ArgumentParser:
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
         help="seconds before a shard round is declared hung and retried "
              "on a fresh worker")
-    execution.add_argument(
-        "--peers", default=None, metavar="HOST:PORT,HOST:PORT",
-        help="worker-agent peer set for --executor remote (also via "
-             "$REPRO_PEERS); start peers with 'python -m repro worker' — "
-             "see docs/DISTRIBUTED.md")
     execution.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="journal completed engine shard rounds under this directory "
@@ -134,14 +135,6 @@ def runconfig_from_args(
     (e.g. ``<outdir>/checkpoints``); ``max_patterns`` caps the run when
     the command computed its own pattern budget.
     """
-    peers = getattr(args, "peers", None)
-    if peers:
-        # Process-wide by design: the peer set is infrastructure, not run
-        # shape (it is excluded from checkpoint run keys the same way the
-        # executor choice is), so every run this CLI makes shares it.
-        from repro.exec.remote import set_default_peers
-
-        set_default_peers(peers)
     config = RunConfig(
         execution=ExecutionPolicy(
             executor=getattr(args, "executor", None),
@@ -161,6 +154,24 @@ def runconfig_from_args(
     if max_patterns is not None:
         config = config.replace(max_patterns=max_patterns)
     return config
+
+
+def executor_env_error() -> Optional[str]:
+    """The one-line refusal of a ``$REPRO_ENGINE_EXECUTOR`` naming no backend.
+
+    ``selftest``, ``python -m repro.experiments`` and ``serve`` call this
+    before any simulation work and exit 2 with the line it returns, the
+    way ``--executor`` refuses a bad name; otherwise the first sharded run
+    would raise mid-command.  None when the variable is unset or names a
+    backend.
+    """
+    name = resolve_executor_name(None)
+    if name in available_executors():
+        return None
+    return (
+        f"error: ${EXECUTOR_ENV_VAR}={name!r} names no execution backend "
+        f"(available: {', '.join(available_executors())})"
+    )
 
 
 # --------------------------------------------------------- JSON serialization

@@ -43,20 +43,6 @@ Failure modes
     rounds ``shard .. shard+times-1``, driving the adaptation ladder
     (halve the batch count, degrade to serial) without exhausting real
     memory.  The shard field is the first pressured round.
-``node_down``
-    Coordinator-side (remote executor only): peer node ``R`` — the spec's
-    shard field names a *node*, not a shard — is killed hard (the worker
-    agent process exits) on the first unit the coordinator dispatches to
-    it at or after round ``round_index``, exercising the re-dispatch path
-    the way a real node death would.  See ``docs/DISTRIBUTED.md``.
-``node_hang``
-    Coordinator-side: node ``R`` wedges for ``seconds`` before serving
-    the dispatched unit, so the coordinator's dispatch timeout declares
-    it hung and re-dispatches to a surviving peer.
-``net_drop``
-    Coordinator-side: the connection to node ``R`` is severed right after
-    the unit is sent, ``times`` dispatch attempts in a row — a transient
-    partition; the node itself stays healthy and is reconnected.
 
 Specs parse from strings so the hook is reachable from the environment
 (``REPRO_CHAOS=crash:1``) as well as from code::
@@ -83,19 +69,10 @@ from repro.errors import SimulationError
 #: not pass an explicit injector.  Unset (or empty) means no chaos.
 CHAOS_ENV_VAR = "REPRO_CHAOS"
 
-_MODES = (
-    "crash", "raise", "delay", "corrupt", "abort", "sigterm", "oom",
-    "node_down", "node_hang", "net_drop",
-)
+_MODES = ("crash", "raise", "delay", "corrupt", "abort", "sigterm", "oom")
 
 #: Modes handled in the parent at round boundaries, never inside a worker.
 _PARENT_MODES = ("abort", "sigterm", "oom")
-
-#: Modes handled by the remote executor's coordinator when *dispatching*
-#: to a peer node; the spec's shard field names the node index.  Workers
-#: never act on them (``fires()`` is False), so a unit carrying a node
-#: mode is harmless on every local backend.
-_NODE_MODES = ("node_down", "node_hang", "net_drop")
 
 
 class ChaosError(SimulationError):
@@ -114,11 +91,10 @@ class FaultInjector:
     ----------
     mode:
         One of ``crash``, ``raise``, ``delay``, ``corrupt``, ``abort``,
-        ``sigterm``, ``oom``, ``node_down``, ``node_hang``, ``net_drop``.
+        ``sigterm``, ``oom``.
     shard:
         The shard the injection targets (for the parent-side ``abort`` /
-        ``sigterm`` / ``oom`` modes: the round it acts on; for the
-        node-level modes: the remote peer's node index).
+        ``sigterm`` / ``oom`` modes: the round it acts on).
     round_index:
         The fan-out round the injection targets (default 0).
     times:
@@ -182,10 +158,9 @@ class FaultInjector:
 
     def fires(self, shard: int, round_index: int, attempt: int) -> bool:
         """True when this (shard, round, attempt) should misbehave."""
-        if self.mode in _PARENT_MODES or self.mode in _NODE_MODES:
+        if self.mode in _PARENT_MODES:
             # Parent modes act at round boundaries (aborts_after() /
-            # cancels_after() / oom_pressure()); node modes act at the
-            # remote coordinator's dispatch sites (node_action()).
+            # cancels_after() / oom_pressure()).
             return False
         return (
             shard == self.shard
@@ -208,34 +183,6 @@ class FaultInjector:
             self.mode == "oom"
             and self.shard <= round_index < self.shard + self.times
         )
-
-    def node_action(
-        self, node: int, round_index: int, attempt: int
-    ) -> Optional[str]:
-        """Coordinator-side: how dispatching to ``node`` should misbehave.
-
-        Consulted by the remote executor before every unit dispatch.  The
-        plan targets the first unit node ``N`` (the spec's shard field)
-        dispatches at or after round ``R``, not a unit of round ``R``
-        exactly: the coordinator's dispatcher threads race for one queue,
-        so another node may take all of round ``R``.  This method answers
-        for any unit of such a round; the coordinator fires on the first
-        one and on no other unit of the run.  ``attempt`` is the
-        *dispatch* attempt for that unit (0 on first dispatch, bumped on
-        every re-dispatch), so ``times`` bounds how many consecutive
-        dispatches of it are sabotaged — exactly the worker-side ``times``
-        contract, transplanted to the node axis.  Returns the mode name to
-        act on, or None.
-        """
-        if self.mode not in _NODE_MODES:
-            return None
-        if (
-            node == self.shard
-            and round_index >= self.round_index
-            and attempt < self.times
-        ):
-            return self.mode
-        return None
 
     # --------------------------------------------------------- worker side
 
@@ -265,12 +212,6 @@ class FaultInjector:
             return f"{self.mode}:after-round-{self.shard}"
         if self.mode == "oom":
             return f"oom:rounds-{self.shard}..{self.shard + self.times - 1}"
-        if self.mode in _NODE_MODES:
-            extra = f":seconds={self.seconds}" if self.mode == "node_hang" else ""
-            return (
-                f"{self.mode}:node={self.shard}:round={self.round_index}"
-                f":times={self.times}{extra}"
-            )
         extra = f":seconds={self.seconds}" if self.mode == "delay" else ""
         return (
             f"{self.mode}:shard={self.shard}:round={self.round_index}"

@@ -2,9 +2,9 @@
 
 ``simulate`` partitions the collapsed fault list into round-robin shards
 and runs them, round by round, on a :mod:`repro.exec` backend —
-``serial`` (in the parent: every ``jobs=1`` run), ``process`` (a warm
-worker pool, the default for ``jobs>1``) or ``remote`` — each
-worker running the existing bit-parallel event-driven propagator
+``serial`` (in the parent: every ``jobs=1`` run) or ``process`` (a warm
+worker pool, the default for ``jobs>1``) — each worker running the
+existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
 golden round the parent ships it.  Per-shard ``first_detection`` maps are
 merged deterministically — shards are disjoint and rounds arrive in
@@ -54,7 +54,7 @@ from repro.engine.instrumentation import ShardStats, publish_engine_metrics
 from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
 from repro.exec import create_executor
-from repro.exec.base import ExecutionContext, NodeStats, resolve_executor_name
+from repro.exec.base import ExecutionContext, resolve_executor_name
 from repro.exec.config import RunConfig, shard_count
 from repro.exec.driver import RoundDriver
 from repro.faultsim.collapse import collapse_faults
@@ -82,10 +82,6 @@ class EngineResult(FaultSimResult):
     shards: List[ShardStats] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Per-peer accounting when the run used the ``remote`` backend
-    #: (empty for local backends); includes the synthetic ``node == -1``
-    #: record when the run degraded to the local process fallback.
-    nodes: List[NodeStats] = field(default_factory=list)
     #: Predicted-vs-measured coverage summary when the run was made with
     #: ``config.analyze=True`` (see :mod:`repro.analysis.random_testability`).
     testability: Optional[Dict[str, Any]] = None
@@ -129,8 +125,6 @@ class EngineResult(FaultSimResult):
             "degraded_shards": self.degraded_shards,
             "shards": [shard.to_json() for shard in self.shards],
         }
-        if self.nodes:
-            payload["engine"]["nodes"] = [node.to_json() for node in self.nodes]
         if self.testability is not None:
             payload["testability"] = self.testability
         return payload
@@ -239,8 +233,8 @@ def simulate(
         itself): its evaluator computes the golden batches when the batch
         widths agree.  Also a resource; it does not choose the kernel.
 
-    The run is bit-identical across executors (``serial`` / ``process`` /
-    ``remote``) and across every failure-recovery path: retries, degraded
+    The run is bit-identical across executors (``serial`` / ``process``)
+    and across every failure-recovery path: retries, degraded
     in-process fallback, checkpoint resume, and the guard's memory ladder.
     A tripped budget or cancel token stops the run cleanly at a round
     boundary with ``partial=True`` and a structured ``stop_reason`` — see
@@ -422,9 +416,6 @@ def _simulate_rounds(
         max_workers=len(shards),
         telemetry_enabled=telemetry.enabled(),
         kernel=kernel,
-        # Parent-side only (never pickled to workers): the remote backend
-        # watches it to forward cancellation frames to its peers.
-        cancel=config.cancel,
     ))
     driver = RoundDriver(
         executor, netlist, batch_width, config.retry, chaos, kernel
@@ -568,8 +559,6 @@ def _simulate_rounds(
             if stop_when_complete and len(merged) == len(faults):
                 break
     finally:
-        # Stats objects survive stop(); snapshot them for the result.
-        node_stats = list(executor.node_stats())
         executor.stop()
 
     if stop_reason is not None:
@@ -594,5 +583,4 @@ def _simulate_rounds(
         jobs=jobs,
         executor=executor_name,
         shards=[stats[shard_id] for shard_id in sorted(stats)],
-        nodes=node_stats,
     )

@@ -3,9 +3,8 @@
 The engine (:func:`repro.engine.simulate`) describes *what* to compute; a
 :class:`RunConfig` describes how a run is shaped; an :class:`Executor`
 backend decides *where* the shard rounds actually execute — in-process
-(``serial``), on a warm process pool (``process``) or on peer worker
-hosts (``remote``, see ``docs/DISTRIBUTED.md``).  Results are
-bit-identical across all three; the choice only moves cost.  See
+(``serial``) or on a warm process pool (``process``).  Results are
+bit-identical across both; the choice only moves cost.  See
 ``docs/EXECUTORS.md`` for the protocol and the timeout contract.
 """
 
@@ -17,8 +16,6 @@ from repro.exec.base import (
     EXECUTOR_ENV_VAR,
     ExecutionContext,
     Executor,
-    ExecutorStartError,
-    NodeStats,
     RoundHandle,
     RoundResult,
     WorkUnit,
@@ -33,13 +30,11 @@ from repro.exec.config import (
 )
 from repro.exec.driver import CorruptShardRound, RoundDriver
 from repro.exec.process import ProcessExecutor
-from repro.exec.remote import PEERS_ENV_VAR, RemoteExecutor, set_default_peers
 from repro.exec.serial import SerialExecutor
 
 #: Every backend, by name.
 _EXECUTORS: Dict[str, Type[Executor]] = {
     "process": ProcessExecutor,
-    "remote": RemoteExecutor,
     "serial": SerialExecutor,
 }
 
@@ -64,16 +59,12 @@ def create_executor(name: Optional[str]) -> Executor:
 __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",
-    "PEERS_ENV_VAR",
     "CheckpointPolicy",
     "CorruptShardRound",
     "ExecutionContext",
     "ExecutionPolicy",
     "Executor",
-    "ExecutorStartError",
-    "NodeStats",
     "ProcessExecutor",
-    "RemoteExecutor",
     "RetryPolicy",
     "RoundDriver",
     "RoundHandle",
@@ -85,5 +76,4 @@ __all__ = [
     "canonical_fields",
     "create_executor",
     "resolve_executor_name",
-    "set_default_peers",
 ]

@@ -9,26 +9,20 @@ checkpoint journaling, guard governance — lives in
 :class:`repro.exec.driver.RoundDriver` and is therefore shared by every
 backend.
 
-Three backends ship, named in one table in :mod:`repro.exec` (see
+Two backends ship, named in one table in :mod:`repro.exec` (see
 ``docs/EXECUTORS.md``):
 
 ``serial``
     In-process, one shard at a time — the backend of every one-shard
-    (``jobs=1``) run and the degradation target every other backend
+    (``jobs=1``) run and the degradation target the ``process`` backend
     falls back to.
 ``process``
     A warm process pool — true CPU parallelism, crash isolation, worker
     RSS accounting.
-``remote``
-    Socket-sharded execution on peer worker agents (``python -m repro
-    worker``), with node-level fault tolerance — heartbeats, re-dispatch,
-    degradation to the local ``process`` backend.  See
-    ``docs/DISTRIBUTED.md``.
 
-The guard's halve -> serial -> stop memory ladder applies to every
-backend: the "serial" rung releases a ``process`` or ``remote`` backend
-and continues in-process, while a ``serial`` run already runs there and
-skips the rung.
+The guard's halve -> serial -> stop memory ladder applies to both
+backends: the "serial" rung releases a ``process`` backend and continues
+in-process, while a ``serial`` run already runs there and skips the rung.
 
 The timeout contract
 --------------------
@@ -43,10 +37,6 @@ means:
   pool and retries the round.
 * ``serial`` ignores it: the round *is* the parent thread, which nobody
   can preempt, so a slow round runs to completion.
-* ``remote`` ignores it: the coordinator owns its deadlines (per-dispatch
-  socket timeouts fed the same ``RetryPolicy`` via
-  :meth:`Executor.configure`); a driver deadline at the same value would
-  race them and count every hang twice.
 """
 
 from __future__ import annotations
@@ -55,8 +45,6 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.errors import SimulationError
 
 #: Environment variable naming the default backend for runs that do not
 #: pin one in their :class:`~repro.exec.config.ExecutionPolicy` — the same
@@ -74,12 +62,6 @@ class ExecutionContext:
     ``kernel`` is the *resolved* evaluation kernel ("packed" or "vec") —
     the engine resolves ``auto``/env/fallback once per run so every
     worker builds the same simulator type.
-
-    ``cancel`` is the run's :class:`~repro.guard.cancel.CancelToken` (or
-    None).  It is parent-side state — backends that pickle context fields
-    for their workers must not ship it; the ``remote`` backend watches it
-    to forward cancellation frames so SIGTERM on the coordinator drains
-    peers cleanly.
     """
 
     netlist: Any
@@ -87,62 +69,6 @@ class ExecutionContext:
     max_workers: int
     telemetry_enabled: bool = False
     kernel: str = "packed"
-    cancel: Optional[Any] = None
-
-
-class ExecutorStartError(SimulationError):
-    """A backend could not be brought up at all for this run.
-
-    Raised by :meth:`Executor.start` when the backend's substrate is
-    unavailable *before any work has run* — e.g. the ``remote`` backend
-    finding zero reachable peers.  Distinct from mid-run failures (which
-    degrade through the retry/fallback ladder instead of raising): a
-    start failure means the operator pointed the run at a substrate that
-    does not exist, and callers like the serve layer map it to a
-    structured 503 with a ``retry_after`` hint.
-    """
-
-
-@dataclass
-class NodeStats:
-    """Per-peer accounting for a distributed run (``remote`` backend).
-
-    One record per configured peer, plus a synthetic ``node == -1``
-    record when the run degraded to the local ``process`` fallback.
-    Surfaced on ``EngineResult.to_json()["engine"]["nodes"]`` and
-    mirrored by the live ``exec.remote.*`` telemetry counters.
-    """
-
-    node: int
-    address: str
-    dispatched: int = 0
-    redispatched: int = 0
-    heartbeat_misses: int = 0
-    alive: bool = True
-    degraded_reason: Optional[str] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "address": self.address,
-            "dispatched": self.dispatched,
-            "redispatched": self.redispatched,
-            "heartbeat_misses": self.heartbeat_misses,
-            "alive": self.alive,
-            "degraded_reason": self.degraded_reason,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "NodeStats":
-        return cls(
-            node=int(payload["node"]),
-            address=str(payload["address"]),
-            dispatched=int(payload.get("dispatched", 0)),
-            redispatched=int(payload.get("redispatched", 0)),
-            heartbeat_misses=int(payload.get("heartbeat_misses", 0)),
-            alive=bool(payload.get("alive", True)),
-            degraded_reason=payload.get("degraded_reason"),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,8 +80,8 @@ class WorkUnit:
     joined into one wide word, so the pattern count is recovered from the
     mask (a short final round has a narrower one).  ``attempt`` distinguishes
     retry waves so a deterministic chaos plan can let a retry succeed.
-    The unit must stay picklable end to end — it is what a process (or,
-    later, remote) backend ships to its workers.
+    The unit must stay picklable end to end — it is what the process
+    backend ships to its workers.
     """
 
     shard_id: int
@@ -214,23 +140,9 @@ class Executor(ABC):
     #: The backend's name in :mod:`repro.exec`'s table; subclasses override.
     name: str = "abstract"
 
-    def configure(self, retry: Any) -> None:
-        """Receive the run's :class:`~repro.exec.driver.RetryPolicy`.
-
-        Called by the driver once it is built.  A backend that owns its
-        hang detection (``remote``) derives its internal dispatch timeout
-        and backoff from the same policy the driver uses, so one
-        ``--shard-timeout`` governs every rung of the ladder.  Default:
-        ignore it.
-        """
-
     @abstractmethod
     def start(self, context: ExecutionContext) -> None:
-        """Bind to one run's context; idempotent.
-
-        Raises :class:`ExecutorStartError` when the substrate is
-        unavailable before any work has run.
-        """
+        """Bind to one run's context; idempotent."""
 
     @abstractmethod
     def submit_round(self, unit: WorkUnit) -> RoundHandle:
@@ -241,10 +153,6 @@ class Executor(ABC):
 
     def worker_pids(self) -> Tuple[int, ...]:
         """PIDs of live workers, for RSS sampling (default: none)."""
-        return ()
-
-    def node_stats(self) -> Tuple[NodeStats, ...]:
-        """Per-peer accounting for distributed backends (default: none)."""
         return ()
 
     @abstractmethod

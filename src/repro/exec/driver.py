@@ -65,10 +65,6 @@ class RoundDriver:
         self._chaos = chaos
         self._kernel = kernel
         self._degraded_simulator: Optional[FaultSimulator] = None
-        # A backend that owns its hang detection (the remote coordinator)
-        # derives its internal deadlines from the same policy; see "The
-        # timeout contract" in repro.exec.base.
-        executor.configure(retry)
 
     # ------------------------------------------------------------- internals
 

@@ -1,9 +1,9 @@
 """The one shard-round primitive every execution backend runs.
 
-Bit-identity across the ``serial``, ``process`` and ``remote`` backends
-(and the driver's in-parent rounds) holds because they all execute the
-*same* loop, :func:`consume_batches` — behind :func:`run_work_unit` in
-every backend — against per-worker
+Bit-identity across the ``serial`` and ``process`` backends (and the
+driver's in-parent rounds) holds because they all execute the *same*
+loop, :func:`consume_batches` — behind :func:`run_work_unit` in both
+backends — against per-worker
 :class:`~repro.faultsim.simulator.FaultSimulator` instances.  This module
 also hosts the process-backend worker entry points — they must live at
 module level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle

@@ -42,6 +42,7 @@ import time
 
 from repro.cli_args import (
     engine_parent_parser,
+    executor_env_error,
     render_json,
     runconfig_from_args,
     write_telemetry_artifacts,
@@ -88,6 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="also write table1.json / table2.json")
     args = parser.parse_args(argv)
+    env_error = executor_env_error()
+    if env_error is not None:
+        print(env_error, file=sys.stderr)
+        return 2
 
     outdir = pathlib.Path(args.outdir)
     checkpoint_dir = args.checkpoint_dir

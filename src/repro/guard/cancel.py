@@ -44,15 +44,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._event.is_set()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the token trips (or ``timeout`` elapses).
-
-        Returns the tripped state, exactly like ``threading.Event.wait``.
-        Used by drain loops (e.g. ``repro.serve``) that park a thread until
-        a signal handler or another thread requests shutdown.
-        """
-        return self._event.wait(timeout)
-
     def trip(self, reason: str = STOP_CANCELLED,
              signum: Optional[int] = None) -> None:
         """Latch the token; later trips are ignored (first reason wins)."""

@@ -38,7 +38,6 @@ from repro import telemetry
 from repro.cli_args import result_payload
 from repro.engine.checkpoint import CheckpointStore, resolve_run_key
 from repro.errors import LintError, ReproError
-from repro.exec.base import ExecutorStartError
 from repro.guard import (
     STOP_SIGINT,
     STOP_SIGTERM,
@@ -71,10 +70,6 @@ DEFAULT_DRAIN_GRACE = 2.0
 
 #: Worker tasks (each drives one blocking engine run at a time).
 DEFAULT_WORKERS = 2
-
-#: ``retry_after`` hint (seconds) on the 503 a job gets when its execution
-#: backend cannot start — long enough for an operator to restart peers.
-EXECUTOR_RETRY_AFTER_SECONDS = 30
 
 
 def _design_builders() -> Dict[str, Callable[[], Any]]:
@@ -240,17 +235,6 @@ class BistService:
                 telemetry.count("serve.jobs_completed")
             except ApiError as error:
                 job.fail(error)
-                telemetry.count("serve.jobs_failed")
-            except ExecutorStartError as error:
-                # The execution substrate never came up (e.g. the remote
-                # backend found no reachable peer): the job itself is
-                # fine, the infrastructure is not — a retryable 503 with a
-                # hint, not a generic 500.  Ordered before ReproError,
-                # which this error subclasses.
-                job.fail(ApiError(
-                    503, "executor-unavailable", str(error),
-                    extra={"retry_after": EXECUTOR_RETRY_AFTER_SECONDS},
-                ))
                 telemetry.count("serve.jobs_failed")
             except ReproError as error:
                 job.fail(ApiError(500, "simulation", str(error)))

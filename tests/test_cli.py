@@ -140,6 +140,40 @@ def test_selftest_rejects_retired_thread_executor(capsys, mac4_json):
     assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
+def test_selftest_rejects_retired_remote_executor(capsys, mac4_json):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["selftest", mac4_json, "--executor", "remote"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'remote'" in capsys.readouterr().err
+
+
+def test_retired_worker_subcommand_is_refused(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--listen", "127.0.0.1:0"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["remote", "quantum"])
+@pytest.mark.parametrize("command", ["selftest", "serve"])
+def test_bad_executor_env_is_a_one_line_usage_error(
+        capsys, monkeypatch, mac4_json, command, value):
+    """A ``$REPRO_ENGINE_EXECUTOR`` naming no backend stops the command
+    before any work, the way ``--executor`` does: exit 2, one line."""
+    monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", value)
+    argv = {
+        "selftest": ["selftest", mac4_json, "--jobs", "2"],
+        "serve": ["serve", "--port", "0", "--quiet"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: $REPRO_ENGINE_EXECUTOR={value!r} names no execution "
+        "backend (available: process, serial)"
+    ]
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c.json"
     process = subprocess.run(

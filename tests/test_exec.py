@@ -64,25 +64,27 @@ def assert_identical(baseline, result):
 
 
 def test_registry_lists_all_backends():
-    assert available_executors() == ("process", "remote", "serial")
+    assert available_executors() == ("process", "serial")
 
 
 def test_create_executor_unknown_name_raises():
-    # "thread" names a retired backend: refused like any unknown name.
-    for name in ("quantum", "thread"):
+    # "thread" and "remote" name retired backends: refused like any
+    # unknown name.
+    for name in ("quantum", "thread", "remote"):
         with pytest.raises(SimulationError, match="unknown executor"):
             create_executor(name)
 
 
 def test_retired_backend_from_environment_is_refused(monkeypatch):
-    """$REPRO_ENGINE_EXECUTOR naming no backend fails the run at start,
-    and the error names every backend there is."""
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+    """$REPRO_ENGINE_EXECUTOR naming a retired backend fails the run at
+    start, and the error names every backend there is."""
     netlist = make_random_netlist(8, 20, seed=10)
     faults, _ = collapse_faults(netlist)
-    with pytest.raises(SimulationError,
-                       match=r"'thread' \(available: process, remote, serial\)"):
-        _run(netlist, faults, jobs=2)
+    for name in ("thread", "remote"):
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, name)
+        with pytest.raises(SimulationError,
+                           match=rf"'{name}' \(available: process, serial\)"):
+            _run(netlist, faults, jobs=2)
 
 
 def test_created_executors_satisfy_protocol():
@@ -93,13 +95,13 @@ def test_created_executors_satisfy_protocol():
 
 
 def test_resolve_explicit_name_wins(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "remote")
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
     assert resolve_executor_name("serial") == "serial"
 
 
 def test_resolve_falls_back_to_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV_VAR, "remote")
-    assert resolve_executor_name(None) == "remote"
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "serial")
+    assert resolve_executor_name(None) == "serial"
 
 
 def test_resolve_defaults_to_process(monkeypatch):

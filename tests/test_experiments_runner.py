@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import repro.experiments.__main__ as runner
 from repro.experiments.table2 import Table2Column
 
@@ -25,3 +27,20 @@ def test_runner_writes_all_artifacts(tmp_path, monkeypatch):
     } <= names
     data = json.loads((tmp_path / "figure9.txt").read_text())
     assert data["bibs"]["flipflops"] == 43
+
+
+@pytest.mark.parametrize("value", ["remote", "quantum"])
+def test_runner_refuses_bad_executor_env(tmp_path, monkeypatch, capsys,
+                                         value):
+    """A ``$REPRO_ENGINE_EXECUTOR`` naming no backend is refused before
+    the sweep writes anything: exit 2 and one stderr line."""
+    monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", value)
+    outdir = tmp_path / "out"
+    assert runner.main([str(outdir), "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: $REPRO_ENGINE_EXECUTOR={value!r} names no execution "
+        "backend (available: process, serial)"
+    ]
+    assert not outdir.exists()

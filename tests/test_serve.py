@@ -67,6 +67,7 @@ def test_request_rejects_unknown_fields():
     {"design": "mac4", "jobs": True},          # bool is not an int
     [1, 2],                                    # not an object
     {"design": "mac4", "executor": "thread"},  # retired backend
+    {"design": "mac4", "executor": "remote"},  # retired backend
 ])
 def test_request_validation_rejects(doc):
     with pytest.raises(ApiError) as excinfo:
