@@ -17,9 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.netlist.evaluate import Evaluator
-from repro.netlist.gates import evaluate_gate
 from repro.netlist.netlist import Netlist
 from repro.rtl.circuit import RTLCircuit
+from repro.rtl.lower import lower_nets
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class SequentialGateSimulator:
         circuit.validate()
         self.circuit = circuit
         self.netlist = Netlist(f"{circuit.name}:gates")
-        drivers = circuit.drivers()
         values: Dict[int, List[int]] = {}
 
         self.pi_bits: Dict[str, List[int]] = {}
@@ -60,26 +59,7 @@ class SequentialGateSimulator:
             values[register.output_net] = bits
             self.register_out_bits[register.name] = bits
 
-        def resolve(net_index: int) -> List[int]:
-            if net_index in values:
-                return values[net_index]
-            driver = drivers[net_index]
-            if driver.kind != "block":
-                raise SimulationError(
-                    f"cannot resolve net {circuit.nets[net_index].name}"
-                )
-            block = circuit.blocks[driver.name]
-            if block.gate_expander is None:
-                raise SimulationError(f"block {block.name} has no gate expander")
-            inputs = [resolve(n) for n in block.input_nets]
-            outputs = block.gate_expander(self.netlist, inputs, block.name)
-            for out_net, out_bits in zip(block.output_nets, outputs):
-                values[out_net] = list(out_bits)
-            return values[net_index]
-
-        for net_index in range(len(circuit.nets)):
-            resolve(net_index)
-
+        lower_nets(circuit, self.netlist, values, range(len(circuit.nets)))
         self.register_in_bits: Dict[str, List[int]] = {
             register.name: values[register.input_net]
             for register in circuit.registers.values()
@@ -87,11 +67,7 @@ class SequentialGateSimulator:
         self.po_bits: Dict[str, List[int]] = {
             circuit.nets[n].name: values[n] for n in circuit.primary_outputs
         }
-        self.net_bits: Dict[str, List[int]] = {
-            circuit.nets[i].name: values[i] for i in range(len(circuit.nets))
-        }
         self._evaluator = Evaluator(self.netlist)
-        self._order = self._evaluator.order
 
     # ------------------------------------------------------------- running
 
@@ -153,7 +129,12 @@ class SequentialGateSimulator:
                 ]
                 for name, bits in self.register_out_bits.items()
             }
-        gates = self.netlist.gates
+        # The evaluator's compiled program with each gate's fault masks
+        # folded into its step (None where no machine faults its output).
+        program = [
+            (output, inputs, evaluate, clear.get(output), force.get(output, 0))
+            for output, inputs, evaluate in self._evaluator.program
+        ]
         trace: List[Dict[str, int]] = []
 
         for t in range(cycles):
@@ -174,12 +155,11 @@ class SequentialGateSimulator:
                 else:
                     for position, net in enumerate(bits):
                         values[net] = apply_fault(net, state[name][position])
-            for gate_index in self._order:
-                gate = gates[gate_index]
-                value = evaluate_gate(
-                    gate.gtype, [values[n] for n in gate.inputs], mask
+            for output, inputs, evaluate, cleared, stuck in program:
+                value = evaluate([values[n] for n in inputs], mask)
+                values[output] = (
+                    value if cleared is None else (value & ~cleared) | stuck
                 )
-                values[gate.output] = apply_fault(gate.output, value)
             # Clock edge: capture register inputs.
             for name, bits in self.register_in_bits.items():
                 state[name] = [values[net] for net in bits]

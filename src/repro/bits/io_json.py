@@ -75,8 +75,19 @@ def circuit_to_dict(circuit: RTLCircuit) -> dict:
 
 def circuit_from_dict(data: dict) -> RTLCircuit:
     """Rebuild a circuit, reattaching behaviour from the kind registry."""
+    if not isinstance(data, dict):
+        raise RTLError(
+            f"circuit document must be a JSON object, not {type(data).__name__}"
+        )
     if data.get("schema") != SCHEMA_VERSION:
         raise RTLError(f"unsupported circuit schema {data.get('schema')!r}")
+    try:
+        return _circuit_from_dict(data)
+    except KeyError as error:
+        raise RTLError(f"circuit document is missing key {error}") from None
+
+
+def _circuit_from_dict(data: dict) -> RTLCircuit:
     circuit = RTLCircuit(data["name"])
     for net in data["nets"]:
         circuit.add_net(net["name"], net["width"])

@@ -78,14 +78,21 @@ from repro.cli_args import (
 )
 from repro.core.bibs import make_bibs_testable
 from repro.core.ka85 import make_ka_testable
+from repro.errors import ReproError
 from repro.experiments.render import render_table
 from repro.graph.build import build_circuit_graph
 from repro.graph.model import VertexKind
 
 
 def _load(path: str):
-    circuit = io_json.load(path)
-    return circuit, build_circuit_graph(circuit)
+    """The circuit at ``path`` and its graph; a bad file is a usage error
+    (one stderr line, exit 2, as argparse exits on a bad argument)."""
+    try:
+        circuit = io_json.load(path)
+        return circuit, build_circuit_graph(circuit)
+    except (OSError, ValueError, ReproError) as error:
+        print(f"error: cannot load circuit {path}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _progress(args, text: str) -> None:
@@ -114,7 +121,6 @@ def _resolve_analyze_netlist(target: str):
 def _analyze_testability(args) -> int:
     """Static SCOAP/COP testability profile for a netlist target."""
     from repro.analysis import DEFAULT_WINDOW, analyze_netlist, scoap
-    from repro.errors import ReproError
     from repro.lint import lint_testability
 
     try:
@@ -522,7 +528,6 @@ LINT_GROUPS = {
 
 
 def cmd_lint(args) -> int:
-    from repro.errors import ReproError
     from repro.lint import (
         lint_circuit,
         lint_netlist,

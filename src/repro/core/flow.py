@@ -29,6 +29,7 @@ from repro.faultsim.simulator import FaultSimResult, FaultSimulator
 from repro.graph.build import build_circuit_graph
 from repro.netlist.netlist import Netlist
 from repro.rtl.circuit import RTLCircuit
+from repro.rtl.lower import lower_nets
 
 if TYPE_CHECKING:
     from repro.engine.cache import GoldenCache
@@ -43,41 +44,19 @@ def lower_kernel_to_netlist(circuit: RTLCircuit, kernel: Kernel) -> Netlist:
     kernels, see module docstring).
     """
     netlist = Netlist(f"{circuit.name}:{kernel.name}")
-    drivers = circuit.drivers()
-    values: Dict[int, List[int]] = {}
-
-    for name in sorted(kernel.tpg_registers):
-        register = circuit.registers[name]
-        bits = netlist.new_inputs(register.width, prefix=f"{name}_")
-        values[register.output_net] = bits
-
-    def resolve(net_index: int) -> List[int]:
-        if net_index in values:
-            return values[net_index]
-        driver = drivers[net_index]
-        if driver.kind == "register":
-            register = circuit.registers[driver.name]
-            values[net_index] = resolve(register.input_net)  # flatten to wire
-            return values[net_index]
-        if driver.kind == "block":
-            block = circuit.blocks[driver.name]
-            if block.gate_expander is None:
-                raise SimulationError(f"block {block.name} has no gate expander")
-            inputs = [resolve(n) for n in block.input_nets]
-            outputs = block.gate_expander(netlist, inputs, block.name)
-            for out_net, bits in zip(block.output_nets, outputs):
-                values[out_net] = list(bits)
-            return values[net_index]
-        raise SimulationError(
-            f"kernel {kernel.name}: net {circuit.nets[net_index].name} is fed "
-            "by an unregistered primary input; BIST needs a PI register"
+    values: Dict[int, List[int]] = {
+        circuit.registers[name].output_net: netlist.new_inputs(
+            circuit.registers[name].width, prefix=f"{name}_"
         )
-
-    for name in sorted(kernel.sa_registers):
-        register = circuit.registers[name]
-        for bit in resolve(register.input_net):
+        for name in sorted(kernel.tpg_registers)
+    }
+    sa_nets = [
+        circuit.registers[name].input_net for name in sorted(kernel.sa_registers)
+    ]
+    lower_nets(circuit, netlist, values, sa_nets)
+    for net in sa_nets:
+        for bit in values[net]:
             netlist.mark_output(bit)
-
     pruned = netlist.prune_to_outputs()
     pruned.validate()
     return pruned

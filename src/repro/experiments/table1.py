@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
+from repro.bist.gatesim import SequentialGateSimulator
 from repro.core.bibs import make_bibs_testable
 from repro.core.flow import lower_kernel_to_netlist
 from repro.datapath.filters import FUNCTION_STRINGS, all_filters
@@ -35,21 +36,8 @@ class Table1Row:
 
 
 def full_gate_count(circuit) -> int:
-    """Gates of every block expanded standalone (nothing pruned)."""
-    from repro.netlist.netlist import Netlist
-
-    total = 0
-    for block in circuit.blocks.values():
-        scratch = Netlist(f"count:{block.name}")
-        inputs = [
-            scratch.new_inputs(circuit.nets[n].width, prefix=f"i{p}_")
-            for p, n in enumerate(block.input_nets)
-        ]
-        if block.gate_expander is None:
-            continue
-        block.gate_expander(scratch, inputs, block.name)
-        total += len(scratch.gates)
-    return total
+    """Gates of every block, lowered with every register as an input."""
+    return len(SequentialGateSimulator(circuit).netlist)
 
 
 def table1_rows() -> List[Table1Row]:

@@ -26,6 +26,7 @@ from repro.netlist.evaluate import Evaluator
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.rtl.circuit import RTLCircuit
+from repro.rtl.lower import lower_nets
 
 
 @dataclass
@@ -37,8 +38,6 @@ class UnrolledCircuit:
     netlist: Netlist
     # frame -> PI name -> bit nets (LSB first)
     frame_inputs: List[Dict[str, List[int]]]
-    # frame -> PO name -> bit nets
-    frame_outputs: List[Dict[str, List[int]]]
     # frame -> RTL net name -> bit nets (every resolved net, for fault sites)
     frame_nets: List[Dict[str, List[int]]]
 
@@ -64,13 +63,10 @@ def unroll(circuit: RTLCircuit, frames: int) -> UnrolledCircuit:
     if frames < 1:
         raise SimulationError("need at least one time frame")
     circuit.validate()
-    drivers = circuit.drivers()
     netlist = Netlist(f"{circuit.name}x{frames}")
-
     frame_inputs: List[Dict[str, List[int]]] = []
-    frame_outputs: List[Dict[str, List[int]]] = []
     frame_nets: List[Dict[str, List[int]]] = []
-    previous_register_in: Dict[str, List[int]] = {}
+    previous: Dict[int, List[int]] = {}
 
     for frame in range(frames):
         values: Dict[int, List[int]] = {}
@@ -85,57 +81,28 @@ def unroll(circuit: RTLCircuit, frames: int) -> UnrolledCircuit:
         # register input values.
         for register in circuit.registers.values():
             if frame == 0:
-                bits = [
+                values[register.output_net] = [
                     netlist.add_gate(
                         GateType.CONST0, [], name=f"f0_{register.name}_q{i}"
                     )
                     for i in range(register.width)
                 ]
             else:
-                bits = previous_register_in[register.name]
-            values[register.output_net] = bits
+                values[register.output_net] = previous[register.input_net]
 
-        def resolve(net_index: int, frame=frame, values=values) -> List[int]:
-            if net_index in values:
-                return values[net_index]
-            driver = drivers[net_index]
-            if driver.kind != "block":
-                raise SimulationError(
-                    f"net {circuit.nets[net_index].name} has no frame value"
-                )
-            block = circuit.blocks[driver.name]
-            if block.gate_expander is None:
-                raise SimulationError(f"block {block.name} has no gate expander")
-            inputs = [resolve(n) for n in block.input_nets]
-            outputs = block.gate_expander(
-                netlist, inputs, f"f{frame}_{block.name}"
-            )
-            for out_net, bits in zip(block.output_nets, outputs):
-                values[out_net] = list(bits)
-            return values[net_index]
-
-        for net_index in range(len(circuit.nets)):
-            resolve(net_index)
-
-        po_map = {
-            circuit.nets[n].name: values[n] for n in circuit.primary_outputs
-        }
-        for bits in po_map.values():
-            for bit in bits:
+        lower_nets(
+            circuit, netlist, values, range(len(circuit.nets)), f"f{frame}_"
+        )
+        for net_index in circuit.primary_outputs:
+            for bit in values[net_index]:
                 netlist.mark_output(bit)
         frame_inputs.append(pi_map)
-        frame_outputs.append(po_map)
         frame_nets.append(
             {circuit.nets[i].name: values[i] for i in range(len(circuit.nets))}
         )
-        previous_register_in = {
-            register.name: values[register.input_net]
-            for register in circuit.registers.values()
-        }
+        previous = values
 
-    return UnrolledCircuit(
-        circuit, frames, netlist, frame_inputs, frame_outputs, frame_nets
-    )
+    return UnrolledCircuit(circuit, frames, netlist, frame_inputs, frame_nets)
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,17 @@ from repro.netlist.levelize import levelize
 class Evaluator:
     """Reusable packed evaluator bound to one netlist.
 
-    The netlist is compiled once at construction into a flat program, one
-    ``(output net, input nets, gate function)`` step per gate in levelized
-    order; :meth:`run` then walks it for any number of batches.
+    The netlist is compiled once at construction into a flat ``program``,
+    one ``(output net, input nets, gate function)`` step per gate in
+    levelized order; :meth:`run` then walks it for any number of batches,
+    and :class:`repro.bist.gatesim.SequentialGateSimulator` once per cycle.
     """
 
     def __init__(self, netlist):
         self.netlist = netlist
         self.order: List[int] = levelize(netlist)
         gates = netlist.gates
-        self._program: List[Tuple[int, Sequence[int], GateEval]] = [
+        self.program: List[Tuple[int, Sequence[int], GateEval]] = [
             (gate.output, gate.inputs, GATE_EVAL[gate.gtype])
             for gate in (gates[index] for index in self.order)
         ]
@@ -65,7 +66,7 @@ class Evaluator:
         if overrides:
             for net, forced in overrides.items():
                 values[net] = forced & mask
-        for output, inputs, evaluate in self._program:
+        for output, inputs, evaluate in self.program:
             if overrides and output in overrides:
                 continue
             values[output] = evaluate([values[n] for n in inputs], mask)

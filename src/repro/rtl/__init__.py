@@ -1,7 +1,9 @@
-"""RTL circuit model: nets, combinational blocks, registers, PIs/POs."""
+"""RTL circuit model: nets, combinational blocks, registers, PIs/POs, and
+their lowering to gates."""
 
 from repro.rtl.components import CombBlock, Net, RTLRegister
 from repro.rtl.circuit import DriverRef, RTLCircuit, RTLStats, SinkRef
+from repro.rtl.lower import lower_nets
 from repro.rtl.simulate import RTLSimulator, flatten_latency
 
 __all__ = [
@@ -12,6 +14,7 @@ __all__ = [
     "RTLStats",
     "DriverRef",
     "SinkRef",
+    "lower_nets",
     "RTLSimulator",
     "flatten_latency",
 ]

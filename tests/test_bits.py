@@ -136,6 +136,16 @@ def test_json_bad_schema():
         io_json.circuit_from_dict({"schema": 99, "name": "x"})
 
 
+@pytest.mark.parametrize("document, reason", [
+    ([1, 2], "must be a JSON object, not list"),
+    ({"schema": 1}, "missing key 'name'"),
+    ({"schema": 1, "name": "x", "nets": [{"name": "a"}]}, "missing key 'width'"),
+])
+def test_json_malformed_document_is_an_rtl_error(document, reason):
+    with pytest.raises(RTLError, match=reason):
+        io_json.circuit_from_dict(document)
+
+
 def test_json_custom_kind_registry():
     from repro.datapath.modules import passthrough_spec
 

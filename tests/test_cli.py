@@ -174,6 +174,27 @@ def test_bad_executor_env_is_a_one_line_usage_error(
     ]
 
 
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file or directory"),
+    ("[1, 2]", "circuit document must be a JSON object, not list"),
+    ('{"schema": 1}', "circuit document is missing key 'name'"),
+])
+@pytest.mark.parametrize("command", ["analyze", "bibs", "tpg", "selftest"])
+def test_bad_circuit_file_is_a_one_line_error(
+        capsys, tmp_path, command, text, reason):
+    path = tmp_path / "circuit.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot load circuit {path}: ")
+    assert reason in line
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c.json"
     process = subprocess.run(

@@ -24,45 +24,12 @@ from repro.faultsim.coverage import coverage_curve
 from repro.faultsim.patterns import RandomPatternSource, SequencePatternSource
 from repro.faultsim.simulator import FaultSimulator
 from repro.graph.build import build_circuit_graph
-from repro.netlist.gates import GateType
+from repro.library.scenarios import attach_generic_expanders
 from tests.conftest import make_random_netlist
 
 # CI runs the suite a second time at jobs=2 via this knob; any worker
 # count must reproduce the serial results exactly.
 JOBS = int(os.environ.get("REPRO_ENGINE_JOBS", "4"))
-
-
-def attach_generic_expanders(circuit) -> None:
-    """Give structural blocks (figure4/figure9 carry none) a deterministic
-    gate-level behaviour: each output bit is XOR(AND(a, b), c) over a
-    rotating selection of input bits, so every block mixes its inputs and
-    the lowered kernels have a non-trivial fault population."""
-
-    def make_expander(out_widths):
-        def expander(netlist, inputs, prefix):
-            flat = [bit for group in inputs for bit in group]
-            outputs = []
-            for position, width in enumerate(out_widths):
-                bits = []
-                for i in range(width):
-                    a = flat[(position + i) % len(flat)]
-                    b = flat[(position + 2 * i + 1) % len(flat)]
-                    c = flat[(3 * position + i + 2) % len(flat)]
-                    conj = netlist.add_gate(
-                        GateType.AND, [a, b], name=f"{prefix}_a{position}_{i}"
-                    )
-                    bits.append(netlist.add_gate(
-                        GateType.XOR, [conj, c], name=f"{prefix}_x{position}_{i}"
-                    ))
-                outputs.append(bits)
-            return outputs
-
-        return expander
-
-    for block in circuit.blocks.values():
-        if block.gate_expander is None:
-            widths = [circuit.nets[n].width for n in block.output_nets]
-            block.gate_expander = make_expander(widths)
 
 
 def lowered_kernels(circuit):

@@ -1,10 +1,13 @@
 """SequentialGateSimulator details and TPG backward-extension model."""
 
+import random
+
 import pytest
 
 from repro.bist.gatesim import MachineFault, SequentialGateSimulator
 from repro.datapath.compiler import Add, Mul, Var, compile_datapath
 from repro.errors import SimulationError
+from repro.netlist.evaluate import Evaluator
 from repro.tpg.design import KernelSpec
 from repro.tpg.lfsr import Type1LFSR
 from repro.tpg.sc_tpg import sc_tpg
@@ -69,6 +72,42 @@ def test_fault_on_pi_bit(mac):
     )
     # Machine 0 sees 1, machine 1 sees the stuck 0 -> packed value 0b01.
     assert values_seen[0] == 0b01
+
+
+def test_packed_machines_equal_one_override_run_per_fault(mac):
+    """Each machine of one packed run, its fault masks folded into the
+    compiled program, equals its fault alone forced by ``Evaluator.run``'s
+    overrides, net for net over several clocked cycles."""
+    simulator = SequentialGateSimulator(mac)
+    netlist = simulator.netlist
+    rng = random.Random(7)
+    sites = rng.sample(range(netlist.n_nets), 24)
+    faults = [MachineFault(i + 1, net, i % 2) for i, net in enumerate(sites)]
+    words = [
+        {name: rng.getrandbits(len(bits)) for name, bits in simulator.pi_bits.items()}
+        for _ in range(6)
+    ]
+    packed = []
+    simulator.run(
+        len(words), lambda t: words[t], machines=len(faults) + 1,
+        faults=faults, observe=lambda t, values: packed.append(dict(values)),
+    )
+    evaluator = Evaluator(netlist)
+    for machine in range(len(faults) + 1):
+        overrides = {f.net: f.stuck_at for f in faults if f.machine == machine}
+        state = {name: [0] * len(bits)
+                 for name, bits in simulator.register_out_bits.items()}
+        for t, word in enumerate(words):
+            assignment = {}
+            for name, bits in simulator.pi_bits.items():
+                for position, net in enumerate(bits):
+                    assignment[net] = (word[name] >> position) & 1
+            for name, bits in simulator.register_out_bits.items():
+                assignment.update(zip(bits, state[name]))
+            values = evaluator.run(assignment, 1, overrides=overrides)
+            assert {net: (packed[t][net] >> machine) & 1 for net in values} == values
+            state = {name: [values[net] for net in bits]
+                     for name, bits in simulator.register_in_bits.items()}
 
 
 def test_reset_state_word(mac):
