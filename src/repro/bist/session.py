@@ -97,8 +97,9 @@ class BISTSession:
         # Decouple each MISR from the TPG: with the default table polynomial
         # the error streams of TPG-register faults (linear images of the
         # m-sequence) cancel systematically in the signature over
-        # near-period windows — measured ~45% aliasing versus ~8% with the
-        # reciprocal polynomial (see benchmarks/test_bist_session.py).
+        # near-period windows — measured 0.426 aliasing versus 0.180 with
+        # the reciprocal polynomial (results/bist_misr_aliasing.txt, from
+        # benchmarks/test_bist_session.py).
         from repro.tpg.polynomials import (
             alternate_primitive_polynomial,
             primitive_polynomial,

@@ -13,7 +13,8 @@ BISTable kernels are 1-step functionally testable (Theorem 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -32,6 +33,7 @@ from repro.rtl.circuit import RTLCircuit
 from repro.rtl.lower import lower_nets
 
 if TYPE_CHECKING:
+    from repro.atpg.certify import BlockVerdicts
     from repro.engine.cache import GoldenCache
     from repro.exec.config import RunConfig
 
@@ -64,12 +66,21 @@ def lower_kernel_to_netlist(circuit: RTLCircuit, kernel: Kernel) -> Netlist:
 
 @dataclass
 class KernelEvaluation:
-    """Fault-simulation outcome for one kernel."""
+    """Fault-simulation outcome for one kernel.
+
+    ``certified`` counts, per certificate (:mod:`repro.atpg.certify`), the
+    survivors proven redundant without PODEM; ``proven`` and ``aborted``
+    count those PODEM proved redundant or gave up on.  Each fault is
+    judged once, whatever the number of seeds.
+    """
 
     kernel: Kernel
     netlist: Netlist
     result: FaultSimResult
     patterns_at: Dict[float, Optional[int]]
+    certified: Dict[str, int] = field(default_factory=dict)
+    proven: int = 0
+    aborted: int = 0
 
     @property
     def name(self) -> str:
@@ -138,16 +149,18 @@ def _simulate_stream(
     faults: List[Fault],
     config: "RunConfig",
     cache: Optional["GoldenCache"],
-    verdicts: Dict[Fault, bool],
+    verdicts: Dict[Fault, str],
+    block_verdicts: "BlockVerdicts",
 ) -> FaultSimResult:
     """One kernel's collapsed ``faults`` under one pattern stream, in the
     steps :func:`evaluate_design` lists.
 
-    ``verdicts`` maps each fault PODEM has judged to whether it is
-    redundant; the kernel loop shares it across seeds.  A fault's first
-    detection depends only on the netlist, the fault and the stream, and
-    a verdict only on the netlist, the fault and the backtrack limit,
-    which is why these steps give the results of one full-length run.
+    ``verdicts`` maps each judged fault to the name of the certificate
+    that proved it redundant, or else to PODEM's status; the kernel loop
+    shares it across seeds.  A fault's first detection depends only on
+    the netlist, the fault and the stream, and a verdict only on the
+    netlist, the fault and the backtrack limit, which is why these steps
+    give the results of one full-length run.
     """
     netlist = simulator.netlist
     prefix = min(
@@ -161,18 +174,21 @@ def _simulate_stream(
     survivors = result.undetected
     if not survivors or result.partial:
         return result
+    # Imported on first use, as PODEM always was: ``import repro`` loads
+    # no ATPG code.
+    from repro.atpg.certify import CERTIFICATES, certify
+    from repro.atpg.podem import PodemStatus
+
+    redundant = set(CERTIFICATES) | {PodemStatus.REDUNDANT.value}
     unjudged = [fault for fault in survivors if fault not in verdicts]
     if unjudged:
-        from repro.atpg.podem import classify_faults
-
-        with telemetry.span(
-            "flow.classify_undetected",
-            kernel=netlist.name, n_faults=len(unjudged),
-        ):
-            redundant, _tests, _aborted = classify_faults(netlist, unjudged)
-        verdicts.update(dict.fromkeys(unjudged, False))
-        verdicts.update(dict.fromkeys(redundant, True))
-    live = [fault for fault in survivors if not verdicts[fault]]
+        certified = certify(netlist, unjudged, block_verdicts)
+        verdicts.update(certified)
+        telemetry.count("atpg.certified", len(certified))
+        rest = [fault for fault in unjudged if fault not in certified]
+        if rest:
+            _classify(simulator, rest, verdicts)
+    live = [fault for fault in survivors if verdicts[fault] not in redundant]
     if live and prefix < config.max_patterns:
         tail = simulator.run(source, faults=live, config=config, cache=cache)
         result.first_detection.update(tail.first_detection)
@@ -181,8 +197,37 @@ def _simulate_stream(
         result.n_patterns = max(result.n_patterns, tail.n_patterns)
         result.partial = tail.partial
         result.stop_reason = tail.stop_reason
-    result.merge_undetectable(fault for fault in survivors if verdicts[fault])
+    result.merge_undetectable(
+        fault for fault in survivors if verdicts[fault] in redundant
+    )
     return result
+
+
+def _classify(
+    simulator: FaultSimulator, faults: List[Fault], verdicts: Dict[Fault, str]
+) -> None:
+    """PODEM's verdicts on ``faults``, each test it returns replayed on the
+    kernel first: one that does not detect its fault is an error."""
+    # Looked up at call time, so a patched ``repro.atpg.podem`` is used.
+    from repro.atpg.podem import PodemStatus, classify_faults
+
+    netlist = simulator.netlist
+    with telemetry.span(
+        "flow.classify_undetected", kernel=netlist.name, n_faults=len(faults),
+    ):
+        redundant, tests, aborted = classify_faults(netlist, faults)
+    for fault, test in tests.items():
+        pattern = [test.get(net, 0) for net in netlist.primary_inputs]
+        if not simulator.detects(fault, pattern):
+            raise SimulationError(
+                f"kernel {netlist.name}: PODEM's test for "
+                f"{fault.describe(netlist)} does not detect it"
+            )
+    verdicts.update(dict.fromkeys(tests, PodemStatus.DETECTED.value))
+    verdicts.update(dict.fromkeys(redundant, PodemStatus.REDUNDANT.value))
+    verdicts.update(dict.fromkeys(aborted, PodemStatus.ABORTED.value))
+    telemetry.count("atpg.proven", len(redundant))
+    telemetry.count("atpg.aborted", len(aborted))
 
 
 def evaluate_design(
@@ -205,17 +250,22 @@ def evaluate_design(
 
     1. one engine round (``batch_width`` × ``chunk_batches`` patterns,
        1,024 by default) against every fault;
-    2. the PODEM ATPG on the survivors: proven-redundant faults leave the
-       coverage denominator (the paper reports coverage of *detectable*
-       faults).  Verdicts are kept per kernel, so a fault is proven once
-       whatever ``n_seeds`` is;
-    3. only if survivors PODEM did not prove redundant remain, a second
-       run over the full ``max_patterns`` stream for those faults alone.
+    2. a verdict on each survivor: a certificate of
+       :mod:`repro.atpg.certify` where one applies, the PODEM ATPG for
+       the rest, each test PODEM returns replayed on the kernel.
+       Proven-redundant faults leave the coverage denominator (the paper
+       reports coverage of *detectable* faults).  Verdicts are kept per
+       kernel, so a fault is judged once whatever ``n_seeds`` is, and
+       block verdicts are kept per sweep;
+    3. only if survivors not proven redundant remain, a second run over
+       the full ``max_patterns`` stream for those faults alone.
        Aborted/detectable leftovers it does not detect keep the target
        unreached (``patterns_at[target] = None``).
 
     The detections, the redundant list and ``patterns_at`` equal those of
-    one run to ``max_patterns`` followed by PODEM on its survivors.
+    one run to ``max_patterns`` followed by the same verdicts on its
+    survivors, and those of PODEM alone unless PODEM would abort a fault
+    a certificate proves redundant (none on the paper's kernels).
     ``result.n_patterns`` counts the patterns actually applied: a kernel
     whose survivors are all redundant reports one round, not
     ``max_patterns``.  Without ``classify_undetected``, each stream is a
@@ -236,12 +286,34 @@ def evaluate_design(
 
     A guard limit (:mod:`repro.guard`) applies to each engine run.  A
     first round it stops (``result.partial``), for instance under a
-    pattern budget below one round, skips ATPG classification — faults
+    pattern budget below one round, skips the verdicts — faults
     left undetected by a truncated stream are not candidates for
     redundancy proofs — and its unreached targets report ``None``.  A
     pattern budget of at least one round leaves a kernel whose survivors
     are all redundant untouched; it can only cut the second run short.
     """
+    return _evaluate_design(
+        circuit, design, targets, max_patterns, seed, batch_width,
+        classify_undetected, n_seeds, config, cache, {},
+    )
+
+
+def _evaluate_design(
+    circuit: RTLCircuit,
+    design: BIBSDesign,
+    targets: Sequence[float],
+    max_patterns: int,
+    seed: int,
+    batch_width: int,
+    classify_undetected: bool,
+    n_seeds: int,
+    config: Optional["RunConfig"],
+    cache: Optional["GoldenCache"],
+    block_verdicts: "BlockVerdicts",
+) -> DesignEvaluation:
+    """:func:`evaluate_design`, with the block verdicts of its sweep."""
+    from repro.atpg.certify import CERTIFICATES
+    from repro.atpg.podem import PodemStatus
     from repro.exec.config import RunConfig
 
     if config is None:
@@ -258,7 +330,7 @@ def evaluate_design(
             # Collapsed once for every seed: the list (and so each run's
             # key) is the one ``simulate`` would build itself.
             faults, _ = collapse_faults(netlist)
-            verdicts: Dict[Fault, bool] = {}
+            verdicts: Dict[Fault, str] = {}
             per_seed: List[Dict[float, Optional[int]]] = []
             first_result: Optional[FaultSimResult] = None
             for round_index in range(max(1, n_seeds)):
@@ -267,7 +339,8 @@ def evaluate_design(
                 )
                 if classify_undetected:
                     result = _simulate_stream(
-                        simulator, source, faults, config, cache, verdicts
+                        simulator, source, faults, config, cache, verdicts,
+                        block_verdicts,
                     )
                 else:
                     result = simulator.run(
@@ -290,8 +363,14 @@ def evaluate_design(
                     None if any(c is None for c in counts) else _median(counts)
                 )
             assert first_result is not None
+            tally = Counter(verdicts.values())
             evaluations.append(
-                KernelEvaluation(kernel, netlist, first_result, patterns_at)
+                KernelEvaluation(
+                    kernel, netlist, first_result, patterns_at,
+                    certified={name: tally[name] for name in CERTIFICATES},
+                    proven=tally[PodemStatus.REDUNDANT.value],
+                    aborted=tally[PodemStatus.ABORTED.value],
+                )
             )
     return DesignEvaluation(design, evaluations, tuple(targets))
 
@@ -318,22 +397,27 @@ def compare_tdms(
     """Run both TDMs end to end on one circuit.
 
     ``config`` / ``cache`` are shared by both design evaluations (so one
-    golden cache and one checkpoint directory serve the whole comparison).
+    golden cache and one checkpoint directory serve the whole comparison),
+    and so are the block verdicts of :mod:`repro.atpg.certify`, made
+    afresh for each call.
     """
+    block_verdicts: "BlockVerdicts" = {}
     with telemetry.span("flow.compare_tdms", circuit=circuit.name):
         graph = build_circuit_graph(circuit)
         bibs_design = make_bibs_testable(graph)
         ka_design = make_ka_testable(graph).design
         with telemetry.span("flow.evaluate_design", circuit=circuit.name,
                             tdm="bibs"):
-            bibs_eval = evaluate_design(
+            bibs_eval = _evaluate_design(
                 circuit, bibs_design, targets, max_patterns, seed,
-                n_seeds=n_seeds, config=config, cache=cache,
+                batch_width=256, classify_undetected=True, n_seeds=n_seeds,
+                config=config, cache=cache, block_verdicts=block_verdicts,
             )
         with telemetry.span("flow.evaluate_design", circuit=circuit.name,
                             tdm="ka85"):
-            ka_eval = evaluate_design(
+            ka_eval = _evaluate_design(
                 circuit, ka_design, targets, max_patterns, seed,
-                n_seeds=n_seeds, config=config, cache=cache,
+                batch_width=256, classify_undetected=True, n_seeds=n_seeds,
+                config=config, cache=cache, block_verdicts=block_verdicts,
             )
     return TDMComparison(circuit.name, bibs_eval, ka_eval)

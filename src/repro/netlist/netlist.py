@@ -45,6 +45,11 @@ class Netlist:
     Nets are integer ids handed out by :meth:`add_net`; each optionally has a
     human-readable name.  Gates are appended with :meth:`add_gate`.  The
     netlist is single-driver: a net may be the output of at most one gate.
+
+    :attr:`blocks` maps the name of each RTL block lowered into the netlist
+    to the indices of its gates (see :func:`repro.rtl.lower.lower_nets`).
+    It is a grouping for :mod:`repro.atpg.certify`, not structure, so
+    :meth:`fingerprint` leaves it out.
     """
 
     def __init__(self, name: str = "netlist"):
@@ -55,6 +60,7 @@ class Netlist:
         self.primary_inputs: List[int] = []
         self.primary_outputs: List[int] = []
         self._driver: Dict[int, int] = {}  # net id -> gate index
+        self.blocks: Dict[str, List[int]] = {}
 
     # ------------------------------------------------------------------ nets
 
@@ -213,6 +219,20 @@ class Netlist:
                 stack.extend(self.gates[driver].inputs)
         return support
 
+    def fanin_nets(self, nets: Iterable[int]) -> Set[int]:
+        """``nets`` and every net in their transitive fanin."""
+        cone: Set[int] = set()
+        stack = list(nets)
+        while stack:
+            net = stack.pop()
+            if net in cone:
+                continue
+            cone.add(net)
+            driver = self._driver.get(net)
+            if driver is not None:
+                stack.extend(self.gates[driver].inputs)
+        return cone
+
     def prune_to_outputs(self) -> "Netlist":
         """Return a copy keeping only logic in the fanin cone of the POs.
 
@@ -220,17 +240,7 @@ class Netlist:
         forward; pruning removes the upper-half logic that can never be
         observed.
         """
-        needed_nets: Set[int] = set()
-        stack = list(self.primary_outputs)
-        while stack:
-            net = stack.pop()
-            if net in needed_nets:
-                continue
-            needed_nets.add(net)
-            driver = self._driver.get(net)
-            if driver is not None:
-                stack.extend(self.gates[driver].inputs)
-
+        needed_nets = self.fanin_nets(self.primary_outputs)
         pruned = Netlist(self.name)
         remap: Dict[int, int] = {}
         for net in range(self.n_nets):
@@ -238,8 +248,10 @@ class Netlist:
                 remap[net] = pruned.add_net(self._net_names[net])
         for net in self.primary_inputs:
             pruned.mark_input(remap[net])
-        for gate in self.gates:
+        kept: Dict[int, int] = {}  # gate index -> index in the copy
+        for index, gate in enumerate(self.gates):
             if gate.output in needed_nets:
+                kept[index] = len(pruned.gates)
                 pruned.add_gate(
                     gate.gtype,
                     [remap[i] for i in gate.inputs],
@@ -248,6 +260,10 @@ class Netlist:
                 )
         for net in self.primary_outputs:
             pruned.mark_output(remap[net])
+        for name, gates in self.blocks.items():
+            survivors = [kept[g] for g in gates if g in kept]
+            if survivors:
+                pruned.blocks[name] = survivors
         return pruned
 
     def validate(self) -> None:

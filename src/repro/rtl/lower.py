@@ -29,8 +29,9 @@ def lower_nets(
     ``values`` maps an RTL net to its gate-level bits, LSB first; the
     caller seeds it, and it gains every net resolved here.  Each block is
     expanded once, on demand and depth first with its inputs in port
-    order, its gates named ``prefix`` + block name.  An unseeded primary
-    input is a :class:`SimulationError`.
+    order, its gates named ``prefix`` + block name and recorded under
+    that name in :attr:`Netlist.blocks`.  An unseeded primary input is a
+    :class:`SimulationError`.
     """
     drivers = circuit.drivers()
 
@@ -45,7 +46,11 @@ def lower_nets(
             if block.gate_expander is None:
                 raise SimulationError(f"block {block.name} has no gate expander")
             inputs = [resolve(n) for n in block.input_nets]
+            first = len(netlist.gates)
             outputs = block.gate_expander(netlist, inputs, prefix + block.name)
+            netlist.blocks[prefix + block.name] = list(
+                range(first, len(netlist.gates))
+            )
             for out_net, bits in zip(block.output_nets, outputs):
                 values[out_net] = list(bits)
         else:

@@ -8,6 +8,7 @@ from typing import List
 
 import pytest
 
+from repro import telemetry
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 
@@ -74,3 +75,17 @@ def tiny_and_or() -> Netlist:
 @pytest.fixture
 def tiny():
     return tiny_and_or()
+
+
+@pytest.fixture
+def tele():
+    """The global telemetry instance, enabled and wiped, restored after."""
+    instance = telemetry.get_telemetry()
+    was_enabled = instance.enabled
+    instance.reset()
+    instance.enable()
+    yield instance
+    instance.reset()
+    if not was_enabled:
+        instance.disable()
+

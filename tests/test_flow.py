@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from repro.atpg.certify import BLOCK, UNOBSERVABLE
 from repro.core.bibs import make_bibs_testable
 from repro.core.flow import (
     compare_tdms,
@@ -14,6 +15,7 @@ from repro.core.ka85 import make_ka_testable
 from repro.datapath.compiler import Add, Mul, Var, compile_datapath
 from repro.datapath.filters import all_filters
 from repro.engine.vec import KERNEL_ENV_VAR
+from repro.errors import SimulationError
 from repro.exec.config import ExecutionPolicy, RunConfig
 from repro.experiments.table2 import measure_circuit
 from repro.faultsim.patterns import RandomPatternSource
@@ -25,6 +27,7 @@ from repro.guard import STOP_CANCELLED, Budget, CancelToken
 podem = importlib.import_module("repro.atpg.podem")
 collapse_module = importlib.import_module("repro.faultsim.collapse")
 flow_module = importlib.import_module("repro.core.flow")
+certify_module = importlib.import_module("repro.atpg.certify")
 engine_core = importlib.import_module("repro.engine.core")
 
 
@@ -266,18 +269,108 @@ def test_pattern_budget_of_one_round_keeps_the_column():
 
 
 def test_each_survivor_is_proven_once_across_seeds(monkeypatch):
-    """Seeds share a kernel's netlist, so its PODEM verdicts too: three
-    seeds of c5a2m classify its 36 redundant faults once, not 108 times."""
-    classify = podem.classify_faults
+    """Seeds share a kernel's netlist, so its verdicts too: three seeds of
+    c5a2m judge its 36 redundant faults once, not 108 times, whether a
+    certificate or PODEM gives the verdict."""
+    certify, classify = certify_module.certify, podem.classify_faults
     judged = []
+
+    def counting_certify(netlist, faults, verdicts=None):
+        certified = certify(netlist, faults, verdicts)
+        judged.extend((netlist.fingerprint(), fault) for fault in certified)
+        return certified
 
     def counting_classify(netlist, faults, max_backtracks=5000):
         judged.extend((netlist.fingerprint(), fault) for fault in faults)
         return classify(netlist, faults, max_backtracks)
 
+    monkeypatch.setattr(certify_module, "certify", counting_certify)
     monkeypatch.setattr(podem, "classify_faults", counting_classify)
     measure_circuit("c5a2m", 1 << 13, n_seeds=3)
     assert len(judged) == len(set(judged)) == 36
+
+
+@pytest.mark.parametrize("name", ["c5a2m", "c4a4m"])
+def test_paper_columns_hand_podem_no_fault(monkeypatch, name):
+    """Every first-round survivor of the paper's kernels carries a
+    certificate, so PODEM is never called; the column is Table 2's."""
+    handed = []
+    classify = podem.classify_faults
+
+    def recording_classify(netlist, faults, max_backtracks=5000):
+        handed.extend(faults)
+        return classify(netlist, faults, max_backtracks)
+
+    monkeypatch.setattr(podem, "classify_faults", recording_classify)
+    column = measure_circuit(name, 1 << 14, n_seeds=3)
+    assert handed == []
+    assert column.time_100 == {"c5a2m": (173, 154), "c4a4m": (168, 159)}[name]
+
+
+def test_verdict_counts_on_kernels_and_counters(monkeypatch, tele):
+    """Each kernel counts its verdicts by source, and the flow publishes
+    the sums as ``atpg.*`` counters: on c5a2m the certificates settle all
+    36 faults; without them PODEM proves the same 36, or aborts the four
+    multiplier faults under a tiny backtrack limit."""
+    circuit, _designs = c5a2m_designs()
+
+    def sweep():
+        tele.reset()
+        comparison = compare_tdms(circuit, max_patterns=1 << 13, n_seeds=3)
+        kernels = (comparison.bibs.kernel_evaluations
+                   + comparison.ka.kernel_evaluations)
+        totals = (sum(sum(k.certified.values()) for k in kernels),
+                  sum(k.proven for k in kernels),
+                  sum(k.aborted for k in kernels))
+        counters = tele.metrics.snapshot()["counters"]
+        assert totals == tuple(counters.get(f"atpg.{name}", 0)
+                               for name in ("certified", "proven", "aborted"))
+        return totals, kernels
+
+    totals, kernels = sweep()
+    assert totals == (36, 0, 0)
+    assert sum(k.certified[UNOBSERVABLE] for k in kernels) == 32
+    assert sum(k.certified[BLOCK] for k in kernels) == 4
+
+    monkeypatch.setattr(certify_module, "certify", lambda *args: {})
+    assert sweep()[0] == (0, 36, 0)
+
+    classify = podem.classify_faults
+    monkeypatch.setattr(
+        podem, "classify_faults",
+        lambda netlist, faults: classify(netlist, faults, max_backtracks=8),
+    )
+    assert sweep()[0] == (0, 32, 4)
+
+
+def test_podem_tests_are_replayed_on_the_kernel(monkeypatch):
+    """Each test PODEM returns is simulated on its kernel: at 64 patterns a
+    round, c5a2m's detectable survivors get real tests and pass, and a
+    test that detects nothing stops the flow, naming kernel and fault."""
+    circuit, designs = c5a2m_designs()
+    config = RunConfig().with_execution(chunk_batches=1)
+    classify = podem.classify_faults
+    returned = []
+
+    def recording_classify(netlist, faults, max_backtracks=5000):
+        redundant, tests, aborted = classify(netlist, faults, max_backtracks)
+        returned.extend(tests)
+        return redundant, tests, aborted
+
+    monkeypatch.setattr(podem, "classify_faults", recording_classify)
+    evaluate_design(circuit, designs["bibs"], max_patterns=1 << 12,
+                    batch_width=64, config=config)
+    assert returned
+
+    def lying_classify(netlist, faults, max_backtracks=5000):
+        redundant, tests, aborted = classify(netlist, faults, max_backtracks)
+        return redundant, {fault: {} for fault in tests}, aborted
+
+    monkeypatch.setattr(podem, "classify_faults", lying_classify)
+    with pytest.raises(SimulationError,
+                       match=r"kernel c5a2m:kernel1: PODEM's test for s_a_"):
+        evaluate_design(circuit, designs["bibs"], max_patterns=1 << 12,
+                        batch_width=64, config=config)
 
 
 def test_each_kernel_is_collapsed_once_across_seeds(monkeypatch):

@@ -162,3 +162,24 @@ def test_every_primary_input_is_seeded_outside_kernels(lowering, name):
     # so the same circuit lowers, with b's bits as netlist inputs.
     netlist = LOWERINGS[lowering](_pi_fed())
     assert netlist.find_net(name) in netlist.primary_inputs
+
+
+@pytest.mark.parametrize("lowering", sorted(LOWERINGS))
+def test_block_map_lists_each_gate_under_its_block(lowering):
+    """``lower_nets`` records every block's gates in ``Netlist.blocks``
+    under the name its gates carry; the kernel lowering's pruning keeps the
+    map in step with the gates, and the fingerprint ignores the map."""
+    netlist = LOWERINGS[lowering](all_filters()["c5a2m"].circuit)
+    listed = {
+        gate: name for name, gates in netlist.blocks.items() for gate in gates
+    }
+    assert len(listed) == sum(map(len, netlist.blocks.values()))
+    assert listed == {
+        index: name
+        for index, gate in enumerate(netlist.gates)
+        for name in netlist.blocks
+        if gate.name.startswith(name + "_")
+    }
+    fingerprint = netlist.fingerprint()
+    netlist.blocks = {}
+    assert netlist.fingerprint() == fingerprint

@@ -22,19 +22,6 @@ from repro.telemetry.trace import NOOP_SPAN, Tracer
 from tests.conftest import make_random_netlist
 
 
-@pytest.fixture
-def tele():
-    """The global telemetry instance, enabled and wiped, restored after."""
-    instance = telemetry.get_telemetry()
-    was_enabled = instance.enabled
-    instance.reset()
-    instance.enable()
-    yield instance
-    instance.reset()
-    if not was_enabled:
-        instance.disable()
-
-
 # ---------------------------------------------------------------- the tracer
 
 
