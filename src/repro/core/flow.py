@@ -314,6 +314,7 @@ def _evaluate_design(
     """:func:`evaluate_design`, with the block verdicts of its sweep."""
     from repro.atpg.certify import CERTIFICATES
     from repro.atpg.podem import PodemStatus
+    from repro.engine.artifacts import netlist_artifacts
     from repro.exec.config import RunConfig
 
     if config is None:
@@ -326,7 +327,10 @@ def _evaluate_design(
             circuit=circuit.name, kernel=kernel.name, n_seeds=max(1, n_seeds),
         ):
             netlist = lower_kernel_to_netlist(circuit, kernel)
-            simulator = FaultSimulator(netlist, batch_width=batch_width)
+            # Bound to this netlist (its block map), on the tables every
+            # lowering of the kernel shares.
+            simulator = netlist_artifacts(netlist).simulator(
+                netlist, batch_width)
             # Collapsed once for every seed: the list (and so each run's
             # key) is the one ``simulate`` would build itself.
             faults, _ = collapse_faults(netlist)

@@ -170,16 +170,22 @@ class GoldenCache:
         source: PatternSource,
         batch_width: int,
         evaluator: Optional[Evaluator] = None,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> Optional[GoldenBatches]:
         """The golden-batch entry for (netlist, source, width), or None.
 
         Returns None — and counts nothing — when the source has no stable
         fingerprint; callers then compute golden values uncached.
+        ``fingerprint`` is ``netlist.fingerprint()``, for callers that
+        have it already.
         """
         stream_id = source_fingerprint(source)
         if stream_id is None:
             return None
-        key = ("batches", netlist.fingerprint(), stream_id, batch_width)
+        if fingerprint is None:
+            fingerprint = netlist.fingerprint()
+        key = ("batches", fingerprint, stream_id, batch_width)
         entry = self._batches.get(key)
         if entry is not None:
             self.hits += 1

@@ -54,6 +54,8 @@ def run_key(
     faults: Sequence[Fault],
     config: RunConfig,
     jobs: int,
+    *,
+    fingerprint: Optional[str] = None,
 ) -> Optional[str]:
     """Content key identifying one resumable run, or None if unkeyable.
 
@@ -63,11 +65,14 @@ def run_key(
     result, so a journal written under one backend resumes under any
     other.  The blob layout is byte-identical to the pre-``RunConfig``
     engine — journals written before this refactor still resume (pinned
-    by the golden-key regression test).
+    by the golden-key regression test).  ``fingerprint`` is
+    ``netlist.fingerprint()``, for callers that have it already.
     """
     stream_id = source_fingerprint(source)
     if stream_id is None:
         return None
+    if fingerprint is None:
+        fingerprint = netlist.fingerprint()
     fault_digest = hashlib.sha256(
         repr([
             (f.net, f.stuck_at, f.gate_index, f.pin) for f in faults
@@ -75,7 +80,7 @@ def run_key(
     ).hexdigest()
     blob = repr((
         JOURNAL_VERSION,
-        netlist.fingerprint(),
+        fingerprint,
         stream_id,
         fault_digest,
     ) + canonical_fields(config, jobs)).encode()
@@ -229,6 +234,8 @@ def open_store(
     faults: Sequence[Fault],
     config: RunConfig,
     jobs: int,
+    *,
+    fingerprint: Optional[str] = None,
 ) -> Optional[CheckpointStore]:
     """The engine's entry point: a store for this run, or None.
 
@@ -239,7 +246,8 @@ def open_store(
     """
     if config.checkpoint.directory is None:
         return None
-    key = run_key(netlist, source, faults, config, jobs)
+    key = run_key(netlist, source, faults, config, jobs,
+                  fingerprint=fingerprint)
     if key is None:
         return None
     store = CheckpointStore(config.checkpoint.directory, key)

@@ -37,7 +37,9 @@ The fault-free (golden) evaluation of each round — ``chunk_batches``
 batches joined into one wide word — is computed once in the parent,
 optionally through a :class:`~repro.engine.cache.GoldenCache` shared
 across shards and across repeated runs, and every shard propagates its
-faults over the round in one pass.
+faults over the round in one pass.  What a run derives from the netlist
+alone — the lint verdict, the evaluator, the kernels' tables — is built
+once per process (:mod:`repro.engine.artifacts`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.engine import checkpoint as checkpoint_io
+from repro.engine.artifacts import NetlistArtifacts, netlist_artifacts
 from repro.engine.cache import GoldenBatches, GoldenCache
 from repro.engine.chaos import ChaosInterrupt, FaultInjector
 from repro.engine.instrumentation import ShardStats, publish_engine_metrics
@@ -60,7 +63,6 @@ from repro.exec.driver import RoundDriver
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource
-from repro.faultsim.simulator import FaultSimulator
 from repro.guard.runner import RunGuard
 from repro.netlist.netlist import Netlist
 from repro.results import FaultSimResult
@@ -202,7 +204,6 @@ def simulate(
     *,
     config: Optional[RunConfig] = None,
     cache: Optional[GoldenCache] = None,
-    simulator: Optional[FaultSimulator] = None,
 ) -> EngineResult:
     """Fault-simulate ``patterns`` against ``faults``, optionally in parallel.
 
@@ -228,10 +229,10 @@ def simulate(
         Optional :class:`GoldenCache` for fault-free batch evaluations,
         shared across shards and across repeated calls.  A *resource*, not
         run configuration — it stays a direct parameter.
-    simulator:
-        An existing :class:`FaultSimulator` (``FaultSimulator.run`` passes
-        itself): its evaluator computes the golden batches when the batch
-        widths agree.  Also a resource; it does not choose the kernel.
+
+    The netlist's lint verdict, evaluator and kernel tables come from
+    its :class:`~repro.engine.artifacts.NetlistArtifacts`, found by
+    ``netlist.fingerprint()``, which the run computes once.
 
     The run is bit-identical across executors (``serial`` / ``process``)
     and across every failure-recovery path: retries, degraded
@@ -242,12 +243,12 @@ def simulate(
     """
     if config is None:
         config = RunConfig()
+    fingerprint = netlist.fingerprint()
+    artifacts = netlist_artifacts(netlist, fingerprint)
     if config.check:
         # Fail fast with witnesses, before faults are collapsed, golden
         # batches are computed, or any shard process exists.
-        from repro.lint.runner import preflight_netlist
-
-        preflight_netlist(netlist)
+        artifacts.preflight(netlist)
     if faults is None:
         faults, _ = collapse_faults(netlist)
     if patterns is None:
@@ -280,22 +281,17 @@ def simulate(
     # $REPRO_ENGINE_KERNEL -> cost heuristic, with automatic packed
     # fallback for unsupported netlists.
     kernel, kernel_fallback = resolve_kernel(
-        config.execution.kernel, netlist, len(fault_list)
+        config.execution.kernel, netlist, len(fault_list),
+        artifacts.vec_support_reason,
     )
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    if simulator is not None and simulator.batch_width == batch_width:
-        evaluator = simulator.evaluator
-    else:
-        evaluator = None
+    evaluator = artifacts.evaluator(netlist)
     golden: Optional[GoldenBatches] = None
     if cache is not None:
-        golden = cache.batch_entry(netlist, patterns, batch_width, evaluator)
+        golden = cache.batch_entry(netlist, patterns, batch_width, evaluator,
+                                   fingerprint=fingerprint)
     if golden is None:
-        if evaluator is None:
-            from repro.netlist.evaluate import Evaluator
-
-            evaluator = Evaluator(netlist)
         golden = GoldenBatches(evaluator, patterns, batch_width)
 
     start = time.perf_counter()
@@ -306,7 +302,7 @@ def simulate(
         else resolve_executor_name(config.execution.executor)
     )
     store = checkpoint_io.open_store(
-        netlist, patterns, fault_list, config, jobs,
+        netlist, patterns, fault_list, config, jobs, fingerprint=fingerprint,
     )
     with telemetry.span(
         "engine.simulate",
@@ -315,8 +311,8 @@ def simulate(
         n_faults=len(fault_list), max_patterns=config.max_patterns,
     ) as run_span:
         result = _simulate_rounds(
-            netlist, fault_list, golden, config, jobs, executor_name,
-            chaos, store, guard, kernel,
+            netlist, artifacts, fault_list, golden, config, jobs,
+            executor_name, chaos, store, guard, kernel,
         )
         run_span.set_attribute("n_patterns", result.n_patterns)
         if result.partial:
@@ -367,6 +363,7 @@ def _replay_record(
 
 def _simulate_rounds(
     netlist: Netlist,
+    artifacts: NetlistArtifacts,
     faults: List[Fault],
     golden: GoldenBatches,
     config: RunConfig,
@@ -414,11 +411,12 @@ def _simulate_rounds(
         netlist=netlist,
         batch_width=batch_width,
         max_workers=len(shards),
+        artifacts=artifacts,
         telemetry_enabled=telemetry.enabled(),
         kernel=kernel,
     ))
     driver = RoundDriver(
-        executor, netlist, batch_width, config.retry, chaos, kernel
+        executor, netlist, artifacts, batch_width, config.retry, chaos, kernel
     )
     stop_reason: Optional[str] = None
     force_serial = False

@@ -71,7 +71,7 @@ from typing import (
 from repro.errors import SimulationError
 from repro.exec.config import KERNEL_CHOICES
 from repro.faultsim.faults import Fault
-from repro.faultsim.simulator import FaultSimulator
+from repro.faultsim.simulator import FaultSimulator, PackedTables
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Netlist
@@ -174,6 +174,7 @@ def resolve_kernel(
     requested: Optional[str],
     netlist: Netlist,
     n_faults: int,
+    support: Callable[[Netlist], Optional[str]] = vec_support_reason,
 ) -> Tuple[str, Optional[str]]:
     """Pick the evaluation kernel for one run.
 
@@ -182,6 +183,8 @@ def resolve_kernel(
     netlist is supported and the run is large enough for vectorisation to
     pay (:data:`VEC_AUTO_THRESHOLD`); an explicit ``vec`` on an
     unsupported netlist falls back to packed rather than failing.
+    ``support`` gives :func:`vec_support_reason` (the engine passes the
+    verdict its netlist artifacts keep).
 
     Returns ``(kernel, fallback_reason)`` where ``kernel`` is ``"packed"``
     or ``"vec"`` and ``fallback_reason`` is non-None only when a vec
@@ -199,7 +202,7 @@ def resolve_kernel(
         )
     if name == "packed":
         return "packed", None
-    reason = vec_support_reason(netlist)
+    reason = support(netlist)
     if name == "vec":
         if reason is not None:
             return "packed", reason
@@ -241,14 +244,17 @@ class _GateGroup:
 class CompiledVecNetlist:
     """A netlist lowered to per-level gate groups over recycled state rows.
 
-    Compiled once per simulator; every :meth:`VecFaultSimulator.
-    simulate_batch` call reuses it.  ``net_level`` is the level after
-    which each net's value is final (primary inputs and undriven nets
-    are level 0), where stem-fault overrides apply; ``gate_level`` places
-    branch-fault output patches.  ``slot`` maps each net to its state
-    row; ``n_rows`` rows hold every net that is live at once.  ``order``
-    is a topological gate order (the simulator's ``Evaluator.order``);
-    it is computed when not given.
+    Compiled once per netlist structure in a process (see
+    :mod:`repro.engine.artifacts`); every :meth:`VecFaultSimulator.
+    simulate_batch` call reuses it, and only reads it but for the memo
+    of :meth:`boundary`, whose entries are the same whoever fills them.
+    ``net_level`` is the level after which each net's value is final
+    (primary inputs and undriven nets are level 0), where stem-fault
+    overrides apply; ``gate_level`` places branch-fault output patches.
+    ``slot`` maps each net to its state row; ``n_rows`` rows hold every
+    net that is live at once.  ``order`` is a topological gate order
+    (the simulator's ``Evaluator.order``); it is computed when not
+    given.
     """
 
     def __init__(self, netlist: Netlist,
@@ -400,15 +406,19 @@ def _first_bits(det: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
 
 
 class _BatchGolden:
-    """One batch's golden values, as words for the nets the chunks read.
+    """One slice's golden values, for the nets the chunks read.
 
-    Only the rows live at the chunks' start levels and the primary
-    outputs are converted, never every net.
+    The slice is the ``mask`` patterns from bit ``offset`` of the
+    round's golden words ``good``.  Only the rows live at the chunks'
+    start levels and the primary outputs are cut out and converted to
+    words; :meth:`value` cuts out the inputs of a branch fault's gate.
     """
 
     def __init__(self, compiled: CompiledVecNetlist, good: Dict[int, int],
-                 mask: int, n_words: int, starts: Sequence[int]):
+                 offset: int, mask: int, n_words: int,
+                 starts: Sequence[int]):
         self.good = good
+        self.offset = offset
         self.mask = mask
         self.n_words = n_words
         self.mask_words = _words([mask], n_words)[0]
@@ -416,8 +426,9 @@ class _BatchGolden:
             [compiled.boundary(level)[0] for level in starts]
             + [po_nets for parts in compiled.po_at.values()
                for _rows, po_nets in parts]))
-        self.words = _words([good.get(net, 0) for net in nets.tolist()],
-                            n_words)
+        self.words = _words(
+            [(good.get(net, 0) >> offset) & mask for net in nets.tolist()],
+            n_words)
         self.row_of = np.zeros(compiled.n_nets, dtype=np.intp)
         self.row_of[nets] = np.arange(len(nets))
         #: per level, the golden words of each of its output slices
@@ -431,6 +442,10 @@ class _BatchGolden:
         """Golden words of converted ``nets``, ``uint64[len(nets), W]``."""
         return self.words[self.row_of[nets]]
 
+    def value(self, net: int) -> int:
+        """The slice of ``net``'s golden word, as a packed int."""
+        return (self.good[net] >> self.offset) & self.mask
+
 
 # ----------------------------------------------------------------- simulator
 
@@ -438,21 +453,26 @@ class _BatchGolden:
 class VecFaultSimulator(FaultSimulator):
     """Drop-in :class:`FaultSimulator` with a vectorised ``simulate_batch``.
 
-    Construction compiles the netlist (:class:`CompiledVecNetlist`); the
-    rest of the surface — ``run``, ``detects``, ``evaluator``, the golden
-    cache interplay — is inherited unchanged, so every engine code path
-    that builds or receives a simulator works identically with either
-    kernel.  ``events_propagated`` counts the gate × lane evaluations
-    actually performed: each chunk's lanes times the gates above the
-    chunk's start level.  Patterns run while fewer than
+    Construction compiles the netlist (:class:`CompiledVecNetlist`)
+    unless ``compiled`` brings a program of a netlist with this
+    structure; the rest of the surface — ``run``, ``detects``,
+    ``evaluator``, the golden cache interplay — is inherited unchanged,
+    so every engine code path that builds or receives a simulator works
+    identically with either kernel.  ``events_propagated`` counts the
+    gate × lane evaluations actually performed: each chunk's lanes times
+    the gates above the chunk's start level.  Patterns run while fewer than
     :data:`VEC_MIN_LANES` faults are live count the packed propagator's
     events.  Honest work accounting, not part of the bit-identity
     contract.
     """
 
-    def __init__(self, netlist: Netlist, batch_width: int = 256):
-        super().__init__(netlist, batch_width)
-        self.compiled = CompiledVecNetlist(netlist, self.evaluator.order)
+    def __init__(self, netlist: Netlist, batch_width: int = 256,
+                 tables: Optional[PackedTables] = None,
+                 compiled: Optional[CompiledVecNetlist] = None):
+        super().__init__(netlist, batch_width, tables)
+        if compiled is None:
+            compiled = CompiledVecNetlist(netlist, self.evaluator.order)
+        self.compiled = compiled
 
     # The packed simulate_batch signature, replayed exactly.
     def simulate_batch(
@@ -470,19 +490,14 @@ class VecFaultSimulator(FaultSimulator):
         ``batch_width`` slice at a time while at least
         :data:`VEC_MIN_LANES` faults are live, so lanes detected early
         are not carried across the whole round; the rest of the round
-        then runs in one packed pass.
+        then runs in one packed pass.  A slice cuts out of ``good`` only
+        the nets its chunks read.
         """
         width = mask.bit_length()
         offset = 0
         while live and len(live) >= VEC_MIN_LANES and offset < width:
             step = min(self.batch_width, width - offset)
-            if step == width:
-                sliced, slice_mask = good, mask
-            else:
-                slice_mask = (1 << step) - 1
-                sliced = {net: (value >> offset) & slice_mask
-                          for net, value in good.items()}
-            live = self._simulate_slice(live, sliced, slice_mask,
+            live = self._simulate_slice(live, good, offset, (1 << step) - 1,
                                         pattern_base + offset, detections,
                                         drop_detected)
             offset += step
@@ -498,12 +513,14 @@ class VecFaultSimulator(FaultSimulator):
         self,
         live: Sequence[Fault],
         good: Dict[int, int],
+        offset: int,
         mask: int,
         pattern_base: int,
         detections: Dict[Fault, int],
         drop_detected: bool,
     ) -> List[Fault]:
-        """Every live fault a lane, over the patterns of ``mask``."""
+        """Every live fault a lane, over the ``mask`` patterns from bit
+        ``offset`` of ``good``."""
         compiled = self.compiled
         n_lanes = len(live)
         lane_level = [compiled.injection_level(fault) for fault in live]
@@ -513,7 +530,7 @@ class VecFaultSimulator(FaultSimulator):
         chunk = max(1, min(n_lanes, VEC_ROW_WORDS // n_words,
                            VEC_MEMORY_BUDGET // (row_words * n_words * 8)))
         firsts = range(0, n_lanes, chunk)
-        golden = _BatchGolden(compiled, good, mask, n_words,
+        golden = _BatchGolden(compiled, good, offset, mask, n_words,
                               sorted({lane_level[order[i]] for i in firsts}))
         buffer = np.empty(row_words * chunk * n_words, dtype=np.uint64)
 
@@ -570,7 +587,6 @@ class VecFaultSimulator(FaultSimulator):
         stem_at: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         branch_at: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         gates = self.netlist.gates
-        good = golden.good
         for lane, fault in enumerate(chunk):
             if fault.is_stem:
                 level = compiled.net_level[fault.net]
@@ -582,7 +598,7 @@ class VecFaultSimulator(FaultSimulator):
                 gate = gates[fault.gate_index]
                 forced = mask if fault.stuck_at else 0
                 inputs = [
-                    forced if pin == fault.pin else good[net]
+                    forced if pin == fault.pin else golden.value(net)
                     for pin, net in enumerate(gate.inputs)
                 ]
                 patched = evaluate_gate(gate.gtype, inputs, mask)

@@ -61,12 +61,15 @@ class ExecutionContext:
 
     ``kernel`` is the *resolved* evaluation kernel ("packed" or "vec") —
     the engine resolves ``auto``/env/fallback once per run so every
-    worker builds the same simulator type.
+    worker builds the same simulator type.  ``artifacts`` is the
+    netlist's :class:`~repro.engine.artifacts.NetlistArtifacts`, whose
+    tables every simulator of the run shares.
     """
 
     netlist: Any
     batch_width: int
     max_workers: int
+    artifacts: Any
     telemetry_enabled: bool = False
     kernel: str = "packed"
 

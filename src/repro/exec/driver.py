@@ -28,12 +28,13 @@ from repro import telemetry
 from repro.errors import ReproError, SimulationError
 from repro.exec.base import Executor, RoundHandle, WorkUnit
 from repro.exec.config import RetryPolicy
-from repro.exec.worker import consume_batches, make_simulator, round_checksum
+from repro.exec.worker import consume_batches, round_checksum
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
 from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.artifacts import NetlistArtifacts
     from repro.engine.chaos import FaultInjector
     from repro.engine.instrumentation import ShardStats
 
@@ -53,6 +54,7 @@ class RoundDriver:
         self,
         executor: Executor,
         netlist: Netlist,
+        artifacts: "NetlistArtifacts",
         batch_width: int,
         retry: RetryPolicy,
         chaos: Optional["FaultInjector"] = None,
@@ -64,6 +66,7 @@ class RoundDriver:
         self._retry = retry
         self._chaos = chaos
         self._kernel = kernel
+        self._artifacts = artifacts
         self._degraded_simulator: Optional[FaultSimulator] = None
 
     # ------------------------------------------------------------- internals
@@ -72,9 +75,8 @@ class RoundDriver:
         # Same kernel as the workers: the kernels are bit-identical, but a
         # degraded round should not silently change the run's cost model.
         if self._degraded_simulator is None:
-            self._degraded_simulator = make_simulator(
-                self._netlist, self._batch_width, self._kernel
-            )
+            self._degraded_simulator = self._artifacts.simulator(
+                self._netlist, self._batch_width, self._kernel)
         return self._degraded_simulator
 
     def _run_in_parent(

@@ -140,8 +140,8 @@ class ProcessExecutor(Executor):
         # cache key): a parked pool of packed workers must never serve a
         # vec run, and vice versa.
         payload = pickle.dumps(
-            (context.netlist, context.batch_width,
-             context.telemetry_enabled, context.kernel)
+            (context.netlist, context.artifacts.fingerprint,
+             context.batch_width, context.telemetry_enabled, context.kernel)
         )
         key = (hashlib.sha256(payload).hexdigest(), context.max_workers)
         parked = _POOL_CACHE.pop(key, None)

@@ -21,7 +21,7 @@ from repro.exec.base import (
     RoundResult,
     WorkUnit,
 )
-from repro.exec.worker import make_simulator, run_work_unit
+from repro.exec.worker import run_work_unit
 from repro.faultsim.simulator import FaultSimulator
 
 class _LazyHandle(RoundHandle):
@@ -37,7 +37,11 @@ class _LazyHandle(RoundHandle):
 
 
 class SerialExecutor(Executor):
-    """One in-parent simulator; shard rounds run one at a time."""
+    """One in-parent simulator per run; shard rounds run one at a time.
+
+    The simulator is the run's own, on the tables of the netlist's
+    cached artifacts, so dropping it costs a few attribute reads.
+    """
 
     name = "serial"
 
@@ -51,7 +55,7 @@ class SerialExecutor(Executor):
     def _get_simulator(self) -> FaultSimulator:
         assert self._context is not None, "executor used before start()"
         if self._simulator is None:
-            self._simulator = make_simulator(
+            self._simulator = self._context.artifacts.simulator(
                 self._context.netlist, self._context.batch_width,
                 self._context.kernel,
             )
@@ -65,7 +69,7 @@ class SerialExecutor(Executor):
     def restart(self) -> None:
         # Nothing is poisoned by an in-process exception, but a fresh
         # simulator is the closest analogue to a pool rebuild and keeps
-        # the recovery contract uniform.
+        # the recovery contract uniform.  The shared tables stay.
         self._simulator = None
 
     def stop(self) -> None:

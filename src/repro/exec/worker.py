@@ -3,8 +3,9 @@
 Bit-identity across the ``serial`` and ``process`` backends (and the
 driver's in-parent rounds) holds because they all execute the *same*
 loop, :func:`consume_batches` — behind :func:`run_work_unit` in both
-backends — against per-worker
-:class:`~repro.faultsim.simulator.FaultSimulator` instances.  This module
+backends — against per-run :class:`~repro.faultsim.simulator.
+FaultSimulator` instances, each built by :meth:`repro.engine.artifacts.
+NetlistArtifacts.simulator` over the netlist's shared tables.  This module
 also hosts the process-backend worker entry points — they must live at
 module level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle
 references to them.
@@ -36,23 +37,6 @@ from repro.faultsim.simulator import FaultSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.chaos import FaultInjector
-
-
-def make_simulator(netlist, batch_width: int, kernel: str) -> FaultSimulator:
-    """Build the simulator for one resolved kernel name.
-
-    The single factory every execution path uses — per-worker builds in
-    every backend (the ``serial`` one included), the driver's degraded
-    fallback — so a run's kernel choice is honoured uniformly.  The vec
-    class is imported lazily: repro.exec must stay loadable without
-    touching repro.engine (the engine imports this package), and the
-    kernel was resolved by the engine only where vec is actually usable.
-    """
-    if kernel == "vec":
-        from repro.engine.vec import VecFaultSimulator
-
-        return VecFaultSimulator(netlist, batch_width)
-    return FaultSimulator(netlist, batch_width)
 
 
 def fault_key(fault: Fault) -> Tuple[int, int, int, int]:
@@ -202,9 +186,19 @@ _WORKER_SIMULATOR: Optional[FaultSimulator] = None
 
 
 def init_worker(payload: bytes) -> None:
-    """Build this worker process's simulator from the pickled netlist."""
+    """Build this worker process's simulator from the pickled netlist.
+
+    The payload carries the netlist's fingerprint, so the worker finds
+    its artifacts (inherited from the parent when forked) without
+    hashing the netlist again.
+    """
     global _WORKER_SIMULATOR
-    netlist, batch_width, telemetry_on, kernel = pickle.loads(payload)
+    # Imported here: repro.exec must stay loadable without touching
+    # repro.engine, which imports this package.
+    from repro.engine.artifacts import netlist_artifacts
+
+    netlist, fingerprint, batch_width, telemetry_on, kernel = pickle.loads(
+        payload)
     # Forked workers inherit the parent's span buffer and metrics; wipe
     # them or every drain() would ship the parent's records back and the
     # join would duplicate them.  Spawn-started workers don't inherit the
@@ -212,7 +206,8 @@ def init_worker(payload: bytes) -> None:
     telemetry.get_telemetry().reset()
     if telemetry_on:
         telemetry.enable()
-    _WORKER_SIMULATOR = make_simulator(netlist, batch_width, kernel)
+    _WORKER_SIMULATOR = netlist_artifacts(netlist, fingerprint).simulator(
+        netlist, batch_width, kernel)
 
 
 def execute_unit(unit: WorkUnit) -> RoundResult:

@@ -22,76 +22,78 @@ from repro.netlist.gates import CONTROLLING_VALUE, CONTROLLED_OUTPUT, GateType
 from repro.netlist.netlist import Netlist
 
 
-class _UnionFind:
-    """Tiny union-find over hashable fault keys."""
-
-    def __init__(self):
-        self.parent: Dict[object, object] = {}
-
-    def find(self, item):
-        parent = self.parent.setdefault(item, item)
-        if parent is item or parent == item:
-            return item
-        root = self.find(parent)
-        self.parent[item] = root
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _key(fault: Fault) -> Tuple:
-    return (fault.net, fault.stuck_at, fault.gate_index, fault.pin)
-
-
 def collapse_faults(netlist: Netlist) -> Tuple[List[Fault], Dict[Fault, Fault]]:
     """Return (representative faults, fault -> representative map).
 
     The representative set is what the simulator works on; the map lets
-    callers translate results back to the full universe.
+    callers translate results back to the full universe.  Representatives
+    come in the order of their classes' first faults in
+    :func:`~repro.faultsim.faults.full_fault_universe`, and each is its
+    class's first fault there: a stem whenever the class has one (stems
+    come first, and are the cheaper to inject).
+
+    The union-find runs over ints: fault sites are numbered stems first
+    (site ``net``), then branches (one site per gate input pin), and a
+    fault is ``2 * site + stuck_at``.
     """
     universe = full_fault_universe(netlist)
-    uf = _UnionFind()
+    gates = netlist.gates
+    n_nets = netlist.n_nets
+    # A gate input is a branch site when its net has more than one sink,
+    # a primary output counting as one (as ``full_fault_universe`` does).
+    sinks = [0] * n_nets
+    first_pin = [0] * len(gates)  # site of each gate's pin 0
+    n_sites = n_nets
+    for gate_index, gate in enumerate(gates):
+        first_pin[gate_index] = n_sites
+        n_sites += len(gate.inputs)
+        for net in gate.inputs:
+            sinks[net] += 1
+    for net in set(netlist.primary_outputs):
+        sinks[net] += 1
+    parent = list(range(2 * n_sites))
 
-    fanout = netlist.fanout_map()
-    po_sinks = {net: 1 for net in netlist.primary_outputs}
+    def find(item: int) -> int:
+        root = item
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
+        return root
 
-    def branch_or_stem(net: int, stuck_at: int, gate_index: int, pin: int) -> Tuple:
-        """Key of the fault on this gate-input: branch if it exists, else stem."""
-        sinks = len(fanout.get(net, ())) + po_sinks.get(net, 0)
-        if sinks > 1:
-            return (net, stuck_at, gate_index, pin)
-        return (net, stuck_at, None, None)
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
 
-    for gate_index, gate in enumerate(netlist.gates):
+    for gate_index, gate in enumerate(gates):
         gtype = gate.gtype
-        out = gate.output
+        out = 2 * gate.output
+        pin_site = first_pin[gate_index]
         if gtype in (GateType.NOT, GateType.BUF):
+            net = gate.inputs[0]
+            site = pin_site if sinks[net] > 1 else net
             invert = gtype is GateType.NOT
             for value in (0, 1):
-                in_key = branch_or_stem(gate.inputs[0], value, gate_index, 0)
-                out_value = (1 - value) if invert else value
-                uf.union(in_key, (out, out_value, None, None))
+                union(2 * site + value, out + ((1 - value) if invert else value))
         elif gtype in CONTROLLING_VALUE:
             control = CONTROLLING_VALUE[gtype]
-            controlled = CONTROLLED_OUTPUT[gtype]
-            out_key = (out, controlled, None, None)
+            out_fault = out + CONTROLLED_OUTPUT[gtype]
             for pin, net in enumerate(gate.inputs):
-                in_key = branch_or_stem(net, control, gate_index, pin)
-                uf.union(in_key, out_key)
+                site = pin_site + pin if sinks[net] > 1 else net
+                union(2 * site + control, out_fault)
         # XOR/XNOR, CONST: nothing to merge.
 
-    groups: Dict[object, List[Fault]] = {}
+    groups: Dict[int, List[Fault]] = {}
     for fault in universe:
-        groups.setdefault(uf.find(_key(fault)), []).append(fault)
-
+        gate_index = fault.gate_index
+        site = (fault.net if gate_index is None
+                else first_pin[gate_index] + fault.pin)
+        groups.setdefault(find(2 * site + fault.stuck_at), []).append(fault)
     representatives: List[Fault] = []
     mapping: Dict[Fault, Fault] = {}
     for members in groups.values():
-        # Prefer a stem fault as the representative (cheaper to inject).
-        rep = next((f for f in members if f.is_stem), members[0])
+        rep = members[0]
         representatives.append(rep)
         for fault in members:
             mapping[fault] = rep

@@ -34,6 +34,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.config import RunConfig
 
 
+class PackedTables:
+    """What the packed propagator reads of a netlist, built once.
+
+    Read-only after construction, so any number of simulators of
+    netlists with this structure may share one (see
+    :mod:`repro.engine.artifacts`).
+    """
+
+    def __init__(self, netlist: Netlist, evaluator: Optional[Evaluator] = None):
+        self.evaluator = evaluator if evaluator is not None else Evaluator(netlist)
+        self.fanout: Dict[int, List[int]] = netlist.fanout_map()
+        #: Topological position of every gate, for event ordering.
+        self.position: Dict[int, int] = {
+            g: i for i, g in enumerate(self.evaluator.order)}
+        #: Packed evaluation function per gate index.
+        self.gate_eval = [GATE_EVAL[gate.gtype] for gate in netlist.gates]
+
+
 class FaultSimulator:
     """Fault simulator bound to one netlist.
 
@@ -45,20 +63,24 @@ class FaultSimulator:
         Patterns per stimulus batch (default 256).  The engine joins
         ``chunk_batches`` batches into one round and :meth:`simulate_batch`
         takes any mask width, so one packed pass covers a whole round.
+    tables:
+        :class:`PackedTables` of a netlist with this one's structure;
+        built afresh when omitted.
     """
 
-    def __init__(self, netlist: Netlist, batch_width: int = 256):
+    def __init__(self, netlist: Netlist, batch_width: int = 256,
+                 tables: Optional[PackedTables] = None):
         if batch_width < 1:
             raise SimulationError("batch width must be positive")
+        if tables is None:
+            tables = PackedTables(netlist)
         self.netlist = netlist
         self.batch_width = batch_width
-        self.evaluator = Evaluator(netlist)
-        self._fanout: Dict[int, List[int]] = netlist.fanout_map()
-        # Topological position of every gate, for event ordering.
-        self._pos: Dict[int, int] = {g: i for i, g in enumerate(self.evaluator.order)}
+        self.evaluator = tables.evaluator
+        self._fanout = tables.fanout
+        self._pos = tables.position
         self._po_set = list(netlist.primary_outputs)
-        #: Packed evaluation function per gate index.
-        self._gate_eval = [GATE_EVAL[gate.gtype] for gate in netlist.gates]
+        self._gate_eval = tables.gate_eval
         #: Gate evaluations performed by fault propagation so far — the
         #: engine's per-shard instrumentation reads deltas of this counter.
         self.events_propagated = 0
@@ -173,10 +195,9 @@ class FaultSimulator:
         cancellation and chaos all live there (the batch width is pinned
         to this simulator's own).  The evaluation kernel resolves as for
         any run — ``config.execution.kernel``, then
-        ``$REPRO_ENGINE_KERNEL``, then ``auto`` — so this simulator only
-        evaluates the golden batches.  Results are bit-identical across
-        kernels, backends and shard counts (see
-        :func:`repro.engine.simulate`).
+        ``$REPRO_ENGINE_KERNEL``, then ``auto`` — on the engine's own
+        simulators.  Results are bit-identical across kernels, backends
+        and shard counts (see :func:`repro.engine.simulate`).
         ``cache`` optionally supplies a :class:`repro.engine.GoldenCache`
         so fault-free batch evaluations are shared across shards and
         repeated runs.
@@ -206,7 +227,6 @@ class FaultSimulator:
                 source,
                 config=config,
                 cache=cache,
-                simulator=self,
             )
 
     def detects(self, fault: Fault, pattern: Sequence[int]) -> bool:

@@ -294,7 +294,8 @@ class Netlist:
         Two netlists with equal fingerprints are structurally identical —
         same net ids, names, gates and port lists — so packed evaluation
         results computed for one are valid for the other.  Used as the
-        golden-run cache key by :mod:`repro.engine`.
+        golden-run cache key by :mod:`repro.engine`, and computed once per
+        :func:`repro.engine.simulate` call.
         """
         import hashlib
 
@@ -302,10 +303,12 @@ class Netlist:
         digest.update(repr(self._net_names).encode())
         digest.update(repr(self.primary_inputs).encode())
         digest.update(repr(self.primary_outputs).encode())
-        for gate in self.gates:
-            digest.update(
-                f"{gate.gtype.value}:{gate.inputs}:{gate.output}".encode()
-            )
+        # One update of the joined records digests what one update per
+        # gate did; ``_value_`` is ``value`` without the enum descriptor.
+        digest.update("".join([
+            f"{gate.gtype._value_}:{gate.inputs}:{gate.output}"
+            for gate in self.gates
+        ]).encode())
         return digest.hexdigest()
 
     # --------------------------------------------------------------- queries
