@@ -48,7 +48,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import telemetry  # noqa: E402
-from repro.engine import GoldenCache, simulate  # noqa: E402
+from repro.engine import simulate  # noqa: E402
 from repro.exec import ExecutionPolicy, RunConfig  # noqa: E402
 from repro.faultsim.collapse import collapse_faults  # noqa: E402
 from repro.faultsim.patterns import RandomPatternSource  # noqa: E402
@@ -85,16 +85,16 @@ def measure(
     executor: Optional[str],
     max_patterns: int,
     seed: int,
-    cache: Optional[GoldenCache] = None,
 ) -> Dict[str, Any]:
-    """One benchmark entry: a (scenario, kernel, jobs, executor) cell, timed."""
+    """One benchmark entry: a (scenario, kernel, jobs, executor) cell, timed,
+    golden rounds included."""
     source = RandomPatternSource(len(netlist.primary_inputs), seed=seed)
     config = RunConfig(
         execution=ExecutionPolicy(executor=executor, jobs=jobs, kernel=kernel),
         max_patterns=max_patterns,
     )
     start = time.perf_counter()
-    result = simulate(netlist, faults, source, config=config, cache=cache)
+    result = simulate(netlist, faults, source, config=config)
     wall = time.perf_counter() - start
     return {
         "scenario": scenario,
@@ -136,7 +136,6 @@ def record(
         if stride > 1:
             faults = faults[::stride]
         patterns = spec["max_patterns"] or max_patterns
-        cache = GoldenCache()
         baseline = None
         cells = [(kernel, jobs, executor)
                  for kernel in kernels
@@ -145,7 +144,7 @@ def record(
         for kernel, jobs, executor in cells:
             entry = measure(
                 scenario, netlist, faults, kernel, jobs, executor,
-                patterns, seed, cache=cache,
+                patterns, seed,
             )
             result = entry.pop("_result")
             if baseline is None:

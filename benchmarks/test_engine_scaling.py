@@ -16,7 +16,7 @@ import pytest
 from repro.core.flow import lower_kernel_to_netlist
 from repro.core.ka85 import make_ka_testable
 from repro.datapath.filters import c3a2m
-from repro.engine import GoldenCache, RunConfig, simulate
+from repro.engine import RunConfig, simulate
 from repro.faultsim.patterns import RandomPatternSource
 from repro.graph.build import build_circuit_graph
 
@@ -37,15 +37,13 @@ def kernel_netlist():
 
 def test_engine_scaling_smoke(benchmark, kernel_netlist, report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cache = GoldenCache()
     n_inputs = len(kernel_netlist.primary_inputs)
     runs = {}
     for jobs in JOB_LEVELS:
         source = RandomPatternSource(n_inputs, seed=3)
         config = RunConfig(max_patterns=MAX_PATTERNS).with_execution(jobs=jobs)
         start = time.perf_counter()
-        result = simulate(kernel_netlist, None, source, config=config,
-                          cache=cache)
+        result = simulate(kernel_netlist, None, source, config=config)
         runs[jobs] = (time.perf_counter() - start, result)
 
     baseline = runs[1][1]
@@ -61,7 +59,6 @@ def test_engine_scaling_smoke(benchmark, kernel_netlist, report):
         "n_faults": baseline.n_faults,
         "max_patterns": MAX_PATTERNS,
         "coverage": baseline.coverage(),
-        "cache": cache.counters(),
         "runs": {
             str(jobs): {
                 "elapsed": elapsed,

@@ -7,7 +7,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 * ``repro.netlist``   — gate-level netlists, builders, packed evaluation
 * ``repro.faultsim``  — stuck-at faults, collapsing, bit-parallel simulation
-* ``repro.engine``    — parallel fault-sim engine, golden-run cache, metrics
+* ``repro.engine``    — parallel fault-sim engine, golden rounds, metrics
 * ``repro.results``   — the unified ``CoverageResult`` surface
 * ``repro.atpg``      — PODEM, for redundancy classification
 * ``repro.rtl``       — RTL circuits (blocks / registers / nets)
@@ -30,7 +30,7 @@ from repro.core import (
     make_bibs_testable,
     make_ka_testable,
 )
-from repro.engine import EngineResult, GoldenCache, simulate
+from repro.engine import EngineResult, simulate
 from repro.faultsim import FaultSimulator, RandomPatternSource
 from repro.graph import build_circuit_graph
 from repro.guard import Budget, CancelToken, exit_code, signal_scope
@@ -63,7 +63,6 @@ __all__ = [
     "RandomPatternSource",
     "simulate",
     "EngineResult",
-    "GoldenCache",
     "Budget",
     "CancelToken",
     "signal_scope",

@@ -1,8 +1,9 @@
 """Cycle-accurate BIST execution: gate-level simulation, sessions, signatures."""
 
 from repro.bist.gatesim import MachineFault, SequentialGateSimulator
-from repro.bist.session import BISTSession, SessionResult
+from repro.bist.session import BISTSession
 from repro.bist.diagnosis import FaultDictionary, build_fault_dictionary
+from repro.results import SessionResult
 
 __all__ = [
     "SequentialGateSimulator",

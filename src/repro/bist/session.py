@@ -8,28 +8,24 @@ at least one SA signature differs from the fault-free (golden) signature —
 the practical notion behind Table 2's fault-coverage rows, including MISR
 aliasing, which this module also measures empirically.
 
-The fault-free (golden) signatures are memoized through the engine's
-:class:`~repro.engine.cache.GoldenCache`, so repeated sessions on the same
-kernel/TPG/seed skip the golden machine entirely; and
-:meth:`BISTSession.pattern_coverage` routes the session's stimulus through
-:func:`repro.engine.simulate` for per-pattern (aliasing-free) coverage,
-optionally sharded over worker processes.  :class:`SessionResult` now
-lives in :mod:`repro.results`; the import here is a compatibility shim.
+A session computes its fault-free (golden) signatures once per cycle
+count, so repeated :meth:`BISTSession.run` calls of one length skip the
+golden machine; and :meth:`BISTSession.pattern_coverage` routes the
+session's stimulus through :func:`repro.engine.simulate` for per-pattern
+(aliasing-free) coverage, optionally sharded over worker processes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bilbo.misr import MISR
 from repro.bist.gatesim import MachineFault, SequentialGateSimulator
 from repro.core.kernels import Kernel
-from repro.engine.cache import GoldenCache
 from repro.errors import SimulationError
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
-from repro.results import SessionResult  # noqa: F401  (compatibility shim)
+from repro.results import SessionResult
 from repro.rtl.circuit import RTLCircuit
 from repro.tpg.design import TPGDesign
 from repro.tpg.mc_tpg import mc_tpg
@@ -54,11 +50,6 @@ class BISTSession:
         The pattern generator; defaults to MC_TPG on the kernel's spec.
     seed:
         TPG seed (non-zero).
-    cache:
-        Golden-run cache for fault-free signatures; defaults to a private
-        per-session cache so repeated :meth:`run` calls with the same
-        cycle count reuse the golden machine.  Pass a shared
-        :class:`~repro.engine.cache.GoldenCache` to pool across sessions.
     check:
         When True (the default) the kernel structure and the TPG design
         are linted before anything is simulated, raising a structured
@@ -73,7 +64,6 @@ class BISTSession:
         kernel: Kernel,
         tpg: Optional[TPGDesign] = None,
         seed: int = 1,
-        cache: Optional[GoldenCache] = None,
         check: bool = True,
     ):
         self.circuit = circuit
@@ -85,7 +75,8 @@ class BISTSession:
 
             preflight_session(kernel, self.tpg)
         self.seed = seed
-        self.cache = cache if cache is not None else GoldenCache()
+        #: cycles -> golden MISR signatures; the TPG and seed are fixed.
+        self._golden: Dict[int, Dict[str, int]] = {}
         self.simulator = SequentialGateSimulator(circuit)
         for name in kernel.sa_registers:
             if name not in circuit.registers:
@@ -209,30 +200,11 @@ class BISTSession:
             self.circuit.nets[n].name: 0 for n in self.circuit.primary_inputs
         }
 
-    def _golden_key(self, cycles: int, streams: Dict[str, List[int]]) -> Tuple:
-        """Content key for the cached golden signatures.
-
-        Hashes the actual TPG stream (not the TPG object) so any generator
-        producing the same stimulus shares the entry, and differing ones
-        can never collide.
-        """
-        stream_digest = hashlib.sha256(
-            repr(sorted((name, tuple(s)) for name, s in streams.items())).encode()
-        ).hexdigest()
-        return (
-            "session-golden",
-            self.simulator.netlist.fingerprint(),
-            tuple(sorted(self.kernel.sa_registers)),
-            cycles,
-            stream_digest,
-        )
-
     def golden_signatures(self, cycles: int) -> Dict[str, int]:
         """Fault-free MISR signatures for a session of ``cycles`` cycles.
 
-        Memoized in the session's golden-run cache: the fault-free machine
-        is simulated once per (kernel, stimulus, length), however many
-        times :meth:`run` or :meth:`aliasing_study` need it.
+        The fault-free machine is simulated once per cycle count, however
+        many times :meth:`run` or :meth:`aliasing_study` need it.
         """
         streams = self.tpg.register_streams(cycles, seed=self.seed)
         return self._golden_signatures(cycles, streams)
@@ -240,20 +212,19 @@ class BISTSession:
     def _golden_signatures(
         self, cycles: int, streams: Dict[str, List[int]]
     ) -> Dict[str, int]:
-        key = self._golden_key(cycles, streams)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return dict(cached)
-        from repro import telemetry
+        if cycles not in self._golden:
+            from repro import telemetry
 
-        with telemetry.span(
-            "session.golden_signatures",
-            kernel=self.kernel.name, cycles=cycles,
-        ):
-            return self._compute_golden_signatures(cycles, streams, key)
+            with telemetry.span(
+                "session.golden_signatures",
+                kernel=self.kernel.name, cycles=cycles,
+            ):
+                self._golden[cycles] = self._compute_golden_signatures(
+                    cycles, streams)
+        return dict(self._golden[cycles])
 
     def _compute_golden_signatures(
-        self, cycles: int, streams: Dict[str, List[int]], key: Tuple
+        self, cycles: int, streams: Dict[str, List[int]]
     ) -> Dict[str, int]:
         pi_defaults = self._pi_defaults()
         tpg_registers = set(self.kernel.tpg_registers)
@@ -273,9 +244,7 @@ class BISTSession:
             },
             observe=observe,
         )
-        golden = dict(misr_states)
-        self.cache.put(key, dict(golden))
-        return golden
+        return misr_states
 
     def run(
         self,
@@ -288,8 +257,9 @@ class BISTSession:
     ) -> SessionResult:
         """Run the session against a fault list.
 
-        The golden machine comes from the cached :meth:`golden_signatures`
-        run, so every pass packs ``machines_per_pass`` *faulty* machines.
+        The golden machine comes from :meth:`golden_signatures`, run once
+        per cycle count, so every pass packs ``machines_per_pass`` *faulty*
+        machines.
 
         ``budget`` / ``cancel`` (see :mod:`repro.guard`) bound the run
         cooperatively at machine-pass boundaries: a tripped deadline or
@@ -406,7 +376,6 @@ class BISTSession:
         faults: Optional[Sequence[Fault]] = None,
         *,
         config: Optional["RunConfig"] = None,
-        cache: Optional[GoldenCache] = None,
     ):
         """Per-pattern kernel fault coverage under the session's stimulus.
 
@@ -456,13 +425,7 @@ class BISTSession:
                     )
                 patterns.append(tuple(bits))
             source = SequencePatternSource(patterns)
-            return simulate(
-                netlist,
-                faults,
-                source,
-                config=config,
-                cache=cache if cache is not None else self.cache,
-            )
+            return simulate(netlist, faults, source, config=config)
 
     def aliasing_study(
         self, cycles: int, faults: Sequence[Fault]

@@ -26,15 +26,15 @@ from repro.errors import SimulationError
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import RandomPatternSource
-from repro.faultsim.simulator import FaultSimResult, FaultSimulator
+from repro.faultsim.simulator import FaultSimulator
 from repro.graph.build import build_circuit_graph
 from repro.netlist.netlist import Netlist
+from repro.results import FaultSimResult
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.lower import lower_nets
 
 if TYPE_CHECKING:
     from repro.atpg.certify import BlockVerdicts
-    from repro.engine.cache import GoldenCache
     from repro.exec.config import RunConfig
 
 
@@ -148,7 +148,6 @@ def _simulate_stream(
     source: RandomPatternSource,
     faults: List[Fault],
     config: "RunConfig",
-    cache: Optional["GoldenCache"],
     verdicts: Dict[Fault, str],
     block_verdicts: "BlockVerdicts",
 ) -> FaultSimResult:
@@ -168,8 +167,7 @@ def _simulate_stream(
         simulator.batch_width * config.execution.chunk_batches,
     )
     result = simulator.run(
-        source, faults=faults, config=config.replace(max_patterns=prefix),
-        cache=cache,
+        source, faults=faults, config=config.replace(max_patterns=prefix)
     )
     survivors = result.undetected
     if not survivors or result.partial:
@@ -190,7 +188,7 @@ def _simulate_stream(
             _classify(simulator, rest, verdicts)
     live = [fault for fault in survivors if verdicts[fault] not in redundant]
     if live and prefix < config.max_patterns:
-        tail = simulator.run(source, faults=live, config=config, cache=cache)
+        tail = simulator.run(source, faults=live, config=config)
         result.first_detection.update(tail.first_detection)
         # A guard can stop the tail before its first round ends; the
         # prefix's patterns were applied all the same.
@@ -241,7 +239,6 @@ def evaluate_design(
     n_seeds: int = 1,
     *,
     config: Optional["RunConfig"] = None,
-    cache: Optional["GoldenCache"] = None,
 ) -> DesignEvaluation:
     """Fault-simulate every kernel of a design under random patterns.
 
@@ -294,7 +291,7 @@ def evaluate_design(
     """
     return _evaluate_design(
         circuit, design, targets, max_patterns, seed, batch_width,
-        classify_undetected, n_seeds, config, cache, {},
+        classify_undetected, n_seeds, config, {},
     )
 
 
@@ -308,7 +305,6 @@ def _evaluate_design(
     classify_undetected: bool,
     n_seeds: int,
     config: Optional["RunConfig"],
-    cache: Optional["GoldenCache"],
     block_verdicts: "BlockVerdicts",
 ) -> DesignEvaluation:
     """:func:`evaluate_design`, with the block verdicts of its sweep."""
@@ -343,13 +339,11 @@ def _evaluate_design(
                 )
                 if classify_undetected:
                     result = _simulate_stream(
-                        simulator, source, faults, config, cache, verdicts,
+                        simulator, source, faults, config, verdicts,
                         block_verdicts,
                     )
                 else:
-                    result = simulator.run(
-                        source, faults=faults, config=config, cache=cache
-                    )
+                    result = simulator.run(source, faults=faults, config=config)
                 if first_result is None:
                     first_result = result
                 per_seed.append(
@@ -396,14 +390,12 @@ def compare_tdms(
     n_seeds: int = 1,
     *,
     config: Optional["RunConfig"] = None,
-    cache: Optional["GoldenCache"] = None,
 ) -> TDMComparison:
     """Run both TDMs end to end on one circuit.
 
-    ``config`` / ``cache`` are shared by both design evaluations (so one
-    golden cache and one checkpoint directory serve the whole comparison),
-    and so are the block verdicts of :mod:`repro.atpg.certify`, made
-    afresh for each call.
+    ``config`` is shared by both design evaluations (so one checkpoint
+    directory serves the whole comparison), and so are the block verdicts
+    of :mod:`repro.atpg.certify`, made afresh for each call.
     """
     block_verdicts: "BlockVerdicts" = {}
     with telemetry.span("flow.compare_tdms", circuit=circuit.name):
@@ -415,13 +407,13 @@ def compare_tdms(
             bibs_eval = _evaluate_design(
                 circuit, bibs_design, targets, max_patterns, seed,
                 batch_width=256, classify_undetected=True, n_seeds=n_seeds,
-                config=config, cache=cache, block_verdicts=block_verdicts,
+                config=config, block_verdicts=block_verdicts,
             )
         with telemetry.span("flow.evaluate_design", circuit=circuit.name,
                             tdm="ka85"):
             ka_eval = _evaluate_design(
                 circuit, ka_design, targets, max_patterns, seed,
                 batch_width=256, classify_undetected=True, n_seeds=n_seeds,
-                config=config, cache=cache, block_verdicts=block_verdicts,
+                config=config, block_verdicts=block_verdicts,
             )
     return TDMComparison(circuit.name, bibs_eval, ka_eval)

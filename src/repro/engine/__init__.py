@@ -1,23 +1,22 @@
-"""Parallel fault-simulation engine: sharding, golden-run cache, metrics.
+"""Parallel fault-simulation engine: sharding, golden rounds, metrics.
 
 The single entry point is :func:`simulate`::
 
-    from repro.engine import GoldenCache, RunConfig, simulate
+    from repro.engine import RunConfig, simulate
     from repro.exec import ExecutionPolicy
 
-    cache = GoldenCache()
-    result = simulate(netlist, faults, patterns, cache=cache,
+    result = simulate(netlist, faults, patterns,
                       config=RunConfig(execution=ExecutionPolicy(jobs=4)))
 
 ``repro.faultsim.simulator``, ``repro.bist.session``, the experiment
 harness and the CLI all route their fault simulation through here; the
 execution backends themselves live in :mod:`repro.exec`.  See
-``docs/ENGINE.md`` for the sharding/merge semantics, cache keys and
+``docs/ENGINE.md`` for the sharding/merge semantics, golden rounds and
 instrumentation fields, and ``docs/EXECUTORS.md`` for the backend
 protocol.
 """
 
-from repro.engine.cache import GoldenBatches, GoldenCache
+from repro.engine.cache import GoldenBatches
 from repro.engine.chaos import ChaosError, ChaosInterrupt, FaultInjector
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.core import EngineResult, simulate
@@ -44,7 +43,6 @@ __all__ = [
     "ExecutionPolicy",
     "FaultInjector",
     "GoldenBatches",
-    "GoldenCache",
     "KERNEL_ENV_VAR",
     "RetryPolicy",
     "RunConfig",

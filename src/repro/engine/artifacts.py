@@ -11,12 +11,14 @@ one :class:`NetlistArtifacts` per :meth:`~repro.netlist.netlist.Netlist.
 fingerprint`:
 
 * Each artifact is built on first use, from the netlist of the run that
-  needs it, and only read afterwards, so concurrent runs share it.  A
-  simulator is never shared: :meth:`NetlistArtifacts.simulator` builds a
-  fresh one per run, bound to the caller's netlist (whose gate names and
-  ``blocks`` the fingerprint omits) and counting its own
-  ``events_propagated``.  All simulators of an entry, and its golden
-  rounds, share one ``Evaluator``.
+  needs it, and only read afterwards, so concurrent runs share it.  No
+  artifact keeps that netlist, which dies with its caller's last
+  reference.  A simulator is never shared:
+  :meth:`NetlistArtifacts.simulator` builds a fresh one per run, bound
+  to the caller's netlist (whose gate names and ``blocks`` the
+  fingerprint omits) and counting its own ``events_propagated``.  All
+  simulators of an entry, and its golden rounds, share one
+  ``Evaluator``.
 * Only a clean lint verdict is kept: a netlist with error findings is
   linted, and raises, on every call.
 * The key is the structure, not the object: two netlists lowered from

@@ -4,8 +4,8 @@ Long Table 2 sweeps apply 2^17 patterns per kernel; losing a run to one
 crashed machine and restarting from zero is exactly the cost this module
 removes.  The engine journals every completed shard round — the round's new
 detections and surviving faults, as *indices into the run's fault list* —
-into a directory keyed by the same content fingerprints the golden-run
-cache uses, plus every parameter that shapes shard/round boundaries.  A
+into a directory keyed by the content fingerprints of the netlist and the
+pattern stream, plus every parameter that shapes shard/round boundaries.  A
 re-invocation with ``resume=True`` replays journaled rounds instead of
 re-executing them (surfaced as ``ShardStats.rounds_resumed``), then picks
 up the real work where the interrupted run stopped.
@@ -22,10 +22,10 @@ never leave a half-written record behind under the final name; stale
 never written.  The run key
 covers the netlist fingerprint, the pattern-source fingerprint, the fault
 list, and (batch width, max patterns, jobs, chunk size, stop/drop
-semantics) — any change to those invalidates the journal wholesale, the
-same stale-key philosophy as :class:`~repro.engine.cache.GoldenCache`.
-Sources without a stable fingerprint cannot be journaled (``run_key``
-returns None) and the engine silently runs without checkpointing.
+semantics) — any change to those invalidates the journal wholesale, so
+a stale journal is never replayed.  Sources without a stable fingerprint
+cannot be journaled (``run_key`` returns None) and the engine silently
+runs without checkpointing.
 """
 
 from __future__ import annotations

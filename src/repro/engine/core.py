@@ -34,12 +34,12 @@ of re-executing; a deterministic :class:`~repro.engine.chaos.FaultInjector`
 (config field or ``$REPRO_CHAOS``) makes all of these paths testable in CI.
 
 The fault-free (golden) evaluation of each round — ``chunk_batches``
-batches joined into one wide word — is computed once in the parent,
-optionally through a :class:`~repro.engine.cache.GoldenCache` shared
-across shards and across repeated runs, and every shard propagates its
-faults over the round in one pass.  What a run derives from the netlist
-alone — the lint verdict, the evaluator, the kernels' tables — is built
-once per process (:mod:`repro.engine.artifacts`).
+batches joined into one wide word — is computed once in the parent
+(:class:`~repro.engine.cache.GoldenBatches`) and kept for that round
+only, and every shard propagates its faults over the round in one pass.
+What a run derives from the netlist alone — the lint verdict, the
+evaluator, the kernels' tables — is built once per process
+(:mod:`repro.engine.artifacts`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro import telemetry
 from repro.engine import checkpoint as checkpoint_io
 from repro.engine.artifacts import NetlistArtifacts, netlist_artifacts
-from repro.engine.cache import GoldenBatches, GoldenCache
+from repro.engine.cache import GoldenBatches
 from repro.engine.chaos import ChaosInterrupt, FaultInjector
 from repro.engine.instrumentation import ShardStats, publish_engine_metrics
 from repro.engine.vec import resolve_kernel
@@ -82,8 +82,6 @@ class EngineResult(FaultSimResult):
     kernel_fallback: Optional[str] = None
     wall_time: float = 0.0
     shards: List[ShardStats] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Predicted-vs-measured coverage summary when the run was made with
     #: ``config.analyze=True`` (see :mod:`repro.analysis.random_testability`).
     testability: Optional[Dict[str, Any]] = None
@@ -120,8 +118,6 @@ class EngineResult(FaultSimResult):
             "kernel": self.kernel,
             "kernel_fallback": self.kernel_fallback,
             "wall_time": self.wall_time,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "retries": self.retries,
             "rounds_resumed": self.rounds_resumed,
             "degraded_shards": self.degraded_shards,
@@ -203,7 +199,6 @@ def simulate(
     patterns: Optional[PatternSource] = None,
     *,
     config: Optional[RunConfig] = None,
-    cache: Optional[GoldenCache] = None,
 ) -> EngineResult:
     """Fault-simulate ``patterns`` against ``faults``, optionally in parallel.
 
@@ -225,10 +220,6 @@ def simulate(
         chaos, pattern cap and stop/drop semantics.  Defaults to
         ``RunConfig()``: one in-process shard, 2^16 patterns, no
         checkpointing.
-    cache:
-        Optional :class:`GoldenCache` for fault-free batch evaluations,
-        shared across shards and across repeated calls.  A *resource*, not
-        run configuration — it stays a direct parameter.
 
     The netlist's lint verdict, evaluator and kernel tables come from
     its :class:`~repro.engine.artifacts.NetlistArtifacts`, found by
@@ -284,15 +275,7 @@ def simulate(
         config.execution.kernel, netlist, len(fault_list),
         artifacts.vec_support_reason,
     )
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
-    evaluator = artifacts.evaluator(netlist)
-    golden: Optional[GoldenBatches] = None
-    if cache is not None:
-        golden = cache.batch_entry(netlist, patterns, batch_width, evaluator,
-                                   fingerprint=fingerprint)
-    if golden is None:
-        golden = GoldenBatches(evaluator, patterns, batch_width)
+    golden = GoldenBatches(artifacts.evaluator(netlist), patterns, batch_width)
 
     start = time.perf_counter()
     guard = RunGuard.create(config.budget, config.cancel, chaos)
@@ -338,9 +321,6 @@ def simulate(
         telemetry.count("analysis.preflight_deltas")
         telemetry.gauge_set("analysis.predicted_coverage", predicted)
         telemetry.gauge_set("analysis.coverage_delta", delta)
-    if cache is not None:
-        result.cache_hits = cache.hits - hits_before
-        result.cache_misses = cache.misses - misses_before
     tele = telemetry.get_telemetry()
     if tele.enabled:
         # ShardStats stays the single source of truth; the registry just

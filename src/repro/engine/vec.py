@@ -262,7 +262,6 @@ class CompiledVecNetlist:
         reason = vec_support_reason(netlist)
         if reason is not None:
             raise SimulationError(f"netlist not vectorisable: {reason}")
-        self.netlist = netlist
         self.n_nets = n_nets = netlist.n_nets
         gates = netlist.gates
         if order is None:
@@ -456,11 +455,11 @@ class VecFaultSimulator(FaultSimulator):
     Construction compiles the netlist (:class:`CompiledVecNetlist`)
     unless ``compiled`` brings a program of a netlist with this
     structure; the rest of the surface — ``run``, ``detects``,
-    ``evaluator``, the golden cache interplay — is inherited unchanged,
-    so every engine code path that builds or receives a simulator works
-    identically with either kernel.  ``events_propagated`` counts the
-    gate × lane evaluations actually performed: each chunk's lanes times
-    the gates above the chunk's start level.  Patterns run while fewer than
+    ``evaluator`` — is inherited unchanged, so every engine code path
+    that builds or receives a simulator works identically with either
+    kernel.  ``events_propagated`` counts the gate × lane evaluations
+    actually performed: each chunk's lanes times the gates above the
+    chunk's start level.  Patterns run while fewer than
     :data:`VEC_MIN_LANES` faults are live count the packed propagator's
     events.  Honest work accounting, not part of the bit-identity
     contract.

@@ -28,7 +28,6 @@ from repro.errors import SimulationError
 from repro.experiments.render import fmt, render_table
 
 if TYPE_CHECKING:
-    from repro.engine.cache import GoldenCache
     from repro.exec.config import RunConfig
 
 #: The paper's Table 2, for side-by-side reporting: circuit -> (BIBS, [3]).
@@ -76,16 +75,13 @@ def measure_circuit(
     n_seeds: int = 3,
     *,
     config: Optional["RunConfig"] = None,
-    cache: Optional["GoldenCache"] = None,
 ) -> Table2Column:
     """Run the full Table 2 measurement for one circuit.
 
     ``config`` (a :class:`repro.exec.RunConfig`) shapes every kernel run:
     execution backend and shard count, retry policy, checkpointing (an
     interrupted measurement restarts from the last completed shard round),
-    budget, cancellation and chaos.  ``cache`` reuses golden batches
-    between the BIBS and KA evaluations of a kernel (same netlist +
-    stream) and across repeated measurements.
+    budget, cancellation and chaos.
 
     ``config.budget`` is armed here (idempotently), so its deadline spans
     every kernel run, and a tripped limit makes the unreached coverage
@@ -104,12 +100,12 @@ def measure_circuit(
         jobs=config.execution.effective_jobs,
     ):
         return _measure_circuit(
-            name, compiled, max_patterns, seed, n_seeds, config, cache
+            name, compiled, max_patterns, seed, n_seeds, config
         )
 
 
 def _measure_circuit(
-    name, compiled, max_patterns, seed, n_seeds, config, cache
+    name, compiled, max_patterns, seed, n_seeds, config
 ) -> Table2Column:
     comparison = compare_tdms(
         compiled.circuit,
@@ -118,7 +114,6 @@ def _measure_circuit(
         seed=seed,
         n_seeds=n_seeds,
         config=config,
-        cache=cache,
     )
     bibs, ka = comparison.bibs, comparison.ka
     return Table2Column(
@@ -152,33 +147,21 @@ def table2_columns(
     *,
     config: Optional["RunConfig"] = None,
 ) -> List[Table2Column]:
-    """Measure every circuit, sharing one golden-run cache across them.
+    """Measure every circuit.
 
     ``config.budget`` is armed once up front, so its deadline spans the
     whole sweep rather than restarting per circuit; ``config.cancel``
     lets one token (typically tripped by SIGINT/SIGTERM) stop every
     remaining run.
-
-    The shared cache bounds per-entry golden-batch retention: a
-    full-length run (the flow makes one only for survivors PODEM does not
-    prove redundant) holds 2^17/256 = 512 batches of every-net packed
-    values *per kernel stream*, which across three circuits, two TDMs and
-    three seeds would dominate the sweep's memory — so only a recent
-    window is kept (evicted batches recompute from the pure pattern
-    stream on the rare re-read).
     """
-    from repro.engine import GoldenCache
     from repro.exec.config import RunConfig
 
     if config is None:
         config = RunConfig()
-    cache = GoldenCache(max_entries=16, max_batches_per_entry=64)
     if config.budget is not None:
         config.budget.arm()
     return [
-        measure_circuit(
-            c, max_patterns, seed, n_seeds, config=config, cache=cache
-        )
+        measure_circuit(c, max_patterns, seed, n_seeds, config=config)
         for c in circuits
     ]
 

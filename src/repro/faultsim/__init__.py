@@ -8,7 +8,7 @@ from repro.faultsim.patterns import (
     RandomPatternSource,
     SequencePatternSource,
 )
-from repro.faultsim.simulator import FaultSimResult, FaultSimulator
+from repro.faultsim.simulator import FaultSimulator
 from repro.faultsim.sequential import (
     SequentialFault,
     UnrolledCircuit,
@@ -30,6 +30,7 @@ from repro.faultsim.coverage import (
     patterns_to_targets,
     sample_curve,
 )
+from repro.results import FaultSimResult
 
 __all__ = [
     "Fault",

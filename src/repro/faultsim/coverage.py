@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.faultsim.simulator import FaultSimResult
+from repro.results import FaultSimResult
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ class PatternSource(Protocol):
 def source_fingerprint(source) -> Optional[str]:
     """Stable identity of a pattern stream, or None when unknowable.
 
-    Sources expose :meth:`fingerprint`; anything without one is treated as
-    uncacheable by the golden-run cache (``repro.engine``) — computed fresh
-    on every run rather than risking a stale-key collision.
+    Sources expose :meth:`fingerprint`; a run on anything without one is
+    never journaled (:mod:`repro.engine.checkpoint`) rather than risking a
+    stale-key collision.
     """
     method = getattr(source, "fingerprint", None)
     if method is None:

@@ -12,9 +12,7 @@ rows are computed from.
 Runs are orchestrated by :mod:`repro.engine`, which this module routes
 through: :meth:`FaultSimulator.run` with ``config.execution.jobs`` set
 fans the fault list out over worker processes; the default runs one shard
-in-process, bit-identical to any shard count.  :class:`FaultSimResult`
-now lives in :mod:`repro.results`; the import here is kept as a
-compatibility shim.
+in-process, bit-identical to any shard count.
 """
 
 from __future__ import annotations
@@ -28,10 +26,10 @@ from repro.faultsim.patterns import PatternSource
 from repro.netlist.evaluate import Evaluator
 from repro.netlist.gates import GATE_EVAL
 from repro.netlist.netlist import Netlist
-from repro.results import FaultSimResult  # noqa: F401  (compatibility shim)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.config import RunConfig
+    from repro.results import FaultSimResult
 
 
 class PackedTables:
@@ -181,7 +179,6 @@ class FaultSimulator:
         faults: Optional[Sequence[Fault]] = None,
         *,
         config: Optional["RunConfig"] = None,
-        cache: Optional["object"] = None,
     ) -> FaultSimResult:
         """Simulate up to ``max_patterns`` patterns against the fault list.
 
@@ -198,9 +195,6 @@ class FaultSimulator:
         ``$REPRO_ENGINE_KERNEL``, then ``auto`` — on the engine's own
         simulators.  Results are bit-identical across kernels, backends
         and shard counts (see :func:`repro.engine.simulate`).
-        ``cache`` optionally supplies a :class:`repro.engine.GoldenCache`
-        so fault-free batch evaluations are shared across shards and
-        repeated runs.
         """
         from repro import telemetry
         from repro.engine import simulate
@@ -210,8 +204,8 @@ class FaultSimulator:
             config = RunConfig()
         if max_patterns is not None:
             config = config.replace(max_patterns=max_patterns)
-        # The simulator owns its packed-batch geometry; a mismatched width
-        # in the config would silently fork the golden-cache key space.
+        # The simulator owns its packed-batch geometry: the batch width
+        # shapes the run's rounds, its ``n_patterns`` and its run key.
         if config.execution.batch_width != self.batch_width:
             config = config.with_execution(batch_width=self.batch_width)
 
@@ -221,13 +215,7 @@ class FaultSimulator:
             max_patterns=config.max_patterns,
             jobs=config.execution.effective_jobs,
         ):
-            return simulate(
-                self.netlist,
-                faults,
-                source,
-                config=config,
-                cache=cache,
-            )
+            return simulate(self.netlist, faults, source, config=config)
 
     def detects(self, fault: Fault, pattern: Sequence[int]) -> bool:
         """Check whether one explicit pattern detects one fault.

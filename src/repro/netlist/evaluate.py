@@ -22,10 +22,14 @@ class Evaluator:
     one ``(output net, input nets, gate function)`` step per gate in
     levelized order; :meth:`run` then walks it for any number of batches,
     and :class:`repro.bist.gatesim.SequentialGateSimulator` once per cycle.
+    It keeps the netlist's primary inputs and outputs, not the netlist.
     """
 
     def __init__(self, netlist):
-        self.netlist = netlist
+        self.primary_inputs: Tuple[int, ...] = tuple(netlist.primary_inputs)
+        self.primary_outputs: Tuple[int, ...] = tuple(netlist.primary_outputs)
+        self._input_names = {
+            net: netlist.net_name(net) for net in self.primary_inputs}
         self.order: List[int] = levelize(netlist)
         gates = netlist.gates
         self.program: List[Tuple[int, Sequence[int], GateEval]] = [
@@ -57,10 +61,10 @@ class Evaluator:
             Packed value for every net that received one.
         """
         values: Dict[int, int] = {}
-        for net in self.netlist.primary_inputs:
+        for net in self.primary_inputs:
             if net not in input_values:
                 raise SimulationError(
-                    f"missing value for primary input {self.netlist.net_name(net)}"
+                    f"missing value for primary input {self._input_names[net]}"
                 )
             values[net] = input_values[net] & mask
         if overrides:
@@ -74,7 +78,7 @@ class Evaluator:
 
     def outputs(self, values: Dict[int, int]) -> List[int]:
         """Extract the packed PO values from a :meth:`run` result."""
-        return [values[net] for net in self.netlist.primary_outputs]
+        return [values[net] for net in self.primary_outputs]
 
 
 def pack_patterns(patterns: Sequence[Sequence[int]]) -> List[int]:

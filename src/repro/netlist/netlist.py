@@ -294,7 +294,8 @@ class Netlist:
         Two netlists with equal fingerprints are structurally identical —
         same net ids, names, gates and port lists — so packed evaluation
         results computed for one are valid for the other.  Used as the
-        golden-run cache key by :mod:`repro.engine`, and computed once per
+        per-netlist artifacts key and in the checkpoint run key by
+        :mod:`repro.engine`, and computed once per
         :func:`repro.engine.simulate` call.
         """
         import hashlib

@@ -9,9 +9,8 @@ shapes.  This module is the common home:
 * :class:`CoverageResult` is the shared protocol: ``coverage()``,
   ``detected``, ``undetected`` and ``to_json()`` behave the same on every
   result type, so experiment harnesses and the CLI can consume either.
-* Both concrete result classes live here; ``repro.faultsim.simulator`` and
-  ``repro.bist.session`` re-export them as thin deprecation shims, so
-  pre-existing imports keep working.
+* Both concrete result classes live here; ``repro.faultsim`` and
+  ``repro.bist`` export them under their package names.
 * ``to_json()`` gives one serialization schema (used by the CLI's
   ``--json`` flag and the benchmark artifacts).
 

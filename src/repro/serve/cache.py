@@ -15,9 +15,8 @@ reused: the next identical submission re-runs — resuming from the shared
 journal — until a complete result exists to pin.
 
 Hits and misses are counted on the process telemetry registry as
-``cache.hit`` / ``cache.miss`` (singular — the engine's golden-run cache
-owns the plural ``cache.hits``/``cache.misses`` names), so a scrape of
-``/metrics`` exposes the service hit rate directly.
+``cache.hit`` / ``cache.miss``, the only ``cache.*`` counters, so a
+scrape of ``/metrics`` exposes the service hit rate directly.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 One process-global :class:`Telemetry` instance (a :class:`~repro.telemetry.
 trace.Tracer` plus a :class:`~repro.telemetry.metrics.MetricsRegistry`)
-is shared by every instrumented layer — engine, golden cache, fault
+is shared by every instrumented layer — engine, golden rounds, fault
 simulator, BIST sessions, the experiment harness and the CLI.  It is
 **off by default**: every helper below front-loads a single ``enabled``
 check, so instrumented hot paths cost one attribute read and one branch

@@ -35,10 +35,15 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_point_rejects_run_keywords(entry):
-    """``jobs=`` (like every run option) lives on ``RunConfig`` only; the
-    keyword fails when the arguments are bound, before anything runs."""
-    with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
-        ENTRY_POINTS[entry](jobs=2)
+    """``jobs=`` (like every run option) lives on ``RunConfig`` only, and
+    no entry point takes a golden ``cache=``: golden rounds live for one
+    run.  Either keyword fails when the arguments are bound, before
+    anything runs."""
+    for keyword in ("jobs", "cache"):
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{keyword}'"
+        ):
+            ENTRY_POINTS[entry](**{keyword: 2})
 
 
 def test_golden_run_key_is_stable_across_the_refactor():

@@ -1,9 +1,9 @@
 """Smaller API corners across packages."""
 
 
-from repro.bist.session import SessionResult
 from repro.experiments.table1 import full_gate_count
 from repro.library.kernels import example3_kernel
+from repro.results import SessionResult
 from repro.tpg.polynomials import PAPER_POLY_12
 from repro.tpg.sc_tpg import sc_tpg
 

@@ -89,6 +89,28 @@ def test_session_signature_determinism(tiny):
     assert first.golden_signatures == second.golden_signatures
 
 
+def test_golden_signatures_are_computed_once_per_cycle_count(tiny, tele):
+    """A second run of one length reuses the session's golden signatures;
+    a run of another length computes its own."""
+    circuit, kernel = tiny
+    session = BISTSession(circuit, kernel)
+
+    def golden_runs():
+        return sum(1 for record in tele.tracer.snapshot()
+                   if record.name == "session.golden_signatures")
+
+    first = session.run(cycles=40)
+    first.golden_signatures.clear()  # a result owns its copy
+    second = session.run(cycles=40)
+    assert golden_runs() == 1
+    assert set(second.golden_signatures) == set(kernel.sa_registers)
+    third = session.run(cycles=41)
+    assert golden_runs() == 2
+    fresh = BISTSession(circuit, kernel)
+    assert second.golden_signatures == fresh.golden_signatures(40)
+    assert third.golden_signatures == fresh.golden_signatures(41)
+
+
 def test_fault_free_fault_list_gives_no_detections(tiny):
     circuit, kernel = tiny
     session = BISTSession(circuit, kernel)

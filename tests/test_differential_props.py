@@ -33,6 +33,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.engine.cache import GoldenBatches  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
 from repro.faultsim.faults import Fault, full_fault_universe  # noqa: E402
 from repro.faultsim.patterns import (  # noqa: E402
     ExhaustivePatternSource,
@@ -320,9 +321,8 @@ def _joined_batches(netlist, source, batch_width, first, widths):
 def test_golden_round_equals_joined_per_batch_evaluations(case):
     """``GoldenBatches.golden_batch(first, widths)`` evaluates a round
     once and equals the per-batch evaluations joined bit for bit; the
-    batches before it are drawn but not evaluated.  Under a bound below
-    the round's size, a round read again after eviction, or under
-    another geometry, returns the same values and counts a recompute."""
+    batches before it are drawn but not evaluated.  The stream keeps
+    nothing, so reading the round again raises."""
     netlist, source, batch_width, first, widths = case
     expected = _joined_batches(netlist, source, batch_width, first, widths)
     evaluator = Evaluator(netlist)
@@ -332,19 +332,5 @@ def test_golden_round_equals_joined_per_batch_evaluations(case):
     golden = GoldenBatches(evaluator, source, batch_width)
     assert golden.golden_batch(first, widths) == expected
     assert len(calls) == 1
-    assert golden.n_cached_batches == len(widths)
-
-    bounded = GoldenBatches(Evaluator(netlist), source, batch_width,
-                            max_cached_batches=max(1, len(widths) - 1))
-    after = first + len(widths)
-    assert bounded.golden_batch(first, widths) == expected
-    assert bounded.golden_batch(first, widths) == expected
-    assert bounded.golden_batch(after, widths) == _joined_batches(
-        netlist, source, batch_width, after, widths)
-    assert (bounded.n_cached_batches, bounded.evictions) == (len(widths), 1)
-    assert bounded.recomputes == 0
-    assert bounded.golden_batch(first, widths) == expected
-    assert bounded.recomputes == 1
-    assert bounded.golden_batch(first) == _joined_batches(
-        netlist, source, batch_width, first, [batch_width])
-    assert bounded.recomputes == (1 if widths == [batch_width] else 2)
+    with pytest.raises(SimulationError, match="behind the stream"):
+        golden.golden_batch(first, widths)

@@ -5,7 +5,7 @@ an execution strategy — the ``first_detection`` map, pattern count and the
 entire coverage curve must be identical to the serial run on every circuit.
 The suite exercises the paper's bundled circuits (figure4, figure9 and the
 c3a2m data path kernel) plus random netlists across the stop/drop
-semantics, and unit-tests the golden-run cache and instrumentation.
+semantics, and unit-tests the instrumentation.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import pytest
 
 from repro.core.bibs import make_bibs_testable
 from repro.core.flow import lower_kernel_to_netlist
-from repro.engine import EngineResult, GoldenCache, simulate
+from repro.engine import EngineResult, simulate
 from repro.errors import SimulationError
-from repro.exec import RunConfig
+from repro.exec import CheckpointPolicy, RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.coverage import coverage_curve
 from repro.faultsim.patterns import RandomPatternSource, SequencePatternSource
@@ -162,159 +162,23 @@ def test_width_mismatch_raises():
         )
 
 
-# ---------------------------------------------------------------- the cache
-
-
-def test_cache_hit_miss_accounting():
-    netlist = make_random_netlist(5, 25, seed=6)
-    cache = GoldenCache()
-    source = lambda: RandomPatternSource(5, seed=11)  # noqa: E731
-    config = RunConfig(max_patterns=128).with_execution(batch_width=32)
-
-    first = simulate(netlist, None, source(), config=config, cache=cache)
-    assert first.cache_misses == 1
-    assert first.cache_hits == 0
-
-    second = simulate(netlist, None, source(), config=config, cache=cache)
-    assert second.cache_hits == 1
-    assert second.cache_misses == 0
-    assert second.first_detection == first.first_detection
-
-    # A different stream is a different entry, never a stale hit.
-    other = simulate(netlist, None, RandomPatternSource(5, seed=12),
-                     config=config, cache=cache)
-    assert other.cache_misses == 1
-    counters = cache.counters()
-    assert counters["hits"] == 1
-    assert counters["misses"] == 2
-    assert counters["batch_entries"] == 2
-
-
-def test_cache_distinguishes_netlists_and_widths():
-    cache = GoldenCache()
-    a = make_random_netlist(4, 15, seed=1)
-    b = make_random_netlist(4, 15, seed=2)
-    source = lambda: RandomPatternSource(4, seed=3)  # noqa: E731
-    config = RunConfig(max_patterns=32).with_execution(batch_width=16)
-    simulate(a, None, source(), config=config, cache=cache)
-    simulate(b, None, source(), config=config, cache=cache)
-    simulate(a, None, source(), cache=cache,
-             config=config.with_execution(batch_width=8))
-    assert cache.counters()["misses"] == 3
-    assert cache.counters()["hits"] == 0
-
-
-def test_cache_skips_unfingerprintable_sources():
+def test_unfingerprintable_source_runs_unjournaled(tmp_path):
+    """A source that cannot state a fingerprint runs like any other, but
+    no run key names its stream, so a checkpoint directory stays empty."""
     netlist = make_random_netlist(4, 15, seed=1)
-    cache = GoldenCache()
 
     class OpaqueSource(RandomPatternSource):
         fingerprint = None  # not callable -> no stable identity
 
-    result = simulate(
-        netlist, None, OpaqueSource(4, seed=3), cache=cache,
-        config=RunConfig(max_patterns=32).with_execution(batch_width=16),
+    config = RunConfig(max_patterns=32).with_execution(batch_width=16)
+    opaque = simulate(
+        netlist, None, OpaqueSource(4, seed=3),
+        config=config.replace(checkpoint=CheckpointPolicy(tmp_path)),
     )
-    assert result.cache_hits == 0
-    assert result.cache_misses == 0
-    assert cache.counters()["batch_entries"] == 0
-
-
-def test_cache_lru_bound():
-    cache = GoldenCache(max_entries=2)
-    for seed in range(4):
-        netlist = make_random_netlist(4, 10, seed=seed)
-        simulate(
-            netlist, None, RandomPatternSource(4, seed=1), cache=cache,
-            config=RunConfig(max_patterns=16).with_execution(batch_width=16),
-        )
-    assert cache.counters()["batch_entries"] == 2
-
-
-def test_cache_hit_miss_eviction_counts():
-    """The LRU bound is enforced and observable: four distinct entries
-    through a 2-entry cache evict twice; a re-read of an evicted entry is
-    a miss (and a third eviction), a re-read of a live one is a hit."""
-    cache = GoldenCache(max_entries=2)
-    netlists = [make_random_netlist(4, 10, seed=s) for s in range(4)]
-    source = lambda: RandomPatternSource(4, seed=1)  # noqa: E731
-    config = RunConfig(max_patterns=16).with_execution(batch_width=16)
-    for netlist in netlists:
-        simulate(netlist, None, source(), config=config, cache=cache)
-    counters = cache.counters()
-    assert counters["misses"] == 4
-    assert counters["evictions"] == 2
-    assert counters["batch_entries"] == 2
-
-    # netlists[0] was evicted -> miss + another eviction.
-    simulate(netlists[0], None, source(), config=config, cache=cache)
-    assert cache.counters()["misses"] == 5
-    assert cache.counters()["evictions"] == 3
-    # netlists[0] is now resident -> hit, nothing evicted.
-    simulate(netlists[0], None, source(), config=config, cache=cache)
-    assert cache.counters()["hits"] == 1
-    assert cache.counters()["evictions"] == 3
-
-
-def test_cache_memo_bound_and_evictions():
-    cache = GoldenCache(max_entries=4, max_memo_entries=2)
-    for i in range(5):
-        cache.put(("memo", i), i)
-    assert cache.counters()["memo_entries"] == 2
-    assert cache.counters()["evictions"] == 3
-    assert cache.get(("memo", 4)) == 4
-    assert cache.get(("memo", 0)) is None  # evicted
-
-
-def test_golden_batches_window_bounds_memory():
-    """max_batches_per_entry keeps only a window of golden batches; evicted
-    batches recompute from the (pure) stream with identical values."""
-    from repro.engine import GoldenBatches
-    from repro.netlist.evaluate import Evaluator
-
-    netlist = make_random_netlist(4, 12, seed=5)
-    source = RandomPatternSource(4, seed=3)
-    unbounded = GoldenBatches(Evaluator(netlist), source, 16)
-    reference = [dict(unbounded.golden_batch(i)) for i in range(6)]
-
-    bounded = GoldenBatches(
-        Evaluator(netlist), RandomPatternSource(4, seed=3), 16,
-        max_cached_batches=2,
-    )
-    for index in range(6):
-        assert bounded.golden_batch(index) == reference[index]
-        assert bounded.n_cached_batches <= 2
-    assert bounded.evictions > 0
-    # Re-reading an evicted early batch restarts the stream, recomputes,
-    # and still agrees bit for bit.
-    assert bounded.golden_batch(0) == reference[0]
-    assert bounded.recomputes == 1
-    assert bounded.golden_batch(5) == reference[5]
-
-    with pytest.raises(ValueError):
-        GoldenBatches(Evaluator(netlist), source, 16, max_cached_batches=0)
-
-
-def test_bounded_cache_end_to_end_matches_unbounded():
-    netlist = make_random_netlist(5, 25, seed=6)
-    source = lambda: RandomPatternSource(5, seed=11)  # noqa: E731
-    plain = simulate(
-        netlist, None, source(), cache=GoldenCache(),
-        config=RunConfig(max_patterns=128).with_execution(batch_width=16),
-    )
-    bounded = simulate(
-        netlist, None, source(), cache=GoldenCache(max_batches_per_entry=2),
-        config=RunConfig(max_patterns=128).with_execution(batch_width=16),
-    )
-    assert bounded.first_detection == plain.first_detection
-    assert bounded.n_patterns == plain.n_patterns
-
-
-def test_cache_rejects_nonpositive_bound():
-    with pytest.raises(ValueError):
-        GoldenCache(max_entries=0)
-    with pytest.raises(ValueError):
-        GoldenCache(max_memo_entries=0)
+    reference = simulate(netlist, None, RandomPatternSource(4, seed=3),
+                         config=config)
+    assert_identical(opaque, reference)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------- instrumentation

@@ -29,7 +29,7 @@ def test_evaluate_single_truth():
 def test_missing_input_raises():
     netlist = tiny_and_or()
     evaluator = Evaluator(netlist)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="primary input b$"):
         evaluator.run({netlist.find_net("a"): 1}, 1)
 
 

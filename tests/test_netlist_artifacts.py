@@ -7,8 +7,10 @@ change (results, per-run instrumentation, lint failures) and what its
 key must see (structure, not the object or its name).
 """
 
+import gc
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -151,6 +153,24 @@ def test_lowerings_of_one_kernel_share_one_entry(cold):
     result = _run(second, 9)
     assert result.netlist is second
     assert result.netlist.blocks is second.blocks
+
+
+def test_cached_entry_keeps_no_netlist(cold):
+    """An entry holds what was derived from its netlist, not the netlist:
+    the first lowering of a kernel dies with its last caller reference."""
+    circuit, kernel = next(
+        (c, k) for c, k in _table2_kernels("c5a2m") if k.logic_blocks)
+    netlist = lower_kernel_to_netlist(circuit, kernel)
+    fingerprint = netlist.fingerprint()
+    for kernel_name in ("packed", "vec"):
+        result = _run(netlist, 7, kernel=kernel_name)
+        assert result.kernel == kernel_name
+    alive = weakref.ref(netlist)
+    del netlist, result
+    gc.collect()
+    assert alive() is None
+    entry = cold._entries[fingerprint]
+    assert {"evaluator", "packed", "compiled"} <= set(entry._built)
 
 
 def _racing(count, work):

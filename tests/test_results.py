@@ -1,5 +1,5 @@
 """The unified results surface: protocol conformance, JSON schema, O(n)
-``undetected``, and the deprecation shims."""
+``undetected``, and the package exports."""
 
 from __future__ import annotations
 
@@ -139,27 +139,19 @@ def test_undetected_is_linear_time():
     assert elapsed < 2.0
 
 
-# -------------------------------------------------------- deprecation shims
-
-
-def test_simulator_shim_reexports_faultsim_result():
-    from repro.faultsim.simulator import FaultSimResult as Shimmed
-
-    assert Shimmed is FaultSimResult
-
-
-def test_session_shim_reexports_session_result():
-    from repro.bist.session import SessionResult as Shimmed
-
-    assert Shimmed is SessionResult
+# ------------------------------------------------------------ package exports
 
 
 def test_top_level_exports():
     import repro
+    import repro.bist
+    import repro.faultsim
 
     assert repro.FaultSimResult is FaultSimResult
     assert repro.SessionResult is SessionResult
     assert repro.CoverageResult is CoverageResult
+    assert repro.faultsim.FaultSimResult is FaultSimResult
+    assert repro.bist.SessionResult is SessionResult
 
 
 # ---------------------------------------------------- ShardStats round-trip

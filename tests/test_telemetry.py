@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from repro import telemetry
-from repro.engine import simulate
+from repro.engine import FaultInjector, simulate
 from repro.exec import RunConfig
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
@@ -298,11 +298,14 @@ def test_engine_publishes_metrics_from_shard_stats(tele):
 
 def test_parallel_run_merges_worker_spans(tele):
     netlist = make_random_netlist(6, 40, seed=9)
+    # Shard 0 is dispatched first and held in its worker, so shard 1
+    # must run in the other one: an idle worker could take both units.
     result = simulate(
         netlist, None, RandomPatternSource(6, seed=5),
-        config=RunConfig(max_patterns=64).with_execution(
-            jobs=2, batch_width=16,
-        ),
+        config=RunConfig(
+            max_patterns=64,
+            chaos=FaultInjector.parse("delay:0:seconds=0.2"),
+        ).with_execution(jobs=2, batch_width=16),
     )
     assert result.jobs == 2
     spans = tele.tracer.snapshot()
