@@ -41,8 +41,10 @@ Failure modes
 ``oom``
     Parent-side: forces the guard's memory watchdog to report pressure on
     rounds ``shard .. shard+times-1``, driving the adaptation ladder
-    (halve the batch count, degrade to serial) without exhausting real
-    memory.  The shard field is the first pressured round.
+    (release the worker pool, run later rounds in the parent) without
+    exhausting real memory.  Forced pressure is never over the hard
+    limit, so it never stops a run.  The shard field is the first
+    pressured round.
 
 Specs parse from strings so the hook is reachable from the environment
 (``REPRO_CHAOS=crash:1``) as well as from code::

@@ -19,13 +19,13 @@ Records are pickled dicts written atomically (temp file, ``fsync``, then
 never leave a half-written record behind under the final name; stale
 ``*.tmp`` files from a killed writer are swept on the next ``load()`` /
 ``clear()``, and a record that fails to unpickle is simply treated as
-never written.  The run key
-covers the netlist fingerprint, the pattern-source fingerprint, the fault
-list, and (batch width, max patterns, jobs, chunk size, stop/drop
-semantics) — any change to those invalidates the journal wholesale, so
-a stale journal is never replayed.  Sources without a stable fingerprint
-cannot be journaled (``run_key`` returns None) and the engine silently
-runs without checkpointing.
+never written.  The run key covers the journal version, the netlist
+fingerprint, the pattern-source fingerprint, the fault list, and (batch
+width, max patterns, jobs, chunk size, stop/drop semantics) — any change
+to those invalidates the journal wholesale, so a stale journal is never
+replayed.  Sources without a stable fingerprint cannot be journaled
+(``run_key`` returns None) and the engine silently runs without
+checkpointing.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource, source_fingerprint
 from repro.netlist.netlist import Netlist
 
-#: Bumped whenever the record layout changes; part of the run key so stale
-#: journals from older engine versions can never be replayed.
-JOURNAL_VERSION = 1
+#: Bumped whenever the record layout or a round's geometry changes; part
+#: of the run key so stale journals from older engine versions can never
+#: be replayed.  Version 2: every round of a run has the planned width
+#: (version-1 records could carry halved or one-batch rounds).
+JOURNAL_VERSION = 2
 
 
 def run_key(
@@ -63,9 +65,10 @@ def run_key(
     (:func:`repro.exec.config.canonical_fields`): executor choice, retry
     policy, budget and chaos are execution strategy that cannot move a
     result, so a journal written under one backend resumes under any
-    other.  The blob layout is byte-identical to the pre-``RunConfig``
-    engine — journals written before this refactor still resume (pinned
-    by the golden-key regression test).  ``fingerprint`` is
+    other.  Those fields fix every round's width, so a record's round
+    index alone places it.  The key bytes are pinned by the golden-key
+    regression tests; moving them orphans every journal, so it takes a
+    :data:`JOURNAL_VERSION` bump.  ``fingerprint`` is
     ``netlist.fingerprint()``, for callers that have it already.
     """
     stream_id = source_fingerprint(source)

@@ -3,10 +3,10 @@
 ``simulate`` partitions the collapsed fault list into round-robin shards
 and runs them, round by round, on a :mod:`repro.exec` backend —
 ``serial`` (in the parent: every ``jobs=1`` run) or ``process`` (a warm
-worker pool, the default for ``jobs>1``) — each worker running the
+worker pool, the default for ``jobs>1``) — each shard running the
 existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
-golden round the parent ships it.  Per-shard ``first_detection`` maps are
+golden round the parent evaluates.  Per-shard ``first_detection`` maps are
 merged deterministically — shards are disjoint and rounds arrive in
 pattern order — so the result is **bit-identical across shard counts** for
 every backend and every combination of ``stop_when_complete`` /
@@ -24,10 +24,11 @@ How a run is shaped lives in one frozen object,
 The engine is fault tolerant: every shard round carries an integrity
 checksum, is bounded by an optional ``shard_timeout``, and is retried with
 exponential backoff on crash / timeout / corruption.  That machinery lives
-in :class:`repro.exec.RoundDriver`, *above* the executor boundary, so
-every backend inherits it; a shard that exhausts its retry budget degrades
-gracefully to in-process serial execution in the parent, and a run
-*always* completes with results identical to ``jobs=1``.  With a
+in :class:`repro.exec.RoundDriver`, which runs rounds in the parent and
+on the pool alike, so both backends share it; a shard that exhausts its
+retry budget degrades gracefully to in-process serial execution in the
+parent, and a run *always* completes with results identical to
+``jobs=1``.  With a
 checkpoint directory, completed rounds are journaled
 (:mod:`repro.engine.checkpoint`) and ``resume=True`` replays them instead
 of re-executing; a deterministic :class:`~repro.engine.chaos.FaultInjector`
@@ -56,7 +57,6 @@ from repro.engine.chaos import ChaosInterrupt, FaultInjector
 from repro.engine.instrumentation import ShardStats, publish_engine_metrics
 from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
-from repro.exec import create_executor
 from repro.exec.base import ExecutionContext, resolve_executor_name
 from repro.exec.config import RunConfig, shard_count
 from repro.exec.driver import RoundDriver
@@ -140,32 +140,6 @@ def _plan_round(
         width = min(batch_width, max_patterns - base)
         widths.append(width)
         base += width
-    return widths
-
-
-def _widths_from_patterns(
-    pattern_base: int, round_patterns: int, batch_width: int, max_patterns: int
-) -> List[int]:
-    """Reconstruct a journaled round's batch widths from its pattern count.
-
-    A resumed run must execute every round with the geometry the *writing*
-    run used — which may differ from a fresh plan when the writer's guard
-    halved ``chunk_batches`` under memory pressure mid-run, or when the
-    writer journaled one batch per record (older ``jobs=1`` journals).
-    Each record stores the round's total patterns; decomposing that total
-    greedily at ``batch_width`` reproduces the writer's widths exactly
-    (the writer planned the same way).
-    """
-    widths: List[int] = []
-    base = pattern_base
-    remaining = round_patterns
-    while remaining > 0:
-        width = min(batch_width, max_patterns - base, remaining)
-        if width <= 0:  # corrupt/foreign count; let the caller re-plan
-            return []
-        widths.append(width)
-        base += width
-        remaining -= width
     return widths
 
 
@@ -354,19 +328,21 @@ def _simulate_rounds(
     guard: Optional[RunGuard] = None,
     kernel: str = "packed",
 ) -> EngineResult:
-    """Run fault shards on an execution backend, round by round.
+    """Run fault shards round by round, in the parent or on a pool.
 
-    The one loop behind every run: ``jobs=1`` is a single shard on the
-    ``serial`` backend.  Every round is executed fault-tolerantly by the
+    The one loop behind every run: ``jobs=1`` is a single shard whose
+    rounds run in the parent.  Every round has the planned width —
+    ``chunk_batches`` batches, narrower only at ``max_patterns`` — which
+    the run key fixes.  Every round is executed fault-tolerantly by the
     :class:`~repro.exec.RoundDriver` (retry waves, timeouts, integrity
     checks, degraded fallback) and journaled once complete; rounds present
-    in the journal are replayed without touching the backend at all.  The
-    guard is consulted at every round boundary: before a round for
+    in the journal are replayed without running them.  The guard is
+    consulted at every round boundary: before a round for
     cancellation/deadline/pattern-cap stops, after it for chaos
-    cancellation and the memory ladder (halve ``chunk_batches``, then
-    release the backend and run rounds in-process, then stop) — uniformly,
-    whatever the backend, except that the ``serial`` backend already runs
-    in the parent, has no pool to release and skips that middle rung.
+    cancellation and the two-rung memory ladder (release the pool and run
+    later rounds in the parent, then stop).  A run whose rounds already
+    run in the parent has no pool to release, so pressure can only stop
+    it.
     """
     max_patterns = config.max_patterns
     batch_width = config.execution.batch_width
@@ -386,41 +362,23 @@ def _simulate_rounds(
     merged: Dict[Fault, int] = {}
     fault_index = {fault: i for i, fault in enumerate(faults)}
     journal = store.load() if store is not None else {}
-    executor = create_executor(executor_name)
-    executor.start(ExecutionContext(
+    driver = RoundDriver(executor_name, ExecutionContext(
         netlist=netlist,
         batch_width=batch_width,
         max_workers=len(shards),
         artifacts=artifacts,
         telemetry_enabled=telemetry.enabled(),
         kernel=kernel,
-    ))
-    driver = RoundDriver(
-        executor, netlist, artifacts, batch_width, config.retry, chaos, kernel
-    )
+    ), config.retry, chaos)
     stop_reason: Optional[str] = None
-    force_serial = False
     pattern_base = 0
     batch_index = 0
     round_index = 0
     try:
         while pattern_base < max_patterns and any(shards.values()):
-            # A journaled record pins this round's geometry (the writing
-            # run may have halved its chunk size mid-run under memory
-            # pressure); otherwise plan from the current chunk setting.
-            widths: List[int] = []
-            for shard_id in sorted(shards):
-                record = journal.get((shard_id, round_index))
-                if record is not None:
-                    widths = _widths_from_patterns(
-                        pattern_base, int(record["patterns"]),
-                        batch_width, max_patterns,
-                    )
-                    break
-            if not widths:
-                widths = _plan_round(
-                    pattern_base, max_patterns, batch_width, chunk_batches
-                )
+            widths = _plan_round(
+                pattern_base, max_patterns, batch_width, chunk_batches
+            )
             if guard is not None:
                 stop_reason = guard.should_stop(pattern_base, sum(widths))
                 if stop_reason is not None:
@@ -456,12 +414,7 @@ def _simulate_rounds(
                         stats[shard_id].rounds_resumed += 1
                     else:
                         pending.add(shard_id)
-                if pending and force_serial:
-                    driver.run_round_in_process(
-                        shards, pending, round_batches, pattern_base,
-                        round_index, drop_detected, results,
-                    )
-                elif pending:
+                if pending:
                     driver.execute_round(
                         shards, stats, pending, round_batches, pattern_base,
                         round_index, drop_detected, results,
@@ -507,20 +460,14 @@ def _simulate_rounds(
             if guard is not None:
                 guard.after_round(round_index)
                 action = guard.memory_action(
-                    round_index, executor.worker_pids(), chunk_batches,
-                    force_serial or executor_name == "serial",
+                    round_index, driver.worker_pids(), driver.in_parent,
                 )
                 if action is not None:
                     for shard_id, live in shards.items():
                         if live:
                             stats[shard_id].memory_adaptations += 1
-                    if action == "halve":
-                        chunk_batches = max(1, chunk_batches // 2)
-                    elif action == "serial":
-                        force_serial = True
-                        # Hard release, not a stop: worker RSS must drop
-                        # now, so warm-pool parking is not allowed.
-                        executor.release()
+                    if action == "serial":
+                        driver.release()
                         for shard_id, live in shards.items():
                             if live and stats[shard_id].degraded_reason is None:
                                 stats[shard_id].degraded_reason = (
@@ -537,7 +484,7 @@ def _simulate_rounds(
             if stop_when_complete and len(merged) == len(faults):
                 break
     finally:
-        executor.stop()
+        driver.stop()
 
     if stop_reason is not None:
         # Guard stop: patterns actually applied, reason stamped on every

@@ -1,48 +1,30 @@
-"""The executor protocol: how the engine fans shard rounds out.
+"""Where shard rounds run, and the data that crosses that boundary.
 
-An :class:`Executor` is an execution substrate for the engine.  The
-engine hands it one :class:`WorkUnit` per pending shard per fan-out
-round; the executor returns a :class:`RoundHandle` whose
-``result(timeout)`` yields a :class:`RoundResult`.  Everything above the
-boundary — retry waves, backoff, integrity checksums, chaos accounting,
-checkpoint journaling, guard governance — lives in
-:class:`repro.exec.driver.RoundDriver` and is therefore shared by every
-backend.
-
-Two backends ship, named in one table in :mod:`repro.exec` (see
-``docs/EXECUTORS.md``):
+The engine hands the :class:`~repro.exec.driver.RoundDriver` one
+:class:`WorkUnit` per pending shard per round, and gets one
+:class:`RoundResult` back for each.  Retry waves, backoff, integrity
+checksums, chaos accounting and the guard's memory ladder all live in the
+driver.  Two backends exist (:func:`available_executors`):
 
 ``serial``
-    In-process, one shard at a time — the backend of every one-shard
-    (``jobs=1``) run and the degradation target the ``process`` backend
-    falls back to.
+    Rounds run in the parent, on one simulator the driver holds.  Every
+    one-shard (``jobs=1``) run takes this path, and so does every round
+    after the memory ladder's serial rung.
 ``process``
-    A warm process pool — true CPU parallelism, crash isolation, worker
-    RSS accounting.
+    Rounds run on a warm process pool
+    (:class:`~repro.exec.process.ProcessExecutor`): CPU parallelism, crash
+    isolation and worker RSS accounting.
 
-The guard's halve -> serial -> stop memory ladder applies to both
-backends: the "serial" rung releases a ``process`` backend and continues
-in-process, while a ``serial`` run already runs there and skips the rung.
-
-The timeout contract
---------------------
-
-The :class:`~repro.exec.driver.RoundDriver` arms one deadline per retry
-wave from ``RetryPolicy.shard_timeout`` and passes what is left of it to
-every ``RoundHandle.result(timeout)``.  The handle decides what that
-means:
-
-* ``process`` honours it: a round past the deadline raises
-  :class:`concurrent.futures.TimeoutError`, and the driver rebuilds the
-  pool and retries the round.
-* ``serial`` ignores it: the round *is* the parent thread, which nobody
-  can preempt, so a slow round runs to completion.
+The timeout contract: the driver arms ``RetryPolicy.shard_timeout`` as
+one deadline per retry wave.  A pool round past it raises
+:class:`concurrent.futures.TimeoutError`, and the driver rebuilds the pool
+and retries the round.  A round in the parent is the parent thread, which
+nothing can preempt, so it runs to completion.
 """
 
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,11 +39,11 @@ DEFAULT_EXECUTOR = "process"
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """Everything a backend needs to build per-worker simulators.
+    """Everything the driver and its pool need to build a run's simulators.
 
     ``kernel`` is the *resolved* evaluation kernel ("packed" or "vec") —
-    the engine resolves ``auto``/env/fallback once per run so every
-    worker builds the same simulator type.  ``artifacts`` is the
+    the engine resolves ``auto``/env/fallback once per run so the parent
+    and every worker build the same simulator type.  ``artifacts`` is the
     netlist's :class:`~repro.engine.artifacts.NetlistArtifacts`, whose
     tables every simulator of the run shares.
     """
@@ -103,8 +85,8 @@ class RoundResult:
 
     ``checksum`` is taken *before* any chaos corruption inside the worker,
     so tampering is detectable by the driver; ``spans`` carries the spans
-    recorded in an out-of-process worker since its last round (in-process
-    backends record straight into the parent tracer and leave it empty).
+    recorded in a pool worker since its last round (a round run in the
+    parent records straight into its tracer and leaves it empty).
     """
 
     shard_id: int
@@ -115,66 +97,9 @@ class RoundResult:
     spans: List[Any] = field(default_factory=list)
 
 
-class RoundHandle(ABC):
-    """A pending :class:`RoundResult` (future-shaped, minimal surface)."""
-
-    @abstractmethod
-    def result(self, timeout: Optional[float] = None) -> RoundResult:
-        """The round's result; raises what the execution raised.
-
-        ``timeout`` (seconds) is what is left of the driver's wave
-        deadline.  A handle that honours it raises
-        :class:`concurrent.futures.TimeoutError` when it passes, and the
-        driver treats the round as hung; a handle that cannot preempt its
-        round ignores it — see "The timeout contract" above.
-        """
-
-
-class Executor(ABC):
-    """One execution substrate for engine shard rounds.
-
-    Life cycle: ``start(context)`` once per run, ``submit_round`` for
-    every (shard, round, attempt), ``restart()`` whenever the driver
-    declares the backend poisoned (dead/hung worker), ``stop()`` at run
-    end.  ``stop`` must be idempotent — the guard's memory ladder may
-    stop a backend mid-run and continue in-process.
-    """
-
-    #: The backend's name in :mod:`repro.exec`'s table; subclasses override.
-    name: str = "abstract"
-
-    @abstractmethod
-    def start(self, context: ExecutionContext) -> None:
-        """Bind to one run's context; idempotent."""
-
-    @abstractmethod
-    def submit_round(self, unit: WorkUnit) -> RoundHandle:
-        """Schedule one shard round; never blocks on the work itself."""
-
-    def restart(self) -> None:
-        """Recover from a poisoned backend (default: nothing to rebuild)."""
-
-    def worker_pids(self) -> Tuple[int, ...]:
-        """PIDs of live workers, for RSS sampling (default: none)."""
-        return ()
-
-    @abstractmethod
-    def stop(self) -> None:
-        """End-of-run teardown; idempotent, safe mid-run.
-
-        A backend MAY park reusable resources (a warm worker pool) for the
-        next run instead of freeing them — see :meth:`release` for the
-        unconditional teardown.
-        """
-
-    def release(self) -> None:
-        """Free every worker resource *now*; idempotent.
-
-        The guard's memory ladder calls this on the "serial" rung: worker
-        RSS must actually drop, so warm-pool parking is not allowed here.
-        Default: same as :meth:`stop`.
-        """
-        self.stop()
+def available_executors() -> Tuple[str, ...]:
+    """The backend names, sorted (the CLI's ``--executor`` choices)."""
+    return ("process", "serial")
 
 
 def resolve_executor_name(name: Optional[str]) -> str:

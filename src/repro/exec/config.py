@@ -23,8 +23,7 @@ the executor choice, retry policy, budget, cancellation, chaos plan and
 lint pre-flight are all execution strategy — two runs differing only in
 those produce bit-identical results, so :func:`canonical_fields` excludes
 them and the checkpoint run key (:mod:`repro.engine.checkpoint`) stays
-stable across backends (and across this refactor: the key bytes match the
-pre-``RunConfig`` engine exactly, so old journals still resume).
+stable across backends.
 """
 
 from __future__ import annotations
@@ -165,8 +164,11 @@ def canonical_fields(config: RunConfig, jobs: int) -> Tuple[Any, ...]:
     executor choice, evaluation kernel (packed vs vec), retry policy,
     budget, cancellation, chaos, the lint pre-flight — is execution
     strategy that the bit-identity contract guarantees cannot move a
-    result.  The tuple layout is frozen: it feeds the checkpoint run key,
-    and old journals must keep resuming (including across kernels).
+    result.  These fields fix every round's width (``chunk_batches``
+    batches of ``batch_width``, narrower only at ``max_patterns``), so a
+    journal record needs no geometry of its own.  The tuple feeds the
+    checkpoint run key: change its layout only with a ``JOURNAL_VERSION``
+    bump, or every journal is orphaned.
 
     ``jobs`` is passed explicitly (not read from the config): it is the
     :func:`shard_count` the run actually executes, and the journal must be

@@ -1,40 +1,45 @@
-"""The round driver: fault tolerance above the executor boundary.
+"""The round driver: where each shard round runs, and fault tolerance.
 
 Retry waves with exponential backoff, shard timeouts, integrity-checksum
-verification, backend rebuilds and the degraded in-process fallback all
-live *here*, not in any backend — which is what makes them contracts every
-:class:`~repro.exec.base.Executor` inherits rather than ProcessPool
-features.  A backend only has to run work units and fail honestly; the
-driver guarantees that every pending shard of every round ends up in the
-results map, whatever happened on the way.
+verification, pool rebuilds and the degraded in-parent fallback all live
+*here*.  A ``process`` run hands its rounds to the
+:class:`~repro.exec.process.ProcessExecutor` the driver holds.  Every other
+round — each round of a ``serial`` run, and each round after the memory
+ladder's serial rung — runs in the parent, on one simulator the driver
+holds, inside the same ``try`` that waits on a pool future: chaos,
+checksums and retries treat both alike.  Whatever happens on the way,
+every pending shard of every round ends up in the results map.
 
-The driver also owns the guard's memory-ladder "serial" rung: when the
-watchdog demands in-process execution it *releases* the backend (worker
-RSS actually drops) and runs subsequent rounds through the same
-:func:`~repro.exec.worker.consume_batches` primitive in the parent, so
-results — and journal records — stay bit-identical while peak memory
-falls.
+The driver also carries the memory ladder's serial rung:
+:meth:`RoundDriver.release` frees the pool's workers (their RSS actually
+drops), and later rounds run in the parent through the same
+:func:`~repro.exec.worker.run_work_unit`, so results — and journal
+records — stay bit-identical while peak memory falls.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.errors import ReproError, SimulationError
-from repro.exec.base import Executor, RoundHandle, WorkUnit
+from repro.exec.base import (
+    ExecutionContext,
+    RoundResult,
+    WorkUnit,
+    available_executors,
+)
 from repro.exec.config import RetryPolicy
-from repro.exec.worker import consume_batches, round_checksum
+from repro.exec.process import ProcessExecutor
+from repro.exec.worker import consume_batches, round_checksum, run_work_unit
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
-from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.artifacts import NetlistArtifacts
     from repro.engine.chaos import FaultInjector
     from repro.engine.instrumentation import ShardStats
 
@@ -48,50 +53,84 @@ class CorruptShardRound(SimulationError):
 
 
 class RoundDriver:
-    """Runs rounds of work units on one executor, absorbing its failures."""
+    """Runs rounds of work units in the parent or on one process pool.
+
+    ``executor`` names the backend (:func:`~repro.exec.base.
+    available_executors`); any other name raises :class:`SimulationError`.
+    A ``process`` driver starts its pool here; :meth:`stop` parks it at
+    run end and :meth:`release` frees it mid-run.
+    """
 
     def __init__(
         self,
-        executor: Executor,
-        netlist: Netlist,
-        artifacts: "NetlistArtifacts",
-        batch_width: int,
+        executor: str,
+        context: ExecutionContext,
         retry: RetryPolicy,
         chaos: Optional["FaultInjector"] = None,
-        kernel: str = "packed",
     ):
-        self.executor = executor
-        self._netlist = netlist
-        self._batch_width = batch_width
+        if executor not in available_executors():
+            raise SimulationError(
+                f"unknown executor {executor!r} "
+                f"(available: {', '.join(available_executors())})"
+            )
+        self._context = context
         self._retry = retry
         self._chaos = chaos
-        self._kernel = kernel
-        self._artifacts = artifacts
-        self._degraded_simulator: Optional[FaultSimulator] = None
+        self._simulator: Optional[FaultSimulator] = None
+        self._pool: Optional[ProcessExecutor] = None
+        if executor == "process":
+            self._pool = ProcessExecutor()
+            self._pool.start(context)
+
+    # ------------------------------------------------------------ pool state
+
+    @property
+    def in_parent(self) -> bool:
+        """Whether rounds run in the parent (no pool, or a released one)."""
+        return self._pool is None
+
+    def worker_pids(self) -> Tuple[int, ...]:
+        """PIDs of the pool's live workers, for the memory watchdog."""
+        return self._pool.worker_pids() if self._pool is not None else ()
+
+    def release(self) -> None:
+        """The memory ladder's serial rung: free the pool's workers now.
+
+        A hard release, not a stop: worker RSS must drop, so the pool is
+        not parked.  Later rounds run in the parent.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.release()
+
+    def stop(self) -> None:
+        """End of run: park the pool for the next run on this netlist."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.stop()
 
     # ------------------------------------------------------------- internals
 
     def _parent_simulator(self) -> FaultSimulator:
         # Same kernel as the workers: the kernels are bit-identical, but a
-        # degraded round should not silently change the run's cost model.
-        if self._degraded_simulator is None:
-            self._degraded_simulator = self._artifacts.simulator(
-                self._netlist, self._batch_width, self._kernel)
-        return self._degraded_simulator
+        # round in the parent should not silently change the run's cost
+        # model.  The simulator is the run's own, on the shared tables.
+        if self._simulator is None:
+            context = self._context
+            self._simulator = context.artifacts.simulator(
+                context.netlist, context.batch_width, context.kernel)
+        return self._simulator
 
-    def _run_in_parent(
-        self,
-        faults: List[Fault],
-        round_batches: List[Tuple[int, Dict[int, int]]],
-        pattern_base: int,
-        drop_detected: bool,
-        **span_attributes: object,
-    ) -> ShardOutcome:
-        """One shard round on the parent's own simulator, off the backend."""
-        with telemetry.span("engine.shard_round.degraded", **span_attributes):
+    def _run_degraded(self, unit: WorkUnit, attempts: int) -> ShardOutcome:
+        """A shard round past its retry budget, in the parent; no chaos."""
+        with telemetry.span(
+            "engine.shard_round.degraded",
+            shard=unit.shard_id, round=unit.round_index, attempts=attempts,
+        ):
             return consume_batches(
-                self._parent_simulator(), faults, round_batches,
-                pattern_base, drop_detected,
+                self._parent_simulator(), list(unit.faults),
+                list(unit.golden_batches), unit.pattern_base,
+                unit.drop_detected,
             )
 
     def _unit(
@@ -130,36 +169,46 @@ class RoundDriver:
     ) -> None:
         """Run one round's pending shards to completion, whatever fails.
 
-        Retry waves: all pending shards are submitted together; any that
-        fail (worker crash, timeout, integrity mismatch) force a backend
-        rebuild and are resubmitted after exponential backoff, up to
-        ``RetryPolicy.max_retries`` times each.  A shard past its budget
-        runs degraded — serially, in the parent process — so this method
-        always returns with every pending shard in ``results``.
+        Retry waves: all pending shards are submitted together (or, in
+        the parent, run one after another); any that fail (worker crash,
+        timeout, integrity mismatch, injected chaos) rebuild the pool —
+        or drop the parent simulator — and are resubmitted after
+        exponential backoff, up to ``RetryPolicy.max_retries`` times each.
+        A shard past its budget runs degraded in the parent, so this
+        method always returns with every pending shard in ``results``.
         """
         attempts = {shard_id: 0 for shard_id in pending}
         while pending:
-            handles: Dict[int, RoundHandle] = {
-                shard_id: self.executor.submit_round(self._unit(
+            units = {
+                shard_id: self._unit(
                     shard_id, shards[shard_id], round_batches, pattern_base,
                     round_index, drop_detected, attempts[shard_id],
-                ))
+                )
                 for shard_id in sorted(pending)
             }
-            # One deadline per wave; each handle decides whether it can
-            # honour it (see "The timeout contract" in repro.exec.base).
+            pool = self._pool
+            futures: Dict[int, "Future[RoundResult]"] = {}
+            if pool is not None:
+                futures = {shard_id: pool.submit_round(unit)
+                           for shard_id, unit in units.items()}
+            # One deadline per wave.  Only pool rounds honour it: a round
+            # in the parent is the parent thread and runs to completion.
             timeout = self._retry.shard_timeout
             deadline = (
                 None if timeout is None else time.monotonic() + timeout
             )
             failed: List[int] = []
-            for shard_id, handle in handles.items():
+            for shard_id, unit in units.items():
                 try:
-                    remaining = (
-                        None if deadline is None
-                        else max(deadline - time.monotonic(), 1e-3)
-                    )
-                    outcome = handle.result(timeout=remaining)
+                    if pool is None:
+                        outcome = run_work_unit(
+                            self._parent_simulator(), unit, in_process=True)
+                    else:
+                        remaining = (
+                            None if deadline is None
+                            else max(deadline - time.monotonic(), 1e-3)
+                        )
+                        outcome = futures[shard_id].result(timeout=remaining)
                     if outcome.checksum != round_checksum(
                         outcome.detections, outcome.survivors,
                         int(outcome.measurements["patterns"]),
@@ -173,12 +222,11 @@ class RoundDriver:
                     failed.append(shard_id)
                 except (BrokenExecutor, ReproError, pickle.PickleError,
                         OSError):
-                    # A dead worker (BrokenProcessPool), a worker-raised
-                    # library error (ChaosError, SimulationError), a
-                    # corrupted payload (CorruptShardRound), or an
-                    # IPC/pickling failure: all retried the same way.
-                    # Anything else — a genuine bug — propagates instead
-                    # of being silently retried.
+                    # A dead worker (BrokenProcessPool), a library error
+                    # (ChaosError, SimulationError), a corrupted payload
+                    # (CorruptShardRound), or an IPC/pickling failure:
+                    # all retried the same way.  Anything else — a genuine
+                    # bug — propagates instead of being silently retried.
                     stats[shard_id].failures += 1
                     telemetry.count("engine.swallowed_errors")
                     failed.append(shard_id)
@@ -192,17 +240,18 @@ class RoundDriver:
                         telemetry.get_telemetry().tracer.absorb(outcome.spans)
             if not failed:
                 break
-            # A dead or hung worker poisons most backends; rebuild before
-            # the next wave (healthy shards already returned their results).
-            self.executor.restart()
+            # A dead or hung worker poisons the pool: rebuild it before the
+            # next wave (healthy shards already returned their results).
+            # In the parent, a fresh simulator is the closest analogue.
+            if pool is not None:
+                pool.restart()
+            else:
+                self._simulator = None
             for shard_id in failed:
                 attempts[shard_id] += 1
                 if attempts[shard_id] > self._retry.max_retries:
-                    results[shard_id] = self._run_in_parent(
-                        shards[shard_id], round_batches, pattern_base,
-                        drop_detected, shard=shard_id, round=round_index,
-                        attempts=attempts[shard_id],
-                    )
+                    results[shard_id] = self._run_degraded(
+                        units[shard_id], attempts[shard_id])
                     stats[shard_id].degraded_reason = (
                         f"retry budget exhausted after {attempts[shard_id]} "
                         f"attempts at round {round_index}; ran in-process"
@@ -213,31 +262,6 @@ class RoundDriver:
             if pending and self._retry.backoff > 0:
                 wave = min(attempts[shard_id] for shard_id in pending)
                 time.sleep(self._retry.backoff * (2 ** max(wave - 1, 0)))
-
-    def run_round_in_process(
-        self,
-        shards: Dict[int, List[Fault]],
-        pending: Set[int],
-        round_batches: List[Tuple[int, Dict[int, int]]],
-        pattern_base: int,
-        round_index: int,
-        drop_detected: bool,
-        results: Dict[int, ShardOutcome],
-    ) -> None:
-        """Run one round's pending shards serially in the parent.
-
-        The memory guard's last rung before stopping: the backend has been
-        released, so every shard round goes through the same
-        :func:`~repro.exec.worker.consume_batches` primitive the workers
-        use — results (and journal records) stay bit-identical, only the
-        peak memory drops.
-        """
-        for shard_id in sorted(pending):
-            results[shard_id] = self._run_in_parent(
-                shards[shard_id], round_batches, pattern_base, drop_detected,
-                shard=shard_id, round=round_index, reason="memory",
-            )
-        pending.clear()
 
 
 __all__ = [

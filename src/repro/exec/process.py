@@ -1,20 +1,23 @@
 """The process-pool backend: true CPU parallelism with crash isolation.
 
-Wraps the engine's historical restartable worker pool: a
+Wraps a restartable worker pool: a
 :class:`concurrent.futures.ProcessPoolExecutor` (fork context where
 available) whose workers each hold a pickled copy of the netlist, rebuilt
-from scratch whenever a dead or hung worker poisons it.
+from scratch whenever a dead or hung worker poisons it.  The
+:class:`~repro.exec.driver.RoundDriver` holds one
+:class:`ProcessExecutor` for a ``process`` run and waits on the futures
+that :meth:`ProcessExecutor.submit_round` returns.
 
-New here: **warm-pool reuse across ``simulate()`` calls**.  Spinning a
-pool up — forking workers, unpickling the netlist per worker — costs more
-than an entire run on small kernels (see ``BENCH_engine.json``).  On
-``stop()`` a healthy pool is parked in a module-level cache keyed by its
-init payload digest and worker count; the next run with the same netlist
-geometry adopts it instead of paying the spin-up again (a Table-2 sweep
-hits this on every seed repetition).  The cache holds one pool; a run
-with a different key evicts (and terminates) the parked one.
-``release()`` — the guard's memory ladder and interpreter exit — always
-tears workers down for real, so RSS actually drops.
+**Warm-pool reuse across ``simulate()`` calls.**  Spinning a pool up —
+forking workers, unpickling the netlist per worker — costs more than an
+entire run on small kernels (see ``BENCH_engine.json``).  On ``stop()`` a
+healthy pool is parked in a module-level cache keyed by its init payload
+digest and worker count; the next run with the same netlist geometry
+adopts it instead of paying the spin-up again (a Table-2 sweep hits this
+on every seed repetition).  The cache holds one pool; a run with a
+different key evicts (and terminates) the parked one.  ``release()`` —
+the guard's memory ladder and interpreter exit — always tears workers
+down for real, so RSS actually drops.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
-from repro.exec.base import (
-    ExecutionContext,
-    Executor,
-    RoundHandle,
-    RoundResult,
-    WorkUnit,
-)
+from repro.exec.base import ExecutionContext, RoundResult, WorkUnit
 from repro.exec.worker import execute_unit, init_worker
 
 def _mp_context():
@@ -114,20 +111,14 @@ def _drain_pool_cache() -> None:
 atexit.register(_drain_pool_cache)
 
 
-class _FutureHandle(RoundHandle):
-    def __init__(self, future: "Future[RoundResult]"):
-        self._future = future
+class ProcessExecutor:
+    """Sharded execution over a warm, restartable process pool.
 
-    def result(self, timeout: Optional[float] = None) -> RoundResult:
-        # Honours the driver's deadline: a hung worker raises TimeoutError
-        # here, and the driver's restart() terminates it with its pool.
-        return self._future.result(timeout=timeout)
-
-
-class ProcessExecutor(Executor):
-    """Sharded execution over a warm, restartable process pool."""
-
-    name = "process"
+    Life cycle: ``start(context)`` once per run, ``submit_round`` for
+    every (shard, round, attempt), ``restart()`` whenever a dead or hung
+    worker poisons the pool, and ``stop()`` (park the pool for the next
+    run) or ``release()`` (free its workers now) at the end.
+    """
 
     def __init__(self) -> None:
         self._pool: Optional[_WorkerPool] = None
@@ -156,9 +147,15 @@ class ProcessExecutor(Executor):
             self._pool = _WorkerPool(context.max_workers, payload)
         self._cache_key = key
 
-    def submit_round(self, unit: WorkUnit) -> RoundHandle:
+    def submit_round(self, unit: WorkUnit) -> "Future[RoundResult]":
+        """Schedule one shard round; never blocks on the work itself.
+
+        The future honours the driver's deadline: a hung worker raises
+        :class:`concurrent.futures.TimeoutError` from ``result(timeout)``,
+        and :meth:`restart` terminates it with its pool.
+        """
         assert self._pool is not None, "executor used before start()"
-        return _FutureHandle(self._pool.submit(execute_unit, unit))
+        return self._pool.submit(execute_unit, unit)
 
     def restart(self) -> None:
         if self._pool is not None:
@@ -168,6 +165,7 @@ class ProcessExecutor(Executor):
         return self._pool.worker_pids() if self._pool is not None else ()
 
     def stop(self) -> None:
+        """End of run: park the pool for the next run with the same key."""
         pool, self._pool = self._pool, None
         key, self._cache_key = self._cache_key, None
         if pool is None or key is None:
@@ -178,6 +176,7 @@ class ProcessExecutor(Executor):
         _POOL_CACHE[key] = pool
 
     def release(self) -> None:
+        """Free every worker now; the memory ladder needs RSS to drop."""
         pool, self._pool = self._pool, None
         self._cache_key = None
         if pool is not None:

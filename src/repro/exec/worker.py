@@ -1,9 +1,9 @@
-"""The one shard-round primitive every execution backend runs.
+"""The one shard-round primitive every round runs, wherever it runs.
 
 Bit-identity across the ``serial`` and ``process`` backends (and the
-driver's in-parent rounds) holds because they all execute the *same*
-loop, :func:`consume_batches` — behind :func:`run_work_unit` in both
-backends — against per-run :class:`~repro.faultsim.simulator.
+driver's degraded fallback) holds because they all execute the *same*
+loop, :func:`consume_batches` — behind :func:`run_work_unit` in the
+parent and in pool workers alike — against per-run :class:`~repro.faultsim.simulator.
 FaultSimulator` instances, each built by :meth:`repro.engine.artifacts.
 NetlistArtifacts.simulator` over the netlist's shared tables.  This module
 also hosts the process-backend worker entry points — they must live at
@@ -13,9 +13,9 @@ references to them.
 Integrity: every round's result carries a checksum taken *before* any
 chaos corruption is applied, so a tampered payload is detectable by the
 :class:`~repro.exec.driver.RoundDriver`.  Chaos: the ``crash`` mode is
-mapped to a clean :class:`~repro.engine.chaos.ChaosError` on the
-in-process ``serial`` backend (``os._exit`` would take the parent down
-with the "worker"), which exercises the identical retry path.
+mapped to a clean :class:`~repro.engine.chaos.ChaosError` for a round
+run in the parent (``os._exit`` would take the parent down with the
+"worker"), which exercises the identical retry path.
 Telemetry: out-of-process workers drain their span buffer into the
 result for the parent to absorb; in-process rounds record straight into
 the parent tracer (draining would steal the parent's own spans) and ship
@@ -76,8 +76,8 @@ def consume_batches(
 ) -> Tuple[Dict[Fault, int], List[Fault], Dict[str, float]]:
     """Run one round of batches for one fault list on one simulator.
 
-    The shared primitive behind every backend's shard round and the
-    driver's degraded in-process fallback — one implementation is what
+    The shared primitive behind every shard round, in the parent or in a
+    pool worker, and the driver's degraded in-process fallback — one implementation is what
     keeps every execution path bit-identical.
     """
     start = time.perf_counter()
@@ -112,7 +112,7 @@ def _apply_chaos(
 ) -> bool:
     """Worker-side chaos, backend-aware.
 
-    ``crash`` on an in-process backend becomes a raised
+    ``crash`` on a round run in the parent becomes a raised
     :class:`~repro.engine.chaos.ChaosError`: there is no separate worker
     process to kill, and ``os._exit(13)`` would take the whole run down
     instead of exercising the retry path the mode exists to test.

@@ -113,27 +113,9 @@ class Budget:
             self._expires_at = time.monotonic() + self.deadline
         return self
 
-    @property
-    def armed(self) -> bool:
-        return self._expires_at is not None
-
     def expired(self) -> bool:
         """True once the armed deadline has passed (never for no deadline)."""
         return self._expires_at is not None and time.monotonic() >= self._expires_at
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left on the armed deadline, or None without one."""
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - time.monotonic())
-
-    def bounded(self) -> bool:
-        """True when any limit is actually set."""
-        return (
-            self.deadline is not None
-            or self.max_patterns is not None
-            or self.max_rss is not None
-        )
 
     # ----------------------------------------------------------------- views
 

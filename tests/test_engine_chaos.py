@@ -24,19 +24,15 @@ import pytest
 from repro.engine import (
     ChaosError,
     ChaosInterrupt,
-    CheckpointStore,
     FaultInjector,
-    GoldenBatches,
     simulate,
 )
 from repro.engine.chaos import CHAOS_ENV_VAR
-from repro.engine.checkpoint import run_key
 from repro.errors import SimulationError
 from repro.exec import CheckpointPolicy, RetryPolicy, RunConfig
 from repro.exec.config import DEFAULT_CHUNK_BATCHES
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.patterns import RandomPatternSource
-from repro.faultsim.simulator import FaultSimulator
 from tests.test_engine import (
     JOBS,
     assert_identical,
@@ -253,40 +249,6 @@ def test_interrupted_serial_run_resumes_from_journal(tmp_path):
     )
     assert_identical(reference, resumed)
     assert resumed.rounds_resumed >= 2
-
-
-def test_one_batch_per_record_journal_resumes(tmp_path):
-    """A journal holding one batch per record — the layout ``jobs=1`` runs
-    wrote before they shared the round loop — still resumes under the same
-    run key, bit-identically: every record pins its own round width."""
-    _, netlists = figure9_netlists()
-    netlist = netlists[0]
-    faults, _ = collapse_faults(netlist)
-    source = lambda: RandomPatternSource(  # noqa: E731
-        len(netlist.primary_inputs), seed=7)
-    config = RunConfig(max_patterns=1 << 11, stop_when_complete=False)
-    width = config.execution.batch_width
-    store = CheckpointStore(tmp_path, run_key(netlist, source(), faults,
-                                              config, 1))
-    simulator = FaultSimulator(netlist, width)
-    golden = GoldenBatches(simulator.evaluator, source(), width)
-    index = {fault: i for i, fault in enumerate(faults)}
-    live = list(faults)
-    for batch in range(6):
-        detections = {}
-        live = simulator.simulate_batch(
-            live, golden.golden_batch(batch), (1 << width) - 1,
-            batch * width, detections,
-        )
-        store.record(0, batch,
-                     {index[f]: p for f, p in detections.items()},
-                     [index[f] for f in live], width)
-
-    reference = simulate(netlist, faults, source(), config=config)
-    resumed = simulate(netlist, faults, source(), config=config.replace(
-        checkpoint=CheckpointPolicy(tmp_path, resume=True)))
-    assert_identical(reference, resumed)
-    assert resumed.rounds_resumed == 6
 
 
 def test_journal_is_keyed_by_run_parameters(tmp_path):

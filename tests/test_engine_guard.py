@@ -204,7 +204,7 @@ def test_chaos_oom_ladder_degrades_but_stays_bit_identical(circuit):
     pressured = _run(netlist, faults, jobs=JOBS, executor="process",
                      chunk_batches=2,
                      chaos=FaultInjector.parse("oom:0:times=5"))
-    # Chaos pressure adapts (halve, then serial) but never stops: the run
+    # Chaos pressure adapts (the serial rung) but never stops: the run
     # completes and the merged results cannot drift.
     assert not pressured.partial
     assert pressured.stop_reason is None
@@ -214,16 +214,36 @@ def test_chaos_oom_ladder_degrades_but_stays_bit_identical(circuit):
 
 
 def test_in_process_run_has_no_serial_rung(circuit):
-    """A one-shard run already executes in the parent: memory pressure
-    halves its rounds, but never degrades it onto a second simulator."""
+    """A one-shard run already executes in the parent, so it has no pool
+    to release: forced pressure, never over the hard limit, leaves it
+    untouched, and it never degrades onto a second simulator."""
     netlist, faults = circuit
     reference = _run(netlist, faults)
     pressured = _run(netlist, faults, chunk_batches=2,
                      chaos=FaultInjector.parse("oom:0:times=5"))
     assert not pressured.partial
-    assert pressured.memory_adaptations == 1
+    assert pressured.memory_adaptations == 0
     assert not pressured.degraded_shards
     assert_identical(reference, pressured)
+
+
+def test_serial_rung_frees_the_pool(circuit):
+    """The serial rung tears the workers down instead of parking them:
+    an unpressured process run parks its pool for the next run, and the
+    same run under memory pressure, adopting that pool, leaves none."""
+    from repro.exec import process as exec_process
+
+    netlist, faults = circuit
+    exec_process._drain_pool_cache()
+    try:
+        _run(netlist, faults, jobs=2, executor="process")
+        assert len(exec_process._POOL_CACHE) == 1
+        pressured = _run(netlist, faults, jobs=2, executor="process",
+                         chaos=FaultInjector.parse("oom:0:times=5"))
+        assert pressured.degraded_shards
+        assert not exec_process._POOL_CACHE
+    finally:
+        exec_process._drain_pool_cache()
 
 
 @pytest.mark.parametrize("jobs", [None, JOBS], ids=["serial", "parallel"])
@@ -272,7 +292,6 @@ def test_oom_adaptations_publish_metrics(circuit):
              chaos=FaultInjector.parse("oom:0:times=5"))
         counters = telemetry.get_telemetry().metrics.snapshot()["counters"]
         assert counters.get("guard.memory_pressure", 0) > 0
-        assert counters.get("guard.halve_chunk", 0) >= 1
         assert counters.get("guard.degrade_serial", 0) >= 1
         assert counters.get("guard.memory_adaptations", 0) > 0
     finally:

@@ -1,4 +1,4 @@
-"""repro.exec backend suite: protocol, backend table, cross-backend identity.
+"""repro.exec backend suite: backend names, cross-backend identity.
 
 The executor layer's contract is the engine's oldest invariant restated
 one level down: *where* a shard round runs — in-process or in a worker
@@ -17,11 +17,9 @@ from repro.engine import FaultInjector, simulate
 from repro.errors import SimulationError
 from repro.exec import (
     ExecutionPolicy,
-    Executor,
     RetryPolicy,
     RunConfig,
     available_executors,
-    create_executor,
     resolve_executor_name,
 )
 from repro.exec.base import EXECUTOR_ENV_VAR
@@ -67,12 +65,16 @@ def test_registry_lists_all_backends():
     assert available_executors() == ("process", "serial")
 
 
-def test_create_executor_unknown_name_raises():
+def test_unknown_executor_name_raises():
     # "thread" and "remote" name retired backends: refused like any
     # unknown name.
+    netlist = make_random_netlist(8, 20, seed=10)
+    faults, _ = collapse_faults(netlist)
     for name in ("quantum", "thread", "remote"):
-        with pytest.raises(SimulationError, match="unknown executor"):
-            create_executor(name)
+        with pytest.raises(SimulationError,
+                           match=rf"unknown executor '{name}' "
+                                 r"\(available: process, serial\)"):
+            _run(netlist, faults, executor=name, jobs=2)
 
 
 def test_retired_backend_from_environment_is_refused(monkeypatch):
@@ -85,13 +87,6 @@ def test_retired_backend_from_environment_is_refused(monkeypatch):
         with pytest.raises(SimulationError,
                            match=rf"'{name}' \(available: process, serial\)"):
             _run(netlist, faults, jobs=2)
-
-
-def test_created_executors_satisfy_protocol():
-    for name in BACKENDS:
-        backend = create_executor(name)
-        assert isinstance(backend, Executor)
-        assert backend.name == name
 
 
 def test_resolve_explicit_name_wins(monkeypatch):
@@ -110,8 +105,8 @@ def test_resolve_defaults_to_process(monkeypatch):
 
 
 def test_serial_rounds_run_past_the_shard_timeout():
-    """A serial round runs on the parent thread, so its handle ignores the
-    driver's deadline: a delay longer than ``shard_timeout`` completes
+    """A serial round runs on the parent thread, so the driver's deadline
+    does not apply to it: a delay longer than ``shard_timeout`` completes
     without a timeout or a retry."""
     netlist = make_random_netlist(8, 30, seed=5)
     faults, _ = collapse_faults(netlist)

@@ -65,23 +65,18 @@ def test_budget_validation():
 
 def test_budget_arm_is_idempotent_and_deadline_expires():
     budget = Budget(deadline=3600)
-    assert not budget.armed
     assert not budget.expired()  # un-armed: never expired
     budget.arm()
     first = budget._expires_at
     budget.arm()
     assert budget._expires_at == first  # first arm wins
     assert not budget.expired()
-    assert budget.remaining() > 0
 
     instant = Budget(deadline=0).arm()
     assert instant.expired()
-    assert instant.remaining() == 0.0
 
 
 def test_budget_bounded_and_from_cli():
-    assert not Budget().bounded()
-    assert Budget(max_patterns=1).bounded()
     assert Budget.from_cli(None, None, None) is None
     budget = Budget.from_cli(1.5, "1g", 256)
     assert budget is not None
@@ -158,8 +153,6 @@ def test_memory_watchdog_thresholds():
     assert rss is not None
     roomy = MemoryWatchdog(max_rss=rss * 100)
     assert roomy.sample(0) == (False, False)
-    assert roomy.samples == 1
-    assert roomy.peak_rss > 0
 
     tight = MemoryWatchdog(max_rss=1)
     assert tight.sample(0) == (True, True)
@@ -214,16 +207,9 @@ def test_runguard_deadline_and_pattern_cap():
 
 def test_runguard_memory_ladder():
     guard = RunGuard(Budget(max_rss=1))
-    assert guard.memory_action(0, (), chunk_batches=4, already_serial=False) == "halve"
-    assert guard.memory_action(1, (), chunk_batches=1, already_serial=False) == "serial"
-    assert guard.memory_action(2, (), chunk_batches=1, already_serial=True) == "stop"
+    assert guard.memory_action(0, (), already_serial=False) == "serial"
+    assert guard.memory_action(1, (), already_serial=True) == "stop"
     assert guard.stop_reason == STOP_MEMORY
-    assert [a["action"] for a in guard.adaptations] == [
-        "halve_chunk", "degrade_serial",
-    ]
-    payload = guard.to_json()
-    assert payload["stop_reason"] == STOP_MEMORY
-    assert payload["peak_rss"] > 0
 
 
 def test_runguard_chaos_sigterm_trips_after_target_round():

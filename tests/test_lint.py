@@ -197,13 +197,13 @@ def test_builder_made_netlists_never_have_error_findings(
 
 def test_simulate_check_rejects_cyclic_netlist_before_spawning(monkeypatch):
     """The pre-flight must raise with the cycle as a witness before any
-    executor (and hence any shard process) is even constructed — at one
-    shard as at two, since every run goes through ``create_executor``."""
+    round driver (and hence any shard process) is even constructed — at
+    one shard as at two, since every run goes through ``RoundDriver``."""
 
     def explode(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("executor created despite lint failure")
+        raise AssertionError("round driver created despite lint failure")
 
-    monkeypatch.setattr(engine_core, "create_executor", explode)
+    monkeypatch.setattr(engine_core, "RoundDriver", explode)
     netlist = cyclic_netlist()
     for jobs in (1, 2):
         with pytest.raises(LintError) as excinfo:

@@ -271,6 +271,22 @@ def test_malformed_submissions(server):
     assert status == 400 and doc["error"] == "bad-netlist"
 
 
+def test_progress_curve_counts_patterns_applied_through_each_round(server):
+    """Each point of the progress curve carries the patterns applied
+    through its round, and a fault that later rounds detect again (no
+    fault dropping) counts once."""
+    doc = server.submit({"design": "mac4", "max_patterns": 1024,
+                         "chunk_batches": 1, "drop_detected": False})
+    done = server.wait(doc["id"])
+    assert done["state"] == "done"
+    curve = done["progress"]
+    assert [point["round"] for point in curve] == [0, 1, 2, 3]
+    assert [point["patterns"] for point in curve] == [256, 512, 768, 1024]
+    status, result = server.result(doc["id"], include_faults=True)
+    assert status == 200
+    assert curve[-1]["detected"] == len(result["first_detection"])
+
+
 def test_job_listing(server):
     doc = server.submit({"design": "mac4", "max_patterns": 128})
     server.wait(doc["id"])

@@ -24,7 +24,7 @@ from tests.serve_utils import thread_server
 #: non-semantic leaked into the key (a bug).
 GOLDEN_REQUEST = {"design": "mac4", "max_patterns": 256}
 GOLDEN_KEY = \
-    "4593af1b0de2f492de77962799d6aebf66858c61716791b7dd2506272a6877cd"
+    "25b1bd5ae4755db55c3543784cca8d37ef83289cf81b4ed803e50c41d76f1848"
 
 
 @pytest.fixture(scope="module")
