@@ -79,11 +79,11 @@ def engine_parent_parser() -> argparse.ArgumentParser:
              "on a fresh worker")
     execution.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="journal completed engine shard rounds under this directory "
+        help="journal completed engine rounds under this directory "
              "(resumable runs)")
     execution.add_argument(
         "--resume", action="store_true",
-        help="replay journaled shard rounds instead of re-running them")
+        help="replay journaled rounds instead of re-running them")
     governance = parent.add_argument_group("run governance")
     governance.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -1,30 +1,31 @@
-"""Run checkpointing: journal completed shard rounds, resume interrupted runs.
+"""Run checkpointing: journal completed rounds, resume interrupted runs.
 
 Long Table 2 sweeps apply 2^17 patterns per kernel; losing a run to one
 crashed machine and restarting from zero is exactly the cost this module
-removes.  The engine journals every completed shard round — the round's new
-detections and surviving faults, as *indices into the run's fault list* —
-into a directory keyed by the content fingerprints of the netlist and the
-pattern stream, plus every parameter that shapes shard/round boundaries.  A
-re-invocation with ``resume=True`` replays journaled rounds instead of
+removes.  The engine journals every completed round — its end pattern
+and its detections, as *indices into the run's fault list* — into one
+append-only file per run, named by the content fingerprints of the
+netlist and the pattern stream plus every parameter that shapes a round.
+A re-invocation with ``resume=True`` replays journaled rounds instead of
 re-executing them (surfaced as ``ShardStats.rounds_resumed``), then picks
 up the real work where the interrupted run stopped.
 
 Layout::
 
-    <checkpoint root>/<run key (sha256 prefix)>/shard0003_round0012.rec
+    <checkpoint root>/<run key (sha256 prefix)>.journal
 
-Records are pickled dicts written atomically (temp file, ``fsync``, then
-``os.replace``) so an interruption — including a SIGKILL mid-flush — can
-never leave a half-written record behind under the final name; stale
-``*.tmp`` files from a killed writer are swept on the next ``load()`` /
-``clear()``, and a record that fails to unpickle is simply treated as
-never written.  The run key covers the journal version, the netlist
-fingerprint, the pattern-source fingerprint, the fault list, and (batch
-width, max patterns, jobs, chunk size, stop/drop semantics) — any change
-to those invalidates the journal wholesale, so a stale journal is never
-replayed.  Sources without a stable fingerprint cannot be journaled
-(``run_key`` returns None) and the engine silently runs without
+A record is a header ``<II`` (body length, ``zlib.crc32`` of the body)
+and a body of little-endian int64s: ``round, end``, then ``(fault index,
+pattern index)`` pairs in merge order.  Each record is appended with one
+``write`` and one ``fsync``.  Records are untrusted bytes: loading parses
+ints and never executes anything, stops at the first record that is
+short, has a bad length or fails its CRC (a torn tail from a killed
+writer), and raises nothing whatever the bytes.  The run key covers the
+journal version, the netlist fingerprint, the pattern-source fingerprint,
+the fault list, and (batch width, max patterns, chunk size, stop/drop
+semantics) — any change to those names another file, so a stale journal
+is never replayed.  Sources without a stable fingerprint cannot be
+journaled (``run_key`` returns None) and the engine silently runs without
 checkpointing.
 """
 
@@ -32,22 +33,31 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
+import struct
+import sys
+import zlib
+from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.exec.config import RunConfig, canonical_fields, shard_count
+from repro.exec.config import RunConfig, canonical_fields
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource, source_fingerprint
 from repro.netlist.netlist import Netlist
 
 #: Bumped whenever the record layout or a round's geometry changes; part
 #: of the run key so stale journals from older engine versions can never
-#: be replayed.  Version 2: every round of a run has the planned width
-#: (version-1 records could carry halved or one-batch rounds).
-JOURNAL_VERSION = 2
+#: be replayed.  Version 3: one file of int records per run, and the
+#: shard count left the key.
+JOURNAL_VERSION = 3
+
+#: A record's header: body length and the body's ``zlib.crc32``.
+_HEADER = struct.Struct("<II")
+
+#: One journaled round: its end pattern and its ``{fault index: pattern}``
+#: detections in merge order.
+Round = Tuple[int, Dict[int, int]]
 
 
 def run_key(
@@ -55,20 +65,20 @@ def run_key(
     source: PatternSource,
     faults: Sequence[Fault],
     config: RunConfig,
-    jobs: int,
     *,
     fingerprint: Optional[str] = None,
 ) -> Optional[str]:
     """Content key identifying one resumable run, or None if unkeyable.
 
     Only the *canonical* configuration fields participate
-    (:func:`repro.exec.config.canonical_fields`): executor choice, retry
-    policy, budget and chaos are execution strategy that cannot move a
-    result, so a journal written under one backend resumes under any
-    other.  Those fields fix every round's width, so a record's round
-    index alone places it.  The key bytes are pinned by the golden-key
-    regression tests; moving them orphans every journal, so it takes a
-    :data:`JOURNAL_VERSION` bump.  ``fingerprint`` is
+    (:func:`repro.exec.config.canonical_fields`): executor choice, shard
+    count, retry policy, budget and chaos are execution strategy that
+    cannot move a result, so a journal written under one backend or shard
+    count resumes under any other.  Those fields fix every round's width,
+    so a record's round index alone places it.  This is also the key of
+    the ``repro.serve`` result cache.  The key bytes are pinned by the
+    golden-key regression tests; moving them orphans every journal, so it
+    takes a :data:`JOURNAL_VERSION` bump.  ``fingerprint`` is
     ``netlist.fingerprint()``, for callers that have it already.
     """
     stream_id = source_fingerprint(source)
@@ -86,149 +96,79 @@ def run_key(
         fingerprint,
         stream_id,
         fault_digest,
-    ) + canonical_fields(config, jobs)).encode()
+    ) + canonical_fields(config)).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def resolve_run_key(
-    netlist: Netlist,
-    source: PatternSource,
-    faults: Sequence[Fault],
-    config: RunConfig,
-) -> Optional[str]:
-    """The key :func:`repro.engine.simulate` will journal this run under.
-
-    Keys by :func:`repro.exec.config.shard_count`, the shard count the
-    engine actually executes: a run with too few faults to shard is keyed
-    as ``jobs=1`` whatever the config requested.  This is the entry point
-    for callers that need the key *without* running the engine, most
-    importantly the ``repro.serve`` result cache, whose content addressing
-    must match the journal exactly (pinned by a golden regression test
-    against a real journal directory).
-    """
-    fault_list = list(faults)
-    return run_key(netlist, source, fault_list, config,
-                   shard_count(config, len(fault_list)))
+def _little_endian(values: array) -> array:
+    """``values`` in little-endian byte order (a no-op on most hosts)."""
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+        values.byteswap()
+    return values
 
 
 class CheckpointStore:
-    """One run's journal directory: load, record, and replay shard rounds."""
+    """One run's journal file: append rounds, load the intact ones."""
 
     def __init__(self, root, key: str):
-        self.root = Path(root)
-        self.key = key
-        self.directory = self.root / key[:32]
+        self.path = Path(root) / f"{key[:32]}.journal"
+        #: Where the last :meth:`load` found a torn tail, else None.
+        self.torn_at: Optional[int] = None
 
-    def _record_path(self, shard: int, round_index: int) -> Path:
-        return self.directory / f"shard{shard:04d}_round{round_index:06d}.rec"
+    def _record_path(self, *_) -> Path:
+        # Read only by the benchmark suite's ``journal_bytes`` hook.
+        return self.path
 
-    # -------------------------------------------------------------- loading
+    def load(self) -> Dict[int, Round]:
+        """Every intact round, ``{round: (end, {index: pattern})}``.
 
-    def load(self, *, sweep: bool = True) -> Dict[Tuple[int, int], Dict[str, Any]]:
-        """All readable records, keyed by ``(shard, round)``.
-
-        Unreadable (half-written, foreign) files are skipped, not fatal:
-        the engine just re-executes those rounds.
-
-        ``sweep=False`` makes the load strictly read-only.  The default
-        sweep of stale ``*.tmp`` files is only safe when no writer is
-        live — a concurrent reader (the serve progress endpoint polling a
-        running job's journal) would otherwise delete a record the engine
-        is about to rename into place.
+        Read-only, so a concurrent reader (the serve progress endpoint
+        polling a running job) is safe.  Reading stops at the first
+        record that is short, has a bad length or fails its CRC.  A round
+        journaled twice (two engines running one job, or a round rerun
+        because its record did not fit) loads as its last record.
         """
-        records: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        if not self.directory.is_dir():
-            return records
-        if sweep:
-            self._sweep_stale_tmp()
-        for path in sorted(self.directory.glob("shard*_round*.rec")):
-            try:
-                with open(path, "rb") as handle:
-                    record = pickle.load(handle)
-                shard = int(record["shard"])
-                round_index = int(record["round"])
-            except (OSError, EOFError, pickle.UnpicklingError, KeyError,
-                    IndexError, ValueError, TypeError, AttributeError,
-                    ImportError):
-                # Half-written or foreign record: unpickling garbage can
-                # surface as almost any of these.  The round just re-runs.
-                telemetry.count("engine.swallowed_errors")
-                continue
-            records[(shard, round_index)] = record
-        return records
-
-    def clear(self) -> None:
-        """Drop every record of this run (a fresh, non-resumed start)."""
-        if not self.directory.is_dir():
-            return
-        self._sweep_stale_tmp()
-        for path in self.directory.glob("shard*_round*.rec"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files a killed writer left behind.
-
-        A record is only ever visible under its final name (the ``.tmp``
-        to final rename is atomic), so any surviving ``*.tmp`` is garbage
-        from a writer that died mid-flush — never a live record.
-        """
-        for path in self.directory.glob("*.tmp"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------ recording
+        self.torn_at = None
+        try:
+            blob = self.path.read_bytes()
+        except OSError:
+            return {}
+        rounds: Dict[int, Round] = {}
+        offset = 0
+        while offset + _HEADER.size <= len(blob):
+            length, crc = _HEADER.unpack_from(blob, offset)
+            start = offset + _HEADER.size
+            body = blob[start:start + length]
+            if length < 16 or length % 16 or len(body) < length \
+                    or zlib.crc32(body) != crc:
+                break
+            values = _little_endian(array("q", body))
+            rounds[values[0]] = (
+                values[1], dict(zip(values[2::2], values[3::2])))
+            offset = start + length
+        if offset < len(blob):
+            self.torn_at = offset
+        return rounds
 
     def record(
-        self,
-        shard: int,
-        round_index: int,
-        detections: Dict[int, int],
-        survivors: List[int],
-        patterns: int,
+        self, round_index: int, end: int, detections: Dict[int, int]
     ) -> None:
-        """Atomically journal one completed shard round.
+        """Append one completed round: one ``write``, one ``fsync``.
 
         ``detections`` maps fault-list *indices* to absolute pattern
-        indices; ``survivors`` lists the indices still live afterwards.
+        indices, in merge order.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "shard": shard,
-            "round": round_index,
-            "detections": dict(detections),
-            "survivors": list(survivors),
-            "patterns": int(patterns),
-        }
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=str(self.directory), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(payload, handle)
-                handle.flush()
-                # Durability, not just atomicity: without the fsync a
-                # crash shortly after the rename can still surface a
-                # zero-length file under the final name on some
-                # filesystems — exactly the poisoned-journal case the
-                # guard's signal path must never create.
-                os.fsync(handle.fileno())
-            os.replace(temp_name, self._record_path(shard, round_index))
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-    def n_records(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("shard*_round*.rec"))
+        values = array("q", (round_index, end))
+        for pair in detections.items():
+            values.extend(pair)
+        body = _little_endian(values).tobytes()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab") as handle:
+            handle.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
+            handle.flush()
+            # Durability: the guard's signal path reports a saved
+            # checkpoint, so the round must be on disk when this returns.
+            os.fsync(handle.fileno())
 
 
 def open_store(
@@ -236,24 +176,29 @@ def open_store(
     source: PatternSource,
     faults: Sequence[Fault],
     config: RunConfig,
-    jobs: int,
     *,
     fingerprint: Optional[str] = None,
-) -> Optional[CheckpointStore]:
-    """The engine's entry point: a store for this run, or None.
+) -> Tuple[Optional[CheckpointStore], Dict[int, Round]]:
+    """The engine's entry point: this run's store and the rounds to replay.
 
-    Returns None when ``config.checkpoint.directory`` is unset or the run
-    has no stable content key.  With ``resume=False`` any existing journal
-    for this exact run is cleared so the journal always reflects a single
-    coherent run.
+    Returns ``(None, {})`` when ``config.checkpoint.directory`` is unset
+    or the run has no stable content key.  With ``resume=False`` an
+    existing journal for this exact run is removed, so the journal always
+    reflects a single coherent run; with ``resume=True`` it is loaded and
+    a torn tail is cut, so the rounds this run appends stay reachable.
     """
     if config.checkpoint.directory is None:
-        return None
-    key = run_key(netlist, source, faults, config, jobs,
-                  fingerprint=fingerprint)
+        return None, {}
+    key = run_key(netlist, source, faults, config, fingerprint=fingerprint)
     if key is None:
-        return None
+        return None, {}
     store = CheckpointStore(config.checkpoint.directory, key)
     if not config.checkpoint.resume:
-        store.clear()
-    return store
+        store.path.unlink(missing_ok=True)
+        return store, {}
+    journal = store.load()
+    if store.torn_at is not None:
+        # A writer died mid-append: count its torn tail and cut it.
+        telemetry.count("engine.swallowed_errors")
+        os.truncate(store.path, store.torn_at)
+    return store, journal

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.engine import checkpoint as checkpoint_io
@@ -58,8 +58,8 @@ from repro.engine.instrumentation import ShardStats, publish_engine_metrics
 from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
 from repro.exec.base import ExecutionContext, resolve_executor_name
-from repro.exec.config import RunConfig, shard_count
-from repro.exec.driver import RoundDriver
+from repro.exec.config import RunConfig
+from repro.exec.driver import RoundDriver, ShardOutcome
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource
@@ -253,13 +253,13 @@ def simulate(
 
     start = time.perf_counter()
     guard = RunGuard.create(config.budget, config.cancel, chaos)
-    jobs = shard_count(config, len(fault_list))
+    jobs = 1 if len(fault_list) <= 1 else config.execution.effective_jobs
     executor_name = (
         "serial" if jobs == 1
         else resolve_executor_name(config.execution.executor)
     )
-    store = checkpoint_io.open_store(
-        netlist, patterns, fault_list, config, jobs, fingerprint=fingerprint,
+    store, journal = checkpoint_io.open_store(
+        netlist, patterns, fault_list, config, fingerprint=fingerprint,
     )
     with telemetry.span(
         "engine.simulate",
@@ -269,7 +269,7 @@ def simulate(
     ) as run_span:
         result = _simulate_rounds(
             netlist, artifacts, fault_list, golden, config, jobs,
-            executor_name, chaos, store, guard, kernel,
+            executor_name, chaos, store, journal, guard, kernel,
         )
         run_span.set_attribute("n_patterns", result.n_patterns)
         if result.partial:
@@ -303,16 +303,23 @@ def simulate(
     return result
 
 
-def _replay_record(
-    record: Dict[str, Any], fault_list: List[Fault]
-) -> Tuple[Dict[Fault, int], List[Fault]]:
-    """Indices-on-disk -> fault objects for one journaled round."""
-    detections = {
-        fault_list[index]: pattern
-        for index, pattern in record["detections"].items()
-    }
-    survivors = [fault_list[index] for index in record["survivors"]]
-    return detections, survivors
+def _fits(
+    record: checkpoint_io.Round, pattern_base: int, end: int, n_faults: int,
+) -> bool:
+    """Whether a journaled round can stand in for the planned one.
+
+    A record replays only when it ends where the round ends and names
+    faults of this run detected inside this round; anything else (a
+    chance CRC match, a hand-made record) is counted, and the round runs.
+    """
+    record_end, detections = record
+    fits = record_end == end and all(
+        0 <= index < n_faults and pattern_base <= pattern < end
+        for index, pattern in detections.items()
+    )
+    if not fits:
+        telemetry.count("engine.swallowed_errors")
+    return fits
 
 
 def _simulate_rounds(
@@ -325,6 +332,7 @@ def _simulate_rounds(
     executor_name: str,
     chaos: Optional[FaultInjector],
     store: Optional[checkpoint_io.CheckpointStore],
+    journal: Dict[int, checkpoint_io.Round],
     guard: Optional[RunGuard] = None,
     kernel: str = "packed",
 ) -> EngineResult:
@@ -335,8 +343,8 @@ def _simulate_rounds(
     ``chunk_batches`` batches, narrower only at ``max_patterns`` — which
     the run key fixes.  Every round is executed fault-tolerantly by the
     :class:`~repro.exec.RoundDriver` (retry waves, timeouts, integrity
-    checks, degraded fallback) and journaled once complete; rounds present
-    in the journal are replayed without running them.  The guard is
+    checks, degraded fallback) and journaled once complete; a round whose
+    journal record fits it is replayed without running it.  The guard is
     consulted at every round boundary: before a round for
     cancellation/deadline/pattern-cap stops, after it for chaos
     cancellation and the two-rung memory ladder (release the pool and run
@@ -361,7 +369,6 @@ def _simulate_rounds(
     }
     merged: Dict[Fault, int] = {}
     fault_index = {fault: i for i, fault in enumerate(faults)}
-    journal = store.load() if store is not None else {}
     driver = RoundDriver(executor_name, ExecutionContext(
         netlist=netlist,
         batch_width=batch_width,
@@ -379,6 +386,7 @@ def _simulate_rounds(
             widths = _plan_round(
                 pattern_base, max_patterns, batch_width, chunk_batches
             )
+            end = pattern_base + sum(widths)
             if guard is not None:
                 stop_reason = guard.should_stop(pattern_base, sum(widths))
                 if stop_reason is not None:
@@ -388,70 +396,57 @@ def _simulate_rounds(
             ) as round_span:
                 active = sorted(s for s, live in shards.items() if live)
                 round_span.set_attribute("shards", len(active))
-                need_golden = any(
-                    (shard_id, round_index) not in journal
-                    for shard_id in active
-                )
-                # One fault-free evaluation and one (mask, values) pair
-                # for the whole round; a short final round has a narrower
-                # mask.
-                round_batches: List[Tuple[int, Dict[int, int]]] = []
-                if need_golden:
-                    round_batches.append((
+                record = journal.get(round_index)
+                if record is not None \
+                        and _fits(record, pattern_base, end, len(faults)):
+                    # Replay: the record's detections, in merge order.
+                    found = record[1]
+                    for shard_id in active:
+                        stats[shard_id].rounds_resumed += 1
+                        if drop_detected:
+                            live = shards[shard_id]
+                            shards[shard_id] = [
+                                f for f in live if fault_index[f] not in found
+                            ]
+                            stats[shard_id].faults_dropped += (
+                                len(live) - len(shards[shard_id]))
+                else:
+                    # One fault-free evaluation and one (mask, values) pair
+                    # for the whole round; a short final round has a
+                    # narrower mask.
+                    round_batches = [(
                         (1 << sum(widths)) - 1,
                         golden.golden_batch(batch_index, widths),
-                    ))
-                batch_index += len(widths)
-
-                # Replay journaled rounds; execute the rest fault-tolerantly.
-                results: Dict[int, Tuple[Dict[Fault, int], List[Fault], Optional[Dict]]] = {}
-                pending: Set[int] = set()
-                for shard_id in active:
-                    record = journal.get((shard_id, round_index))
-                    if record is not None:
-                        detections, survivors = _replay_record(record, faults)
-                        results[shard_id] = (detections, survivors, None)
-                        stats[shard_id].rounds_resumed += 1
-                    else:
-                        pending.add(shard_id)
-                if pending:
+                    )]
+                    results: Dict[int, ShardOutcome] = {}
                     driver.execute_round(
-                        shards, stats, pending, round_batches, pattern_base,
-                        round_index, drop_detected, results,
+                        shards, stats, set(active), round_batches,
+                        pattern_base, round_index, drop_detected, results,
                     )
-
-                with telemetry.span(
-                    "engine.merge", round=round_index, shards=len(results),
-                ):
-                    for shard_id in sorted(results):
-                        detections, survivors, measured = results[shard_id]
-                        for fault, index in detections.items():
-                            # Rounds arrive in pattern order.
-                            if fault not in merged:
-                                merged[fault] = index
-                        dropped = len(shards[shard_id]) - len(survivors)
-                        if measured is not None:
+                    with telemetry.span(
+                        "engine.merge", round=round_index, shards=len(results),
+                    ):
+                        found = {}
+                        for shard_id in sorted(results):
+                            detections, survivors, measured = results[shard_id]
+                            for fault, index in detections.items():
+                                found[fault_index[fault]] = index
+                            dropped = len(shards[shard_id]) - len(survivors)
                             stats[shard_id].absorb(
                                 int(measured["events"]),
                                 int(measured["patterns"]),
                                 float(measured["wall"]),
                                 dropped if drop_detected else 0,
                             )
-                            if store is not None:
-                                store.record(
-                                    shard_id, round_index,
-                                    {fault_index[f]: p
-                                     for f, p in detections.items()},
-                                    [fault_index[f] for f in survivors],
-                                    sum(widths),
-                                )
-                        else:
-                            stats[shard_id].faults_dropped += (
-                                dropped if drop_detected else 0
-                            )
-                        if drop_detected:
-                            shards[shard_id] = survivors
-                pattern_base += sum(widths)
+                            if drop_detected:
+                                shards[shard_id] = survivors
+                        if store is not None:
+                            store.record(round_index, end, found)
+                batch_index += len(widths)
+                for index, pattern in found.items():
+                    # Rounds arrive in pattern order.
+                    merged.setdefault(faults[index], pattern)
+                pattern_base = end
                 telemetry.count("engine.rounds")
             if chaos is not None and chaos.aborts_after(round_index):
                 raise ChaosInterrupt(

@@ -12,18 +12,19 @@ frozen, introspectable object grouping four policy blocks:
     The fault-tolerance contract every backend inherits: per-round retry
     budget, backoff base and the shard timeout.
 :class:`CheckpointPolicy`
-    Where (and whether) completed shard rounds are journaled, and whether
-    an existing journal is replayed.
+    Where (and whether) completed rounds are journaled, and whether an
+    existing journal is replayed.
 :class:`~repro.guard.budget.Budget`
     The existing governance object (deadline / pattern cap / RSS ceiling),
     unchanged.
 
 Only a *canonical* subset of the configuration identifies a run's results:
-the executor choice, retry policy, budget, cancellation, chaos plan and
-lint pre-flight are all execution strategy — two runs differing only in
-those produce bit-identical results, so :func:`canonical_fields` excludes
-them and the checkpoint run key (:mod:`repro.engine.checkpoint`) stays
-stable across backends.
+the executor choice, shard count, retry policy, budget, cancellation,
+chaos plan and lint pre-flight are all execution strategy — two runs
+differing only in those produce bit-identical results, so
+:func:`canonical_fields` excludes them and the checkpoint run key
+(:mod:`repro.engine.checkpoint`) stays stable across backends and shard
+counts.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """Journaling of completed shard rounds (resumable runs)."""
+    """Journaling of completed rounds (resumable runs)."""
 
     directory: Optional[Union[str, Path]] = None
     resume: bool = False
@@ -157,39 +158,23 @@ class RunConfig:
         return self.replace(execution=dataclasses.replace(self.execution, **changes))
 
 
-def canonical_fields(config: RunConfig, jobs: int) -> Tuple[Any, ...]:
+def canonical_fields(config: RunConfig) -> Tuple[Any, ...]:
     """The configuration subset that identifies a run's *results*.
 
     Everything here changes what a run computes; everything excluded —
-    executor choice, evaluation kernel (packed vs vec), retry policy,
-    budget, cancellation, chaos, the lint pre-flight — is execution
-    strategy that the bit-identity contract guarantees cannot move a
-    result.  These fields fix every round's width (``chunk_batches``
-    batches of ``batch_width``, narrower only at ``max_patterns``), so a
-    journal record needs no geometry of its own.  The tuple feeds the
-    checkpoint run key: change its layout only with a ``JOURNAL_VERSION``
-    bump, or every journal is orphaned.
-
-    ``jobs`` is passed explicitly (not read from the config): it is the
-    :func:`shard_count` the run actually executes, and the journal must be
-    keyed by that geometry.
+    executor choice, shard count, evaluation kernel (packed vs vec), retry
+    policy, budget, cancellation, chaos, the lint pre-flight — is
+    execution strategy that the bit-identity contract guarantees cannot
+    move a result.  These fields fix every round's width
+    (``chunk_batches`` batches of ``batch_width``, narrower only at
+    ``max_patterns``), so a journal record needs no geometry of its own.
+    The tuple feeds the checkpoint run key: change its layout only with a
+    ``JOURNAL_VERSION`` bump, or every journal is orphaned.
     """
     return (
         config.execution.batch_width,
         config.max_patterns,
-        jobs,
         config.execution.chunk_batches,
         config.stop_when_complete,
         config.drop_detected,
     )
-
-
-def shard_count(config: RunConfig, n_faults: int) -> int:
-    """The number of fault shards a run executes.
-
-    ``jobs`` (``None`` -> 1), collapsed to a single shard when there are
-    too few faults to split.  The engine shards by this count and keys its
-    journal by it, so callers that need a run's key without running it
-    (the ``repro.serve`` result cache) must use it too.
-    """
-    return 1 if n_faults <= 1 else config.execution.effective_jobs

@@ -43,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.chaos import FaultInjector
     from repro.engine.instrumentation import ShardStats
 
-#: One round's merged outcome per shard: (detections, survivors,
-#: measurements-or-None-when-replayed-from-journal).
-ShardOutcome = Tuple[Dict[Fault, int], List[Fault], Optional[Dict]]
+#: One shard's outcome of an executed round: (detections, survivors,
+#: measurements).
+ShardOutcome = Tuple[Dict[Fault, int], List[Fault], Dict]
 
 
 class CorruptShardRound(SimulationError):

@@ -12,16 +12,16 @@ machine-readable artifacts.  The engine/guard/telemetry flag cluster is
 shared with ``python -m repro selftest`` (see :mod:`repro.cli_args`).
 
 Long Table 2 measurements are resumable: ``--checkpoint-dir DIR``
-journals completed fault-simulation shard rounds (default
+journals completed fault-simulation rounds, one file per run (default
 ``<outdir>/checkpoints`` when ``--resume`` is given), and ``--resume``
 replays the journal so an interrupted run picks up from the last
-completed shard instead of restarting from zero.
+completed round instead of restarting from zero, at any ``--jobs``.
 
 The sweep is governed by :mod:`repro.guard` (see ``docs/ROBUSTNESS.md``):
 ``--deadline SECONDS`` bounds the whole run's wall clock, ``--max-memory
 SIZE`` caps resident memory (e.g. ``2g``), ``--max-patterns N`` caps each
 kernel run's pattern budget, and Ctrl-C / SIGTERM stop the sweep at the
-next shard-round boundary — flushing the checkpoint journal and exiting
+next round boundary — flushing the checkpoint journal and exiting
 130/143 with a one-line notice instead of a traceback.  A re-run with
 ``--resume`` completes the measurement bit-identically.
 

@@ -80,7 +80,7 @@ def measure_circuit(
 
     ``config`` (a :class:`repro.exec.RunConfig`) shapes every kernel run:
     execution backend and shard count, retry policy, checkpointing (an
-    interrupted measurement restarts from the last completed shard round),
+    interrupted measurement restarts from the last completed round),
     budget, cancellation and chaos.
 
     ``config.budget`` is armed here (idempotently), so its deadline spans

@@ -14,7 +14,8 @@ simulation engine as a job API:
 * ``GET /healthz`` — liveness plus queue/cache occupancy.
 
 Results are cached content-addressed by the checkpoint run key, so an
-identical resubmission is served without simulating; deadlines map onto
+identical resubmission — at any shard count, executor or kernel — is
+served without simulating; deadlines map onto
 :class:`~repro.guard.Budget` and SIGTERM drains gracefully through the
 shared :class:`~repro.guard.CancelToken`.  Start it with ``repro-bist
 serve`` — see ``docs/SERVE.md`` for the full API reference.

@@ -14,7 +14,7 @@ Drain contract (exercised by ``tests/test_serve_drain.py``): SIGTERM (or
 :meth:`BistService.begin_drain`) trips one shared
 :class:`~repro.guard.CancelToken`.  New submissions are refused with 503;
 queued jobs are marked cancelled; running engine calls stop at their next
-shard-round boundary, flush their checkpoint journal, and complete with
+round boundary, flush their checkpoint journal, and complete with
 ``partial=True`` results.  The HTTP endpoint stays up for a grace window
 so clients can collect those partial results, then the process exits with
 the conventional signal code (143 for SIGTERM) via
@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.cli_args import result_payload
-from repro.engine.checkpoint import CheckpointStore, resolve_run_key
+from repro.engine.checkpoint import CheckpointStore, run_key
 from repro.errors import LintError, ReproError
 from repro.guard import (
     STOP_SIGINT,
@@ -247,31 +247,29 @@ class BistService:
                 await self.queue.release(job)
 
     def _sweep_journal(self) -> None:
-        """Bound the on-disk journal to the newest run-key entries (LRU).
+        """Bound the on-disk journal to the newest run-key files (LRU).
 
         Off by default (``max_journal_entries=None``): the journal then
-        grows one ``<run key>`` directory per distinct submission, which
-        a long-lived service on a small state volume cannot afford.  With
-        a limit set, completed entries beyond it are removed oldest-first
-        by mtime; entries belonging to unfinished jobs are never touched
-        (a running engine is writing there, and a queued resubmission
-        still wants the resume replay).  Evicting a *completed* entry
-        only costs a re-run on resubmission after the result cache has
-        also dropped the key — the durability/space trade the operator
-        opted into.
+        grows one ``<run key>.journal`` file per distinct submission,
+        which a long-lived service on a small state volume cannot afford.
+        With a limit set, completed entries beyond it are removed
+        oldest-first by mtime; entries belonging to unfinished jobs are
+        never touched (a running engine is writing there, and a queued
+        resubmission still wants the resume replay).  Evicting a
+        *completed* entry only costs a re-run on resubmission after the
+        result cache has also dropped the key — the durability/space
+        trade the operator opted into.
         """
         limit = self.max_journal_entries
         if limit is None:
             return
-        import shutil
-
         protected = {
             job.run_key[:32] for job in self.jobs.values()
             if job.run_key is not None and not job.finished
         }
         try:
-            entries = [path for path in self.journal_root.iterdir()
-                       if path.is_dir() and path.name not in protected]
+            entries = [path for path in self.journal_root.glob("*.journal")
+                       if path.stem not in protected]
         except OSError:  # pragma: no cover - state dir vanished underfoot
             return
 
@@ -283,7 +281,10 @@ class BistService:
 
         entries.sort(key=mtime)
         for stale in entries[: max(0, len(entries) - max(0, limit))]:
-            shutil.rmtree(stale, ignore_errors=True)
+            try:
+                stale.unlink()
+            except OSError:  # pragma: no cover - concurrent removal
+                continue
             telemetry.count("serve.journal_evictions")
 
     def _execute(self, job: Job) -> Dict[str, Any]:
@@ -349,7 +350,7 @@ class BistService:
         budget = (Budget(deadline=request.deadline).arm()
                   if request.deadline is not None else None)
         config = request.run_config(self.journal_root, budget, self.cancel)
-        key = resolve_run_key(netlist, source, faults, config)
+        key = run_key(netlist, source, faults, config)
         return (netlist, faults, source, config, budget), key
 
     async def _submit(self, request: Request) -> Response:
@@ -389,36 +390,24 @@ class BistService:
         """The coverage curve so far, read from the checkpoint journal.
 
         One point per completed engine round: patterns applied through
-        that round and distinct faults detected through it, across all
-        shards.  Empty
-        for cached jobs (nothing ran) and before the first round lands.
+        that round (the record's end) and distinct faults detected
+        through it.  Empty for cached jobs (nothing ran) and before the
+        first round lands.
         """
         if job.run_key is None or job.cached:
             return []
-        store = CheckpointStore(self.journal_root, job.run_key)
-        # sweep=False: this is a concurrent *read* of a journal the engine
-        # may be writing right now; the stale-tmp sweep would race the
-        # writer's atomic rename.
-        records = store.load(sweep=False)
-        if not records:
-            return []
-        widths: Dict[int, int] = {}
-        found: Dict[int, Set[int]] = {}
-        for (_, round_index), record in records.items():
-            widths[round_index] = max(widths.get(round_index, 0),
-                                      int(record["patterns"]))
-            found.setdefault(round_index, set()).update(record["detections"])
+        # A read-only load: the engine may be appending to this journal.
+        rounds = CheckpointStore(self.journal_root, job.run_key).load()
         # A run without fault dropping detects a fault again in every
         # round, so count distinct fault indices, not records' entries.
         curve: List[Dict[str, Any]] = []
-        patterns = 0
         detected: Set[int] = set()
-        for round_index in sorted(widths):
-            patterns += widths[round_index]
-            detected |= found[round_index]
+        for round_index in sorted(rounds):
+            end, found = rounds[round_index]
+            detected.update(found)
             curve.append({
                 "round": round_index,
-                "patterns": patterns,
+                "patterns": end,
                 "detected": len(detected),
             })
         return curve

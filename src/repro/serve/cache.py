@@ -1,13 +1,14 @@
 """Content-addressed result cache keyed by the checkpoint run key.
 
 The service's cache and the engine's journal share one identity function:
-:func:`repro.engine.checkpoint.resolve_run_key`.  Anything that would
-invalidate a journal (netlist fingerprint, pattern stream, fault list,
-batch geometry, pattern budget, stop/drop semantics, shard count)
-invalidates the cached result; anything the bit-identity contract excludes
-(executor backend, evaluation kernel, retry policy, budgets, chaos) is a
-cache *hit* — a ``kernel=vec`` resubmission of a ``kernel=packed`` job is
-served from cache because the engine guarantees the bytes match.
+:func:`repro.engine.checkpoint.run_key`.  Anything that would invalidate a
+journal (netlist fingerprint, pattern stream, fault list, batch geometry,
+pattern budget, stop/drop semantics) invalidates the cached result;
+anything the bit-identity contract excludes (executor backend, shard
+count, evaluation kernel, retry policy, budgets, chaos) is a cache *hit* —
+a ``kernel=vec`` resubmission of a ``kernel=packed`` job is served from
+cache because the engine guarantees the bytes match.  A cached payload's
+``engine`` block describes the run that produced it.
 
 Only complete results are cached.  A ``partial=True`` result (deadline,
 drain, cancellation) answers the submission that produced it but is never

@@ -6,8 +6,8 @@ names the circuit under test (``design`` / ``bench``) or maps onto a
 Execution-strategy knobs that cannot move a result (``jobs``,
 ``executor``, ``kernel``) are accepted but excluded from the result-cache
 key by construction — the key is the checkpoint run key
-(:func:`repro.engine.checkpoint.resolve_run_key`), which only hashes
-canonical fields.
+(:func:`repro.engine.checkpoint.run_key`), which only hashes canonical
+fields.
 
 Errors travel as structured JSON, never tracebacks.  A netlist that fails
 the :mod:`repro.lint` pre-flight maps to HTTP 422 carrying the full

@@ -48,9 +48,10 @@ def test_entry_point_rejects_run_keywords(entry):
 def test_golden_run_key_is_stable_across_the_refactor():
     """Pinned so that the run-key recipe cannot drift unnoticed.
 
-    The hex digest below is the journal-version-2 run key of a run with
-    ``batch_width=64, max_patterns=256, jobs=2, chunk_batches=1,
-    stop_when_complete=False, drop_detected=False``.  If this test fails,
+    The hex digest below is the journal-version-3 run key of a run with
+    ``batch_width=64, max_patterns=256, chunk_batches=1,
+    stop_when_complete=False, drop_detected=False`` (its ``jobs=2`` is
+    execution strategy and stays out of the key).  If this test fails,
     every existing checkpoint journal is orphaned — change
     :func:`repro.exec.config.canonical_fields` only with a
     ``JOURNAL_VERSION`` bump.
@@ -62,24 +63,26 @@ def test_golden_run_key_is_stable_across_the_refactor():
         execution=ExecutionPolicy(jobs=2, batch_width=64, chunk_batches=1),
         max_patterns=256, stop_when_complete=False, drop_detected=False,
     )
-    assert run_key(netlist, source, faults, config, 2) == (
-        "e05a6e37dc98e9e9f31abf96020a581e8d05b2b125897a6cfb85d25a141ea0d8"
+    assert run_key(netlist, source, faults, config) == (
+        "f0cf9a58ba5104b420b6b74bf44ac1ac243d66374ba6f98f7df18e6d41400bbf"
     )
 
 
 def test_run_key_ignores_execution_strategy():
-    """Executor, retry, budget and chaos never fork the journal key."""
+    """Executor, shard count, retry and the pre-flight never fork the
+    journal key."""
     netlist = tiny_and_or()
     faults, _ = collapse_faults(netlist)
     source = RandomPatternSource(3, seed=11)
     base = RunConfig(execution=ExecutionPolicy(jobs=2), max_patterns=256)
-    key = run_key(netlist, source, faults, base, 2)
+    key = run_key(netlist, source, faults, base)
     for variant in (
         base.with_execution(executor="serial"),
+        base.with_execution(jobs=1),
         base.with_execution(kernel="vec"),
         base.replace(retry=base.retry.__class__(max_retries=9)),
         base.replace(check=False),
     ):
-        assert run_key(netlist, source, faults, variant, 2) == key
+        assert run_key(netlist, source, faults, variant) == key
     assert run_key(netlist, source, faults,
-                   base.replace(max_patterns=512), 2) != key
+                   base.replace(max_patterns=512)) != key

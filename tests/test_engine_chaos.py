@@ -7,7 +7,7 @@ and asserts the merged results are bit-identical to the serial ``jobs=1``
 run on the paper's bundled circuits (figure 4, figure 9, c3a2m).  The
 checkpoint tests interrupt a run mid-way with ``abort`` chaos and verify
 that ``resume=True`` replays the journal instead of re-running completed
-shard rounds (observed through ``ShardStats.rounds_resumed``).
+rounds (observed through ``ShardStats.rounds_resumed``).
 
 Run the whole engine suite under ambient chaos locally with e.g.::
 
@@ -18,6 +18,7 @@ See ``docs/TESTING.md`` for the full spec grammar.
 
 from __future__ import annotations
 
+import contextlib
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.engine import (
     simulate,
 )
 from repro.engine.chaos import CHAOS_ENV_VAR
+from repro.engine.checkpoint import _HEADER, CheckpointStore
 from repro.errors import SimulationError
 from repro.exec import CheckpointPolicy, RetryPolicy, RunConfig
 from repro.exec.config import DEFAULT_CHUNK_BATCHES
@@ -56,6 +58,23 @@ def _kernel_run(netlist, *, jobs, max_patterns=1 << 9,
         max_patterns=max_patterns, stop_when_complete=False, **fields,
     ).with_execution(jobs=jobs, chunk_batches=chunk_batches)
     return simulate(netlist, faults, source, config=config)
+
+
+@contextlib.contextmanager
+def _counting():
+    """Telemetry on for the block; the yielded dict gets its counters."""
+    from repro import telemetry
+
+    instance = telemetry.get_telemetry()
+    instance.reset()
+    instance.enable()
+    counters = {}
+    try:
+        yield counters
+        counters.update(instance.metrics.snapshot()["counters"])
+    finally:
+        instance.reset()
+        instance.disable()
 
 
 # --------------------------------------------------------- injector parsing
@@ -189,7 +208,7 @@ def test_ambient_chaos_env_var(monkeypatch):
 
 def test_interrupted_parallel_run_resumes_from_journal(tmp_path):
     """Acceptance: an interrupted run re-invoked with resume=True completes
-    without re-running journaled shard rounds."""
+    without re-running journaled rounds."""
     _, netlists = figure4_netlists()
     netlist = netlists[0]
     ckpt = str(tmp_path / "journal")
@@ -274,7 +293,7 @@ def test_journal_is_keyed_by_run_parameters(tmp_path):
 
 def test_truncated_record_is_skipped_and_rerun(tmp_path):
     """A half-written (truncated) record must be treated as never written:
-    loading skips it and the resumed run re-executes that round."""
+    loading stops before it and the resumed run re-executes that round."""
     _, netlists = figure4_netlists()
     netlist = netlists[0]
     ckpt = tmp_path / "journal"
@@ -282,39 +301,123 @@ def test_truncated_record_is_skipped_and_rerun(tmp_path):
     reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
     with pytest.raises(ChaosInterrupt):
         _kernel_run(
-            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            netlist, chaos=FaultInjector(mode="abort", shard=1),
             checkpoint=CheckpointPolicy(str(ckpt)), **options
         )
-    records = sorted(ckpt.glob("*/shard*_round*.rec"))
-    assert records
-    # Truncate one record mid-pickle, as a crash between write and fsync
+    (journal,) = ckpt.glob("*.journal")
+    assert sorted(CheckpointStore(ckpt, journal.stem).load()) == [0, 1]
+    # Cut round 1's record in half, as a crash between write and fsync
     # could leave it on a lesser filesystem.
-    blob = records[0].read_bytes()
-    records[0].write_bytes(blob[: max(1, len(blob) // 2)])
+    blob = journal.read_bytes()
+    round0 = _HEADER.size + _HEADER.unpack_from(blob)[0]
+    journal.write_bytes(blob[: round0 + (len(blob) - round0) // 2])
     resumed = _kernel_run(
         netlist, checkpoint=CheckpointPolicy(str(ckpt), resume=True),
         **options
     )
     assert_identical(reference, resumed)
-    assert resumed.rounds_resumed == len(records) - 1
+    # Round 0 replays on both shards; round 1 runs again.
+    assert resumed.rounds_resumed == 2
 
 
-def test_stale_tmp_files_are_swept_on_load_and_clear(tmp_path):
-    """``*.tmp`` litter from a killed writer is removed, never replayed."""
-    from repro.engine.checkpoint import CheckpointStore
+def test_torn_tail_is_cut_before_the_resumed_run_appends(tmp_path):
+    """A killed writer's torn tail is never replayed and is cut (and
+    counted) on resume, so the rounds the resumed run appends stay
+    reachable; a fresh start drops the run's journal."""
+    _, netlists = figure4_netlists()
+    netlist = netlists[0]
+    ckpt = tmp_path / "journal"
+    options = dict(jobs=2, chunk_batches=1, max_patterns=1 << 10)
+    with pytest.raises(ChaosInterrupt):
+        _kernel_run(
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(str(ckpt)), **options
+        )
+    (journal,) = ckpt.glob("*.journal")
+    store = CheckpointStore(ckpt, journal.stem)
+    with open(journal, "ab") as handle:
+        handle.write(b"half a record")
+    assert sorted(store.load()) == [0]
+    with _counting() as counters:
+        resumed = _kernel_run(
+            netlist, checkpoint=CheckpointPolicy(str(ckpt), resume=True),
+            **options
+        )
+    assert counters["engine.swallowed_errors"] == 1
+    assert resumed.rounds_resumed == 2
+    assert sorted(store.load()) == [0, 1, 2, 3]
+    assert store.torn_at is None
 
-    store = CheckpointStore(tmp_path, "a" * 64)
-    store.record(0, 0, {1: 5}, [2, 3], 64)
-    litter = store.directory / "dead-writer-1234.tmp"
-    litter.write_bytes(b"half a pickle")
-    records = store.load()
-    assert (0, 0) in records
-    assert not litter.exists()
+    with pytest.raises(ChaosInterrupt):
+        _kernel_run(
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(str(ckpt)), **options
+        )
+    assert sorted(store.load()) == [0]
 
-    litter.write_bytes(b"more litter")
-    store.clear()
-    assert not litter.exists()
-    assert store.n_records() == 0
+
+def test_records_that_do_not_fit_their_round_are_rerun(tmp_path):
+    """A journaled round replays only if its record ends where the round
+    ends and names this run's faults inside the round; any other record
+    under the run's key is counted and its round runs again."""
+    _, netlists = figure9_netlists()
+    netlist = netlists[0]
+    ckpt = tmp_path / "journal"
+    options = dict(jobs=1, chunk_batches=1, max_patterns=1 << 10)
+    reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
+    n_faults = len(reference.faults)
+    undetected = [index for index, fault in enumerate(reference.faults)
+                  if fault not in reference.first_detection]
+    assert len(undetected) >= 2
+    with pytest.raises(ChaosInterrupt):
+        _kernel_run(
+            netlist, chaos=FaultInjector(mode="abort", shard=0),
+            checkpoint=CheckpointPolicy(str(ckpt)), **options
+        )
+    (journal,) = ckpt.glob("*.journal")
+    store = CheckpointStore(ckpt, journal.stem)
+    # Rounds 1-3 cover patterns [256, 512), [512, 768) and [768, 1024).
+    store.record(1, 513, {undetected[0]: 300})        # a wrong end
+    store.record(2, 768, {n_faults: 600})              # no such fault
+    store.record(3, 1024, {undetected[1]: 100})       # outside its round
+    with _counting() as counters:
+        resumed = _kernel_run(
+            netlist, checkpoint=CheckpointPolicy(str(ckpt), resume=True),
+            **options
+        )
+    assert_identical(reference, resumed)
+    assert resumed.rounds_resumed == 1
+    assert counters["engine.swallowed_errors"] == 3
+    # The rerun rounds' records come later in the file, so they win.
+    again = _kernel_run(
+        netlist, checkpoint=CheckpointPolicy(str(ckpt), resume=True),
+        **options
+    )
+    assert_identical(reference, again)
+    assert again.rounds_resumed == 4
+
+
+@pytest.mark.parametrize("written, resumed_at", [(2, 1), (1, 2)])
+def test_journal_resumes_across_shard_counts(tmp_path, written, resumed_at):
+    """The shard count is execution strategy: a journal written at one
+    shard count resumes at another, bit-identically."""
+    _, netlists = figure4_netlists()
+    netlist = netlists[0]
+    ckpt = str(tmp_path / "journal")
+    options = dict(chunk_batches=1, max_patterns=1 << 10)
+    reference = _kernel_run(netlist, jobs=1, max_patterns=1 << 10)
+    with pytest.raises(ChaosInterrupt):
+        _kernel_run(
+            netlist, jobs=written, chaos=FaultInjector(mode="abort", shard=2),
+            checkpoint=CheckpointPolicy(ckpt), **options
+        )
+    resumed = _kernel_run(
+        netlist, jobs=resumed_at,
+        checkpoint=CheckpointPolicy(ckpt, resume=True), **options
+    )
+    assert_identical(reference, resumed)
+    assert resumed.rounds_resumed > 0
+    assert resumed.jobs == resumed_at
 
 
 def test_chaos_error_is_a_simulation_error():

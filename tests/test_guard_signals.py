@@ -87,10 +87,11 @@ def _spawn(checkpoint_dir) -> subprocess.Popen:
 
 
 def _wait_for_journal(checkpoint_dir, process, timeout: float = 60.0) -> None:
-    """Block until the run has journaled at least one shard round."""
+    """Block until the run has journaled at least one round."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if list(pathlib.Path(checkpoint_dir).glob("*/shard*_round*.rec")):
+        if any(path.stat().st_size
+               for path in pathlib.Path(checkpoint_dir).glob("*.journal")):
             return
         if process.poll() is not None:
             out, err = process.communicate()
@@ -145,8 +146,8 @@ def _signal_run(tmp_path, signum: int, expected_code: int):
         signal.SIGTERM: "sigterm", signal.SIGINT: "sigint",
     }[signum]
     assert 0 < payload["n_patterns"] < MAX_PATTERNS
-    records = list(checkpoint_dir.glob("*/shard*_round*.rec"))
-    assert records, "the interrupted run left no journal"
+    journals = list(checkpoint_dir.glob("*.journal"))
+    assert journals, "the interrupted run left no journal"
     return payload
 
 

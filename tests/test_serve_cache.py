@@ -2,10 +2,10 @@
 
 The service cache is keyed by the engine's checkpoint run key, so the
 contract under test is exactly the bit-identity contract: execution
-strategy (kernel, executor, governance) never changes the key; anything
-semantic (seed, pattern budget, batch geometry, stop/drop flags, shard
-count) always does.  A golden-key regression pins the key for a fixed
-submission against the directory the checkpoint journal actually uses.
+strategy (kernel, executor, shard count, governance) never changes the
+key; anything semantic (seed, pattern budget, batch geometry, stop/drop
+flags) always does.  A golden-key regression pins the key for a fixed
+submission against the file the checkpoint journal actually uses.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from tests.serve_utils import thread_server
 #: non-semantic leaked into the key (a bug).
 GOLDEN_REQUEST = {"design": "mac4", "max_patterns": 256}
 GOLDEN_KEY = \
-    "25b1bd5ae4755db55c3543784cca8d37ef83289cf81b4ed803e50c41d76f1848"
+    "44df711460fd8803bcb2c31483e010123748fa13a243707d4a9cfa2febba099b"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,7 @@ def test_identical_submissions_share_a_key(service):
     {"deadline": 30},                 # governance never moves results
     {"tenant": "alice"},              # tenancy is routing, not semantics
     {"include_faults": True},         # serialization shape, not semantics
+    {"jobs": 2},                      # every round has the planned width
 ])
 def test_execution_strategy_is_excluded_from_the_key(service, fields):
     assert key_for(service, **fields) == key_for(service)
@@ -62,19 +63,20 @@ def test_execution_strategy_is_excluded_from_the_key(service, fields):
     {"chunk_batches": 2},
     {"stop_when_complete": False},
     {"drop_detected": False},
-    {"jobs": 2},                      # shard count shapes the round grid
     {"design": "c3a2m"},
+    {"design": None,                  # an uploaded netlist is a target too
+     "bench": "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"},
 ])
 def test_semantic_changes_move_the_key(service, fields):
     assert key_for(service, **fields) != key_for(service)
 
 
 def test_cache_key_is_the_checkpoint_run_key(tmp_path):
-    """Golden regression: the cache key IS the journal's directory name.
+    """Golden regression: the cache key IS the journal's file name.
 
     Run the exact work ``_prepare`` hands a worker and assert the engine
-    journals under ``<journal root>/<key[:32]>`` — the property every
-    drain/resume story depends on.
+    journals to ``<journal root>/<key[:32]>.journal`` — the property
+    every drain/resume story depends on.
     """
     from repro.engine import simulate
 
@@ -83,9 +85,9 @@ def test_cache_key_is_the_checkpoint_run_key(tmp_path):
     netlist, faults, source, config, budget = work
     result = simulate(netlist, faults, source, config=config)
     assert not result.partial
-    journal_dir = service.journal_root / key[:32]
-    assert journal_dir.is_dir()
-    assert list(journal_dir.glob("shard*_round*.rec"))
+    journal = service.journal_root / f"{key[:32]}.journal"
+    assert journal.stat().st_size > 0
+    assert list(service.journal_root.iterdir()) == [journal]
 
 
 def test_golden_run_key(service):

@@ -60,10 +60,11 @@ def _submission(text: str) -> dict:
 
 
 def _wait_for_journal(journal_root, process, timeout: float = 60.0) -> None:
-    """Block until the job has journaled at least one shard round."""
+    """Block until the job has journaled at least one round."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if list(pathlib.Path(journal_root).glob("*/shard*_round*.rec")):
+        if any(path.stat().st_size
+               for path in pathlib.Path(journal_root).glob("*.journal")):
             return
         if process.poll() is not None:
             out, err = process.communicate()

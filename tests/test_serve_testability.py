@@ -81,7 +81,7 @@ def test_testability_rejects_bad_query_and_method(tmp_path):
 
 def _journal_entries(state_dir):
     journal = state_dir / "journal"
-    return sorted(p.name for p in journal.iterdir() if p.is_dir())
+    return sorted(p.name for p in journal.glob("*.journal"))
 
 
 def test_journal_sweep_bounds_completed_entries(tmp_path, enabled_telemetry):
@@ -92,7 +92,7 @@ def test_journal_sweep_bounds_completed_entries(tmp_path, enabled_telemetry):
             job = client.submit({"design": "mac4", "max_patterns": 128,
                                  "seed": seed})
             client.wait(job["id"])
-        assert len(_journal_entries(state)) <= 1
+        assert len(_journal_entries(state)) == 1
     assert counters()["serve.journal_evictions"] >= 2
 
 
