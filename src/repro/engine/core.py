@@ -3,7 +3,8 @@
 ``simulate`` partitions the collapsed fault list into round-robin shards
 and runs them, round by round, on a :mod:`repro.exec` backend —
 ``serial`` (in the parent: every ``jobs=1`` run) or ``process`` (a warm
-worker pool, the default for ``jobs>1``) — each shard running the
+worker pool for each round with two or more active shards, the default
+for ``jobs>1``) — each shard running the
 existing bit-parallel event-driven propagator
 (:meth:`repro.faultsim.simulator.FaultSimulator.simulate_batch`) over the
 golden round the parent evaluates.  Per-shard ``first_detection`` maps are

@@ -8,17 +8,20 @@ driver.  Two backends exist (:func:`available_executors`):
 
 ``serial``
     Rounds run in the parent, on one simulator the driver holds.  Every
-    one-shard (``jobs=1``) run takes this path, and so does every round
-    after the memory ladder's serial rung.
+    one-shard (``jobs=1``) run takes this path.
 ``process``
-    Rounds run on a warm process pool
+    A round with two or more active shards runs on a warm process pool
     (:class:`~repro.exec.process.ProcessExecutor`): CPU parallelism, crash
-    isolation and worker RSS accounting.
+    isolation and worker RSS accounting.  A round with one active shard
+    has nothing to run beside it, so it runs in the parent as a
+    ``serial`` round does, and so does every round after the memory
+    ladder's serial rung.
 
 The timeout contract: the driver arms ``RetryPolicy.shard_timeout`` as
 one deadline per retry wave.  A pool round past it raises
 :class:`concurrent.futures.TimeoutError`, and the driver rebuilds the pool
-and retries the round.  A round in the parent is the parent thread, which
+and retries the round.  A round in the parent — every ``serial`` round,
+and a ``process`` run's one-shard rounds — is the parent thread, which
 nothing can preempt, so it runs to completion.
 """
 
@@ -83,15 +86,18 @@ class WorkUnit:
 class RoundResult:
     """What one executed :class:`WorkUnit` produced.
 
-    ``checksum`` is taken *before* any chaos corruption inside the worker,
-    so tampering is detectable by the driver; ``spans`` carries the spans
-    recorded in a pool worker since its last round (a round run in the
-    parent records straight into its tracer and leaves it empty).
+    ``detections`` maps a fault's position in ``unit.faults`` to its first
+    detecting pattern, and ``survivors`` lists the positions still live,
+    so no fault object crosses the pipe.  ``checksum`` is taken *before*
+    any chaos corruption inside the worker, so tampering is detectable by
+    the driver; ``spans`` carries the spans recorded in a pool worker
+    since its last round (a round run in the parent records straight into
+    its tracer and leaves it empty).
     """
 
     shard_id: int
-    detections: Dict[Any, int]
-    survivors: List[Any]
+    detections: Dict[int, int]
+    survivors: List[int]
     measurements: Dict[str, float]
     checksum: str
     spans: List[Any] = field(default_factory=list)

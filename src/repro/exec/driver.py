@@ -2,9 +2,12 @@
 
 Retry waves with exponential backoff, shard timeouts, integrity-checksum
 verification, pool rebuilds and the degraded in-parent fallback all live
-*here*.  A ``process`` run hands its rounds to the
+*here*.  A round's place is fixed before its first wave.  A ``process``
+run hands each round with two or more active shards to the
 :class:`~repro.exec.process.ProcessExecutor` the driver holds.  Every other
-round — each round of a ``serial`` run, and each round after the memory
+round — each round of a ``serial`` run, each one-shard round of a
+``process`` run (one shard has nothing to run beside it, and the pool's
+round trip costs more than the work), and each round after the memory
 ladder's serial rung — runs in the parent, on one simulator the driver
 holds, inside the same ``try`` that waits on a pool future: chaos,
 checksums and retries treat both alike.  Whatever happens on the way,
@@ -86,7 +89,8 @@ class RoundDriver:
 
     @property
     def in_parent(self) -> bool:
-        """Whether rounds run in the parent (no pool, or a released one)."""
+        """Whether every round runs in the parent (no pool, or a released
+        one); a pool's one-shard rounds run there too."""
         return self._pool is None
 
     def worker_pids(self) -> Tuple[int, ...]:
@@ -169,15 +173,21 @@ class RoundDriver:
     ) -> None:
         """Run one round's pending shards to completion, whatever fails.
 
-        Retry waves: all pending shards are submitted together (or, in
-        the parent, run one after another); any that fail (worker crash,
-        timeout, integrity mismatch, injected chaos) rebuild the pool —
-        or drop the parent simulator — and are resubmitted after
-        exponential backoff, up to ``RetryPolicy.max_retries`` times each.
-        A shard past its budget runs degraded in the parent, so this
-        method always returns with every pending shard in ``results``.
+        The round's place is picked once, before its first wave: on the
+        pool when two or more shards are pending, otherwise in the parent
+        for every wave.  Retry waves: all pending shards are submitted
+        together (or, in the parent, run one after another); any that
+        fail (worker crash, timeout, integrity mismatch, injected chaos)
+        rebuild the pool — or drop the parent simulator — and are
+        resubmitted after exponential backoff, up to
+        ``RetryPolicy.max_retries`` times each.  A shard past its budget
+        runs degraded in the parent, so this method always returns with
+        every pending shard in ``results``.
         """
         attempts = {shard_id: 0 for shard_id in pending}
+        pool = self._pool if len(pending) > 1 else None
+        if pool is not None:
+            telemetry.count("exec.pool_rounds")
         while pending:
             units = {
                 shard_id: self._unit(
@@ -186,7 +196,6 @@ class RoundDriver:
                 )
                 for shard_id in sorted(pending)
             }
-            pool = self._pool
             futures: Dict[int, "Future[RoundResult]"] = {}
             if pool is not None:
                 futures = {shard_id: pool.submit_round(unit)
@@ -231,8 +240,11 @@ class RoundDriver:
                     telemetry.count("engine.swallowed_errors")
                     failed.append(shard_id)
                 else:
+                    faults = unit.faults
                     results[shard_id] = (
-                        outcome.detections, outcome.survivors,
+                        {faults[i]: index
+                         for i, index in outcome.detections.items()},
+                        [faults[i] for i in outcome.survivors],
                         outcome.measurements,
                     )
                     pending.discard(shard_id)

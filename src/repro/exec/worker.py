@@ -50,20 +50,18 @@ def fault_key(fault: Fault) -> Tuple[int, int, int, int]:
 
 
 def round_checksum(
-    detections: Dict[Fault, int], survivors: List[Fault], patterns: int
+    detections: Dict[int, int], survivors: List[int], patterns: int
 ) -> str:
     """Integrity digest over one shard round's result payload.
 
-    Every round is digested twice (by its worker, then by the driver), so
-    the encoding is ``marshal`` format 2: a byte-stable function of these
-    int tuples alone, without format 3's object-identity back-references,
-    and cheaper than their ``repr``.
+    The payload names each fault by its position in the unit's fault
+    tuple.  Every round is digested twice (by its worker, then by the
+    driver), so the encoding is ``marshal`` format 2: a byte-stable
+    function of these ints alone, without format 3's object-identity
+    back-references, and cheaper than their ``repr``.
     """
-    blob = marshal.dumps((
-        sorted(fault_key(f) + (index,) for f, index in detections.items()),
-        [fault_key(f) for f in survivors],
-        patterns,
-    ), 2)
+    blob = marshal.dumps(
+        (sorted(detections.items()), survivors, patterns), 2)
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -140,10 +138,10 @@ def run_work_unit(
 ) -> RoundResult:
     """Simulate one :class:`WorkUnit` on one simulator.
 
-    Returns the shard's new detections (absolute pattern indices), its
-    surviving fault list, round measurements and an integrity checksum
-    taken *before* any chaos corruption, so tampering is detectable by
-    the driver.
+    Returns the shard's new detections (absolute pattern indices) and
+    surviving faults, each fault named by its position in ``unit.faults``,
+    with round measurements and an integrity checksum taken *before* any
+    chaos corruption, so tampering is detectable by the driver.
     """
     corrupt = _apply_chaos(
         unit.chaos, unit.shard_id, unit.round_index, unit.attempt, in_process
@@ -157,23 +155,32 @@ def run_work_unit(
             simulator, list(unit.faults), list(unit.golden_batches),
             unit.pattern_base, unit.drop_detected,
         )
-    checksum = round_checksum(detections, live, int(measurements["patterns"]))
+    # Positions, not faults, go back: ints pickle and digest cheaply, and
+    # the driver holds the unit to map them back.  Keyed by identity, which
+    # hashes far cheaper than a frozen dataclass: both kernels record and
+    # return the very fault objects they are given.
+    position = {id(fault): i for i, fault in enumerate(unit.faults)}
+    found = {position[id(fault)]: index
+             for fault, index in detections.items()}
+    survivors = [position[id(fault)] for fault in live]
+    checksum = round_checksum(
+        found, survivors, int(measurements["patterns"]))
     spans: List = []
     if not in_process:
         tele = telemetry.get_telemetry()
         spans = tele.tracer.drain() if tele.enabled else []
     if corrupt:
-        if detections:
-            first = next(iter(detections))
-            detections[first] += 1
-        elif live:
-            detections[live[0]] = unit.pattern_base
+        if found:
+            first = next(iter(found))
+            found[first] += 1
+        elif survivors:
+            found[survivors[0]] = unit.pattern_base
         else:
             measurements["patterns"] = int(measurements["patterns"]) + 1
     return RoundResult(
         shard_id=unit.shard_id,
-        detections=detections,
-        survivors=live,
+        detections=found,
+        survivors=survivors,
         measurements=measurements,
         checksum=checksum,
         spans=spans,

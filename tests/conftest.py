@@ -89,3 +89,25 @@ def tele():
     if not was_enabled:
         instance.disable()
 
+
+@pytest.fixture
+def pool_watch(monkeypatch):
+    """Every unit a process pool receives, as (round, shard, attempt), and
+    the number of pool restarts."""
+    from repro.exec.process import ProcessExecutor
+
+    seen = {"units": [], "restarts": 0}
+    submit_round = ProcessExecutor.submit_round
+    restart = ProcessExecutor.restart
+
+    def recording_submit(self, unit):
+        seen["units"].append((unit.round_index, unit.shard_id, unit.attempt))
+        return submit_round(self, unit)
+
+    def recording_restart(self):
+        seen["restarts"] += 1
+        restart(self)
+
+    monkeypatch.setattr(ProcessExecutor, "submit_round", recording_submit)
+    monkeypatch.setattr(ProcessExecutor, "restart", recording_restart)
+    return seen

@@ -4,7 +4,9 @@ Every test drives :func:`repro.engine.simulate` with a deterministic
 :class:`FaultInjector` plan — crash a shard worker mid-round, hang it past
 the shard timeout, corrupt its result payload, exhaust its retry budget —
 and asserts the merged results are bit-identical to the serial ``jobs=1``
-run on the paper's bundled circuits (figure 4, figure 9, c3a2m).  The
+run on the paper's bundled circuits (figure 4, figure 9, c3a2m).  A few
+pin where a failure is handled: on the process pool for a round with two
+or more active shards, in the parent for a round with one.  The
 checkpoint tests interrupt a run mid-way with ``abort`` chaos and verify
 that ``resume=True`` replays the journal instead of re-running completed
 rounds (observed through ``ShardStats.rounds_resumed``).
@@ -48,7 +50,8 @@ CIRCUIT_IDS = ["figure4", "figure9", "c3a2m"]
 
 
 def _kernel_run(netlist, *, jobs, max_patterns=1 << 9,
-                chunk_batches=DEFAULT_CHUNK_BATCHES, **fields):
+                chunk_batches=DEFAULT_CHUNK_BATCHES, executor=None,
+                **fields):
     """One kernel run; ``fields`` are further :class:`RunConfig` fields."""
     faults, _ = collapse_faults(netlist)
     if len(faults) > 120:
@@ -56,7 +59,8 @@ def _kernel_run(netlist, *, jobs, max_patterns=1 << 9,
     source = RandomPatternSource(len(netlist.primary_inputs), seed=7)
     config = RunConfig(
         max_patterns=max_patterns, stop_when_complete=False, **fields,
-    ).with_execution(jobs=jobs, chunk_batches=chunk_batches)
+    ).with_execution(jobs=jobs, chunk_batches=chunk_batches,
+                     executor=executor)
     return simulate(netlist, faults, source, config=config)
 
 
@@ -202,6 +206,68 @@ def test_ambient_chaos_env_var(monkeypatch):
     chaotic = _kernel_run(netlist, jobs=2)
     assert_identical(serial, chaotic)
     assert sum(s.retries for s in chaotic.shards) == 1
+
+
+# ------------------------------------------------ where a chaotic round runs
+#
+# figure4 at jobs=2 with one batch a round: round 0 has both shards
+# active, and round 1 only shard 0, whose undetectable fault outlives
+# the run.  A process run sends round 0 to the pool and runs round 1 in
+# the parent, so chaos aimed at round 1 fails and retries there.
+
+
+def _figure4_process_run(**fields):
+    """A figure4 process run at jobs=2, checked against the serial run."""
+    _, netlists = figure4_netlists()
+    serial = _kernel_run(netlists[0], jobs=1, chunk_batches=1)
+    chaotic = _kernel_run(netlists[0], jobs=2, chunk_batches=1,
+                          executor="process", **fields)
+    assert_identical(serial, chaotic)
+    assert chaotic.executor == "process"
+    return chaotic
+
+
+@pytest.mark.parametrize("mode", ["crash", "raise", "corrupt"])
+def test_one_shard_round_retries_in_the_parent(pool_watch, mode):
+    chaotic = _figure4_process_run(
+        chaos=FaultInjector(mode=mode, shard=0, round_index=1),
+    )
+    # Round 1 never reached the pool: it failed and retried in the parent.
+    assert {unit[0] for unit in pool_watch["units"]} == {0}
+    assert pool_watch["restarts"] == 0
+    shard = chaotic.shards[0]
+    assert (shard.failures, shard.retries, shard.timeouts) == (1, 1, 0)
+    assert not chaotic.degraded_shards
+
+
+def test_one_shard_round_runs_past_the_shard_timeout(pool_watch):
+    """The timeout contract: a one-shard round runs on the parent thread,
+    which nothing preempts, so a delay past ``shard_timeout`` completes
+    and counts no timeout and no retry."""
+    chaotic = _figure4_process_run(
+        retry=RetryPolicy(shard_timeout=0.1),
+        chaos=FaultInjector(mode="delay", shard=0, round_index=1,
+                            seconds=0.3),
+    )
+    assert {unit[0] for unit in pool_watch["units"]} == {0}
+    assert chaotic.wall_time >= 0.3
+    assert sum(s.timeouts for s in chaotic.shards) == 0
+    assert chaotic.retries == 0
+
+
+@pytest.mark.parametrize("mode", ["crash", "delay"])
+def test_round_zero_chaos_restarts_the_pool(pool_watch, mode):
+    """Round 0 has both shards active, so it runs on the pool: a crashed
+    or hung worker there costs a pool restart and a retry on the pool,
+    and a hung one counts a timeout."""
+    retry = RetryPolicy(shard_timeout=0.5 if mode == "delay" else None)
+    chaotic = _figure4_process_run(
+        retry=retry, chaos=FaultInjector(mode=mode, shard=0, seconds=5.0),
+    )
+    assert (0, 0, 1) in pool_watch["units"]
+    assert pool_watch["restarts"] >= 1
+    timeouts = sum(s.timeouts for s in chaotic.shards)
+    assert timeouts >= 1 if mode == "delay" else timeouts == 0
 
 
 # --------------------------------------------------------- checkpoint/resume

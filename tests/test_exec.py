@@ -2,10 +2,11 @@
 
 The executor layer's contract is the engine's oldest invariant restated
 one level down: *where* a shard round runs — in-process or in a worker
-process — can never move a result.  The suite pins the backend names and
-the timeout contract, proves both local backends bit-identical to the
-serial baseline (with and without chaos injection), and exercises the
-process backend's warm-pool reuse across ``simulate()`` calls.
+process — can never move a result.  The suite pins the backend names,
+which rounds reach the pool and the timeout contract, proves both local
+backends bit-identical to the serial baseline (with and without chaos
+injection), and exercises the process backend's warm-pool reuse across
+``simulate()`` calls.
 """
 
 from __future__ import annotations
@@ -168,6 +169,39 @@ def test_unrelenting_failures_degrade_in_process(backend):
     assert 0 in result.degraded_shards
 
 
+def test_round_results_name_faults_by_position():
+    """A round result carries ints only, each fault named by its position
+    in the unit's fault tuple, so no ``Fault`` crosses the pool's pipe;
+    mapped back, it is exactly what the shared round loop found."""
+    from repro.engine.cache import GoldenBatches
+    from repro.exec.base import WorkUnit
+    from repro.exec.worker import consume_batches, round_checksum, run_work_unit
+    from repro.faultsim.simulator import FaultSimulator
+
+    netlist = make_random_netlist(8, 30, seed=5)
+    faults, _ = collapse_faults(netlist)
+    simulator = FaultSimulator(netlist, 64)
+    source = RandomPatternSource(len(netlist.primary_inputs), seed=23)
+    golden = GoldenBatches(simulator.evaluator, source, 64)
+    batches = (((1 << 64) - 1, golden.golden_batch(0, [64])),)
+    # Reversed, so a fault's position is not its index in the run.
+    unit = WorkUnit(shard_id=0, faults=tuple(reversed(faults)),
+                    golden_batches=batches, pattern_base=0, round_index=0,
+                    drop_detected=True)
+    result = run_work_unit(simulator, unit, in_process=True)
+    assert all(type(i) is int for i in result.detections)
+    assert all(type(i) is int for i in result.survivors)
+    assert result.checksum == round_checksum(
+        result.detections, result.survivors, 64)
+    detections, live, _ = consume_batches(
+        FaultSimulator(netlist, 64), list(unit.faults), list(batches), 0,
+        True)
+    assert detections and live
+    assert {unit.faults[i]: p for i, p in result.detections.items()} \
+        == detections
+    assert [unit.faults[i] for i in result.survivors] == live
+
+
 def test_jobs_one_stays_on_historical_serial_path():
     netlist = make_random_netlist(8, 30, seed=9)
     faults, _ = collapse_faults(netlist)
@@ -272,6 +306,33 @@ def test_kernel_backend_chaos_cross_product(c3a2m, c3a2m_baseline, kernel,
     assert result.kernel_fallback is None
     if with_chaos:
         assert result.retries >= 1
+
+
+def test_only_multi_shard_rounds_reach_the_pool(c3a2m, c3a2m_baseline,
+                                                pool_watch, tele):
+    """A ``process`` run submits a round to the pool only while two or more
+    of its shards have live faults; a one-shard round runs in the parent.
+    On the c3a2m slice shard 0 holds the kernel's undetectable fault, so
+    the run has one-shard rounds, and it stays bit-identical to serial."""
+    netlist, faults = c3a2m
+    result = _run(netlist, faults, executor="process", jobs=2)
+    counters = tele.metrics.snapshot()["counters"]
+    assert_identical(c3a2m_baseline, result)
+    assert result.executor == "process"
+    # A shard is active in a round while one of its faults is undetected
+    # at the round's first pattern (64 patterns a round, 8 rounds).
+    first = c3a2m_baseline.first_detection
+    shard_faults = (faults[0::2], faults[1::2])
+    multi = [
+        index for index in range(8)
+        if all(any(f not in first or first[f] >= 64 * index for f in shard)
+               for shard in shard_faults)
+    ]
+    assert 0 < len(multi) < 8
+    assert sorted(pool_watch["units"]) == [
+        (index, shard, 0) for index in multi for shard in (0, 1)]
+    assert counters["exec.pool_rounds"] == len(multi)
+    assert counters["engine.rounds"] == 8
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
