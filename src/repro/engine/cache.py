@@ -9,7 +9,7 @@ runs: every run draws its own stream.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.errors import SimulationError
 from repro.faultsim.patterns import PatternSource
@@ -19,15 +19,16 @@ from repro.netlist.evaluate import Evaluator
 class GoldenBatches:
     """Forward-only stream of fault-free packed evaluations for one run.
 
-    ``golden_batch(first, widths)`` returns the packed value of every net
-    under the *round* made of batches ``first … first + len(widths) - 1``:
-    the stimulus is drawn from ``source.batches(batch_width)``, batch
-    ``k`` of the round cut to ``widths[k]`` patterns, and the batches'
-    input words are joined into one word of ``sum(widths)`` bits for a
-    single :meth:`Evaluator.run`.  The batches between the previous round
-    and ``first`` (rounds a resumed run replays from its journal) are
-    drawn to keep the stream aligned, never evaluated.  Nothing is kept,
-    so a round behind the stream raises.
+    ``golden_batch(pattern_base, width)`` returns the packed value of
+    every net under the *round* of ``width`` patterns that starts at
+    ``pattern_base``, which is a batch boundary: the stimulus is drawn
+    from ``source.batches(batch_width)``, the round's last batch cut
+    short when ``width`` is not a whole number of batches, and the
+    batches' input words are joined into one ``width``-bit word for a
+    single :meth:`Evaluator.run`.  The batches between the previous
+    round and this one (rounds a resumed run replays from its journal)
+    are drawn to keep the stream aligned, never evaluated.  Nothing is
+    kept, so a round behind the stream raises.
     """
 
     def __init__(
@@ -39,12 +40,10 @@ class GoldenBatches:
         self.batch_width = batch_width
         self._next_index = 0  #: next batch the stream iterator will yield
 
-    def golden_batch(
-        self, first: int, widths: Optional[Sequence[int]] = None
-    ) -> Dict[int, int]:
-        """Fault-free net values for the round of batches starting at
-        ``first``.  ``widths`` lists the patterns each batch contributes;
-        ``None`` means one full batch."""
+    def golden_batch(self, pattern_base: int, width: int) -> Dict[int, int]:
+        """Fault-free net values for the ``width`` patterns from
+        ``pattern_base`` on, as one ``width``-bit word per net."""
+        first = pattern_base // self.batch_width
         if first < self._next_index:
             raise SimulationError(
                 f"golden round at batch {first} is behind the stream, "
@@ -53,16 +52,14 @@ class GoldenBatches:
         while self._next_index < first:
             next(self._source_batches)
             self._next_index += 1
-        geometry = (self.batch_width,) if widths is None else widths
+        batch_mask = (1 << self.batch_width) - 1
         words = [0] * len(self._pis)
-        offset = 0
-        for width in geometry:
+        for offset in range(0, width, self.batch_width):
             packed = next(self._source_batches)
-            mask = (1 << width) - 1
             for position in range(len(words)):
-                words[position] |= (packed[position] & mask) << offset
-            offset += width
-        self._next_index += len(geometry)
+                words[position] |= (packed[position] & batch_mask) << offset
+            self._next_index += 1
+        # The round's mask cuts a short last batch to ``width`` patterns.
         return self._evaluator.run(
-            dict(zip(self._pis, words)), (1 << offset) - 1
+            dict(zip(self._pis, words)), (1 << width) - 1
         )

@@ -60,7 +60,7 @@ from repro.engine.vec import resolve_kernel
 from repro.errors import SimulationError
 from repro.exec.base import ExecutionContext, resolve_executor_name
 from repro.exec.config import RunConfig
-from repro.exec.driver import RoundDriver, ShardOutcome
+from repro.exec.driver import RoundDriver
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
 from repro.faultsim.patterns import PatternSource
@@ -130,19 +130,6 @@ class EngineResult(FaultSimResult):
 
 
 # --------------------------------------------------------------- parent side
-
-def _plan_round(
-    pattern_base: int, max_patterns: int, batch_width: int, n_batches: int
-) -> List[int]:
-    """Widths of the next up-to-``n_batches`` batches, respecting the cap."""
-    widths: List[int] = []
-    base = pattern_base
-    while len(widths) < n_batches and base < max_patterns:
-        width = min(batch_width, max_patterns - base)
-        widths.append(width)
-        base += width
-    return widths
-
 
 def _stopped_n_patterns(
     first_detection: Dict[Fault, int],
@@ -380,16 +367,14 @@ def _simulate_rounds(
     ), config.retry, chaos)
     stop_reason: Optional[str] = None
     pattern_base = 0
-    batch_index = 0
     round_index = 0
     try:
         while pattern_base < max_patterns and any(shards.values()):
-            widths = _plan_round(
-                pattern_base, max_patterns, batch_width, chunk_batches
-            )
-            end = pattern_base + sum(widths)
+            width = min(chunk_batches * batch_width,
+                        max_patterns - pattern_base)
+            end = pattern_base + width
             if guard is not None:
-                stop_reason = guard.should_stop(pattern_base, sum(widths))
+                stop_reason = guard.should_stop(pattern_base, width)
                 if stop_reason is not None:
                     break
             with telemetry.span(
@@ -412,17 +397,12 @@ def _simulate_rounds(
                             stats[shard_id].faults_dropped += (
                                 len(live) - len(shards[shard_id]))
                 else:
-                    # One fault-free evaluation and one (mask, values) pair
-                    # for the whole round; a short final round has a
-                    # narrower mask.
-                    round_batches = [(
-                        (1 << sum(widths)) - 1,
-                        golden.golden_batch(batch_index, widths),
-                    )]
-                    results: Dict[int, ShardOutcome] = {}
-                    driver.execute_round(
-                        shards, stats, set(active), round_batches,
-                        pattern_base, round_index, drop_detected, results,
+                    # One fault-free evaluation for the whole round; a
+                    # short final round has a narrower mask.
+                    results = driver.execute_round(
+                        shards, stats, active, (1 << width) - 1,
+                        golden.golden_batch(pattern_base, width),
+                        pattern_base, round_index, drop_detected,
                     )
                     with telemetry.span(
                         "engine.merge", round=round_index, shards=len(results),
@@ -443,7 +423,6 @@ def _simulate_rounds(
                                 shards[shard_id] = survivors
                         if store is not None:
                             store.record(round_index, end, found)
-                batch_index += len(widths)
                 for index, pattern in found.items():
                     # Rounds arrive in pattern order.
                     merged.setdefault(faults[index], pattern)

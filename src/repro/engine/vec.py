@@ -50,7 +50,7 @@ pattern.  The surviving-fault bookkeeping then replays the packed
 simulator's merge semantics verbatim, in the original lane order, which
 is what keeps the two kernels **bit-identical** — same detection tables,
 same first-detection indices, same survivor order — so checkpoints,
-chaos, guard and all four executors compose unchanged (see
+chaos, guard and both executors compose unchanged (see
 ``docs/ENGINE.md``).  An engine round is worked through one batch at a
 time while at least :data:`VEC_MIN_LANES` lanes are live; the rest of
 the round runs in one pass of the inherited packed propagator.

@@ -63,18 +63,18 @@ class ExecutionContext:
 class WorkUnit:
     """One shard's work for one fan-out round.
 
-    ``golden_batches`` is a list of ``(mask, golden values)`` pairs, which
-    the engine fills with one pair per round: every batch of the round
-    joined into one wide word, so the pattern count is recovered from the
-    mask (a short final round has a narrower one).  ``attempt`` distinguishes
-    retry waves so a deterministic chaos plan can let a retry succeed.
-    The unit must stay picklable end to end — it is what the process
-    backend ships to its workers.
+    ``golden`` holds the round's fault-free net values, every batch of
+    the round joined into one word, and ``mask`` has one bit per pattern
+    of the round (a short final round has a narrower one).  ``attempt``
+    distinguishes retry waves so a deterministic chaos plan can let a
+    retry succeed.  The unit must stay picklable end to end — it is what
+    the process backend ships to its workers.
     """
 
     shard_id: int
     faults: Tuple[Any, ...]
-    golden_batches: Tuple[Tuple[int, Dict[int, int]], ...]
+    mask: int
+    golden: Dict[int, int]
     pattern_base: int
     round_index: int
     drop_detected: bool

@@ -9,8 +9,8 @@ frozen, introspectable object grouping four policy blocks:
     *How* the run executes: which :mod:`repro.exec` backend, how many
     shards, how patterns are batched and chunked into fan-out rounds.
 :class:`RetryPolicy`
-    The fault-tolerance contract every backend inherits: per-round retry
-    budget, backoff base and the shard timeout.
+    The fault-tolerance contract every backend inherits: the shard
+    timeout.
 :class:`CheckpointPolicy`
     Where (and whether) completed rounds are journaled, and whether an
     existing journal is replayed.
@@ -44,13 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Batches per fan-out round: large enough to amortize task dispatch and
 #: golden-batch shipping, small enough that early stop wastes little work.
 DEFAULT_CHUNK_BATCHES = 4
-
-#: Default bounded-retry budget per shard round before degrading to
-#: in-process execution.
-DEFAULT_MAX_RETRIES = 2
-
-#: Base of the exponential backoff between retry waves (seconds).
-DEFAULT_RETRY_BACKOFF = 0.05
 
 #: Default upper bound on applied patterns.
 DEFAULT_MAX_PATTERNS = 1 << 16
@@ -103,15 +96,15 @@ class ExecutionPolicy:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-shard-round fault tolerance every backend inherits."""
+    """Per-shard-round fault tolerance every backend inherits.
 
-    max_retries: int = DEFAULT_MAX_RETRIES
-    backoff: float = DEFAULT_RETRY_BACKOFF
+    ``shard_timeout`` bounds each retry wave of a pool round; the retry
+    budget and backoff are the driver's constants
+    (:data:`~repro.exec.driver.MAX_RETRIES`,
+    :data:`~repro.exec.driver.RETRY_BACKOFF`).
+    """
+
     shard_timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise SimulationError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)

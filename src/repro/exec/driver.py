@@ -10,8 +10,10 @@ round — each round of a ``serial`` run, each one-shard round of a
 round trip costs more than the work), and each round after the memory
 ladder's serial rung — runs in the parent, on one simulator the driver
 holds, inside the same ``try`` that waits on a pool future: chaos,
-checksums and retries treat both alike.  Whatever happens on the way,
-every pending shard of every round ends up in the results map.
+checksums and retries treat both alike.  Every attempt of a shard round
+— on the pool, in the parent, or degraded past its retry budget — is one
+:func:`~repro.exec.worker.run_work_unit` call, and whatever happens on
+the way, every active shard of every round gets an outcome.
 
 The driver also carries the memory ladder's serial rung:
 :meth:`RoundDriver.release` frees the pool's workers (their RSS actually
@@ -26,7 +28,8 @@ import pickle
 import time
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.errors import ReproError, SimulationError
@@ -38,7 +41,7 @@ from repro.exec.base import (
 )
 from repro.exec.config import RetryPolicy
 from repro.exec.process import ProcessExecutor
-from repro.exec.worker import consume_batches, round_checksum, run_work_unit
+from repro.exec.worker import round_checksum, run_work_unit
 from repro.faultsim.faults import Fault
 from repro.faultsim.simulator import FaultSimulator
 
@@ -49,6 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: One shard's outcome of an executed round: (detections, survivors,
 #: measurements).
 ShardOutcome = Tuple[Dict[Fault, int], List[Fault], Dict]
+
+#: Failed attempts a shard round may retry before it runs degraded.
+MAX_RETRIES = 2
+
+#: Base of the exponential backoff between retry waves (seconds).
+RETRY_BACKOFF = 0.05
 
 
 class CorruptShardRound(SimulationError):
@@ -125,89 +134,71 @@ class RoundDriver:
                 context.netlist, context.batch_width, context.kernel)
         return self._simulator
 
-    def _run_degraded(self, unit: WorkUnit, attempts: int) -> ShardOutcome:
-        """A shard round past its retry budget, in the parent; no chaos."""
-        with telemetry.span(
-            "engine.shard_round.degraded",
-            shard=unit.shard_id, round=unit.round_index, attempts=attempts,
-        ):
-            return consume_batches(
-                self._parent_simulator(), list(unit.faults),
-                list(unit.golden_batches), unit.pattern_base,
-                unit.drop_detected,
-            )
-
-    def _unit(
-        self,
-        shard_id: int,
-        faults: List[Fault],
-        round_batches: List[Tuple[int, Dict[int, int]]],
-        pattern_base: int,
-        round_index: int,
-        drop_detected: bool,
-        attempt: int,
-    ) -> WorkUnit:
-        return WorkUnit(
-            shard_id=shard_id,
-            faults=tuple(faults),
-            golden_batches=tuple(round_batches),
-            pattern_base=pattern_base,
-            round_index=round_index,
-            drop_detected=drop_detected,
-            attempt=attempt,
-            chaos=self._chaos,
-        )
-
     # ------------------------------------------------------------ round entry
 
     def execute_round(
         self,
         shards: Dict[int, List[Fault]],
         stats: Dict[int, ShardStats],
-        pending: Set[int],
-        round_batches: List[Tuple[int, Dict[int, int]]],
+        active: List[int],
+        mask: int,
+        golden: Dict[int, int],
         pattern_base: int,
         round_index: int,
         drop_detected: bool,
-        results: Dict[int, ShardOutcome],
-    ) -> None:
-        """Run one round's pending shards to completion, whatever fails.
+    ) -> Dict[int, ShardOutcome]:
+        """Run one round's active shards to completion, whatever fails.
 
         The round's place is picked once, before its first wave: on the
-        pool when two or more shards are pending, otherwise in the parent
+        pool when two or more shards are active, otherwise in the parent
         for every wave.  Retry waves: all pending shards are submitted
         together (or, in the parent, run one after another); any that
         fail (worker crash, timeout, integrity mismatch, injected chaos)
         rebuild the pool — or drop the parent simulator — and are
-        resubmitted after exponential backoff, up to
-        ``RetryPolicy.max_retries`` times each.  A shard past its budget
-        runs degraded in the parent, so this method always returns with
-        every pending shard in ``results``.
+        resubmitted after exponential backoff, up to :data:`MAX_RETRIES`
+        times each.  A shard past its budget runs degraded: its unit once
+        more, in the parent and without chaos.  Every attempt is one
+        :func:`~repro.exec.worker.run_work_unit` call, so the returned
+        map always holds every active shard's outcome.
         """
-        attempts = {shard_id: 0 for shard_id in pending}
-        pool = self._pool if len(pending) > 1 else None
+        units = [
+            WorkUnit(
+                shard_id=shard_id,
+                faults=tuple(shards[shard_id]),
+                mask=mask,
+                golden=golden,
+                pattern_base=pattern_base,
+                round_index=round_index,
+                drop_detected=drop_detected,
+                chaos=self._chaos,
+            )
+            for shard_id in active
+        ]
+        pool = self._pool if len(units) > 1 else None
         if pool is not None:
             telemetry.count("exec.pool_rounds")
-        while pending:
-            units = {
-                shard_id: self._unit(
-                    shard_id, shards[shard_id], round_batches, pattern_base,
-                    round_index, drop_detected, attempts[shard_id],
-                )
-                for shard_id in sorted(pending)
-            }
+        outcomes: Dict[int, ShardOutcome] = {}
+        while units:
             futures: Dict[int, "Future[RoundResult]"] = {}
             if pool is not None:
-                futures = {shard_id: pool.submit_round(unit)
-                           for shard_id, unit in units.items()}
+                for unit in units:
+                    try:
+                        futures[unit.shard_id] = pool.submit_round(unit)
+                    except BrokenExecutor as error:
+                        # A worker died before the wave was fully
+                        # submitted: this shard's attempt failed like any
+                        # other, and its wait below raises the error.
+                        futures[unit.shard_id] = Future()
+                        futures[unit.shard_id].set_exception(error)
             # One deadline per wave.  Only pool rounds honour it: a round
             # in the parent is the parent thread and runs to completion.
             timeout = self._retry.shard_timeout
             deadline = (
                 None if timeout is None else time.monotonic() + timeout
             )
-            failed: List[int] = []
-            for shard_id, unit in units.items():
+            failed: List[WorkUnit] = []
+            for unit in units:
+                shard_id = unit.shard_id
                 try:
                     if pool is None:
                         outcome = run_work_unit(
@@ -228,7 +219,7 @@ class RoundDriver:
                         )
                 except FutureTimeoutError:
                     stats[shard_id].timeouts += 1
-                    failed.append(shard_id)
+                    failed.append(unit)
                 except (BrokenExecutor, ReproError, pickle.PickleError,
                         OSError):
                     # A dead worker (BrokenProcessPool), a library error
@@ -238,16 +229,9 @@ class RoundDriver:
                     # bug — propagates instead of being silently retried.
                     stats[shard_id].failures += 1
                     telemetry.count("engine.swallowed_errors")
-                    failed.append(shard_id)
+                    failed.append(unit)
                 else:
-                    faults = unit.faults
-                    results[shard_id] = (
-                        {faults[i]: index
-                         for i, index in outcome.detections.items()},
-                        [faults[i] for i in outcome.survivors],
-                        outcome.measurements,
-                    )
-                    pending.discard(shard_id)
+                    outcomes[shard_id] = _by_fault(unit, outcome)
                     if outcome.spans:
                         telemetry.get_telemetry().tracer.absorb(outcome.spans)
             if not failed:
@@ -259,21 +243,41 @@ class RoundDriver:
                 pool.restart()
             else:
                 self._simulator = None
-            for shard_id in failed:
-                attempts[shard_id] += 1
-                if attempts[shard_id] > self._retry.max_retries:
-                    results[shard_id] = self._run_degraded(
-                        units[shard_id], attempts[shard_id])
-                    stats[shard_id].degraded_reason = (
-                        f"retry budget exhausted after {attempts[shard_id]} "
-                        f"attempts at round {round_index}; ran in-process"
-                    )
-                    pending.discard(shard_id)
-                else:
+            units = []
+            for unit in failed:
+                unit = replace(unit, attempt=unit.attempt + 1)
+                shard_id = unit.shard_id
+                if unit.attempt <= MAX_RETRIES:
                     stats[shard_id].retries += 1
-            if pending and self._retry.backoff > 0:
-                wave = min(attempts[shard_id] for shard_id in pending)
-                time.sleep(self._retry.backoff * (2 ** max(wave - 1, 0)))
+                    units.append(unit)
+                    continue
+                with telemetry.span(
+                    "engine.shard_round.degraded", shard=shard_id,
+                    round=round_index, attempts=unit.attempt,
+                ):
+                    outcome = run_work_unit(
+                        self._parent_simulator(), replace(unit, chaos=None),
+                        in_process=True,
+                    )
+                outcomes[shard_id] = _by_fault(unit, outcome)
+                stats[shard_id].degraded_reason = (
+                    f"retry budget exhausted after {unit.attempt} "
+                    f"attempts at round {round_index}; ran in-process"
+                )
+            if units:
+                wave = min(unit.attempt for unit in units)
+                time.sleep(RETRY_BACKOFF * (2 ** max(wave - 1, 0)))
+        return outcomes
+
+
+def _by_fault(unit: WorkUnit, result: RoundResult) -> ShardOutcome:
+    """A round result with each fault position mapped back to its fault."""
+    faults = unit.faults
+    return (
+        {faults[i]: index for i, index in result.detections.items()},
+        [faults[i] for i in result.survivors],
+        result.measurements,
+    )
 
 
 __all__ = [

@@ -51,7 +51,6 @@ class _WorkerPool:
         self._max_workers = max_workers
         self._init_payload = init_payload
         self._executor: Optional[ProcessPoolExecutor] = None
-        self.restarts = 0
 
     def submit(self, fn, *args) -> Future:
         if self._executor is None:
@@ -62,10 +61,6 @@ class _WorkerPool:
                 initargs=(self._init_payload,),
             )
         return self._executor.submit(fn, *args)
-
-    def restart(self) -> None:
-        self.shutdown()
-        self.restarts += 1
 
     def worker_pids(self) -> Tuple[int, ...]:
         """PIDs of the live worker processes (for RSS sampling)."""
@@ -158,8 +153,9 @@ class ProcessExecutor:
         return self._pool.submit(execute_unit, unit)
 
     def restart(self) -> None:
+        """Terminate the workers; the next submit builds a fresh pool."""
         if self._pool is not None:
-            self._pool.restart()
+            self._pool.shutdown()
 
     def worker_pids(self) -> Tuple[int, ...]:
         return self._pool.worker_pids() if self._pool is not None else ()

@@ -1,10 +1,11 @@
 """The one shard-round primitive every round runs, wherever it runs.
 
 Bit-identity across the ``serial`` and ``process`` backends (and the
-driver's degraded fallback) holds because they all execute the *same*
-loop, :func:`consume_batches` — behind :func:`run_work_unit` in the
-parent and in pool workers alike — against per-run :class:`~repro.faultsim.simulator.
-FaultSimulator` instances, each built by :meth:`repro.engine.artifacts.
+driver's degraded fallback) holds because every attempt of every shard
+round is one call of :func:`run_work_unit` — one
+:meth:`~repro.faultsim.simulator.FaultSimulator.simulate_batch` pass over
+the round's golden word — in the parent and in pool workers alike,
+against per-run simulators, each built by :meth:`repro.engine.artifacts.
 NetlistArtifacts.simulator` over the netlist's shared tables.  This module
 also hosts the process-backend worker entry points — they must live at
 module level so :class:`concurrent.futures.ProcessPoolExecutor` can pickle
@@ -65,42 +66,6 @@ def round_checksum(
     return hashlib.sha256(blob).hexdigest()
 
 
-def consume_batches(
-    simulator: FaultSimulator,
-    faults: List[Fault],
-    golden_batches: List[Tuple[int, Dict[int, int]]],
-    pattern_base: int,
-    drop_detected: bool,
-) -> Tuple[Dict[Fault, int], List[Fault], Dict[str, float]]:
-    """Run one round of batches for one fault list on one simulator.
-
-    The shared primitive behind every shard round, in the parent or in a
-    pool worker, and the driver's degraded in-process fallback — one implementation is what
-    keeps every execution path bit-identical.
-    """
-    start = time.perf_counter()
-    events_before = simulator.events_propagated
-    detections: Dict[Fault, int] = {}
-    live = list(faults)
-    base = pattern_base
-    patterns = 0
-    for mask, good in golden_batches:
-        width = mask.bit_length()
-        live = simulator.simulate_batch(
-            live, good, mask, base, detections, drop_detected
-        )
-        base += width
-        patterns += width
-        if not live:
-            break
-    measurements = {
-        "events": simulator.events_propagated - events_before,
-        "patterns": patterns,
-        "wall": time.perf_counter() - start,
-    }
-    return detections, live, measurements
-
-
 def _apply_chaos(
     injector: Optional["FaultInjector"],
     shard_id: int,
@@ -146,15 +111,23 @@ def run_work_unit(
     corrupt = _apply_chaos(
         unit.chaos, unit.shard_id, unit.round_index, unit.attempt, in_process
     )
+    start = time.perf_counter()
+    events_before = simulator.events_propagated
+    detections: Dict[Fault, int] = {}
     with telemetry.span(
         "engine.shard_round",
         shard=unit.shard_id, round=unit.round_index, attempt=unit.attempt,
         n_faults=len(unit.faults),
     ):
-        detections, live, measurements = consume_batches(
-            simulator, list(unit.faults), list(unit.golden_batches),
-            unit.pattern_base, unit.drop_detected,
+        live = simulator.simulate_batch(
+            unit.faults, unit.golden, unit.mask, unit.pattern_base,
+            detections, unit.drop_detected,
         )
+    measurements = {
+        "events": simulator.events_propagated - events_before,
+        "patterns": unit.mask.bit_length(),
+        "wall": time.perf_counter() - start,
+    }
     # Positions, not faults, go back: ints pickle and digest cheaply, and
     # the driver holds the unit to map them back.  Keyed by identity, which
     # hashes far cheaper than a frozen dataclass: both kernels record and

@@ -80,7 +80,7 @@ def test_run_key_ignores_execution_strategy():
         base.with_execution(executor="serial"),
         base.with_execution(jobs=1),
         base.with_execution(kernel="vec"),
-        base.replace(retry=base.retry.__class__(max_retries=9)),
+        base.replace(retry=base.retry.__class__(shard_timeout=9.0)),
         base.replace(check=False),
     ):
         assert run_key(netlist, source, faults, variant) == key

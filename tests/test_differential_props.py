@@ -11,9 +11,9 @@ netlists (Hypothesis drives the generation):
   (schedules only gates reached by events) against brute-force full
   re-evaluation with the fault forced, per pattern, asserting identical
   packed detection masks;
-* the engine's golden rounds (:meth:`GoldenBatches.golden_batch`: several
-  batches of a pattern stream evaluated as one wide word) against the
-  same batches evaluated one at a time and joined.
+* the engine's golden rounds (:meth:`GoldenBatches.golden_batch`: the
+  batches of one round of a pattern stream evaluated as one wide word)
+  against the same batches evaluated one at a time and joined.
 
 The references share no code with the implementations under test — gate
 truth tables are written out independently — so any disagreement is a real
@@ -319,10 +319,11 @@ def _joined_batches(netlist, source, batch_width, first, widths):
 
 @given(golden_rounds())
 def test_golden_round_equals_joined_per_batch_evaluations(case):
-    """``GoldenBatches.golden_batch(first, widths)`` evaluates a round
-    once and equals the per-batch evaluations joined bit for bit; the
-    batches before it are drawn but not evaluated.  The stream keeps
-    nothing, so reading the round again raises."""
+    """``GoldenBatches.golden_batch(pattern_base, width)`` evaluates a
+    round of batches ``first…`` (a short last one included) once and
+    equals the per-batch evaluations joined bit for bit; the batches
+    before it are drawn but not evaluated.  The stream keeps nothing, so
+    reading the round again raises."""
     netlist, source, batch_width, first, widths = case
     expected = _joined_batches(netlist, source, batch_width, first, widths)
     evaluator = Evaluator(netlist)
@@ -330,7 +331,8 @@ def test_golden_round_equals_joined_per_batch_evaluations(case):
     run = evaluator.run
     evaluator.run = lambda *args: calls.append(args) or run(*args)
     golden = GoldenBatches(evaluator, source, batch_width)
-    assert golden.golden_batch(first, widths) == expected
+    pattern_base, width = first * batch_width, sum(widths)
+    assert golden.golden_batch(pattern_base, width) == expected
     assert len(calls) == 1
     with pytest.raises(SimulationError, match="behind the stream"):
-        golden.golden_batch(first, widths)
+        golden.golden_batch(pattern_base, width)

@@ -172,7 +172,7 @@ def test_exhausted_retries_degrade_to_in_process_serial():
     netlist = netlists[0]
     serial = _kernel_run(netlist, jobs=1)
     chaotic = _kernel_run(
-        netlist, jobs=JOBS, retry=RetryPolicy(max_retries=2),
+        netlist, jobs=JOBS,
         chaos=FaultInjector(mode="raise", shard=1, times=10),
     )
     assert_identical(serial, chaotic)
@@ -268,6 +268,34 @@ def test_round_zero_chaos_restarts_the_pool(pool_watch, mode):
     assert pool_watch["restarts"] >= 1
     timeouts = sum(s.timeouts for s in chaotic.shards)
     assert timeouts >= 1 if mode == "delay" else timeouts == 0
+
+
+def test_broken_pool_on_submit_is_a_failed_attempt(monkeypatch):
+    """A worker that dies while a wave is still being submitted breaks
+    the pool under the next ``submit``: that shard's attempt fails and
+    retries on a rebuilt pool like any other failure, instead of the
+    error escaping ``simulate``."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.exec.process import ProcessExecutor
+
+    submit_round = ProcessExecutor.submit_round
+
+    def breaking_submit(self, unit):
+        if (unit.shard_id, unit.round_index, unit.attempt) == (2, 0, 0):
+            raise BrokenProcessPool("a worker died mid-wave")
+        return submit_round(self, unit)
+
+    monkeypatch.setattr(ProcessExecutor, "submit_round", breaking_submit)
+    _, netlists = figure4_netlists()
+    serial = _kernel_run(netlists[0], jobs=1)
+    chaotic = _kernel_run(netlists[0], jobs=3, executor="process")
+    assert_identical(serial, chaotic)
+    assert chaotic.executor == "process"
+    assert chaotic.retries >= 1
+    shard = chaotic.shards[2]
+    assert (shard.failures, shard.retries) == (1, 1)
+    assert not chaotic.degraded_shards
 
 
 # --------------------------------------------------------- checkpoint/resume
@@ -508,7 +536,7 @@ def test_chaos_with_tracing_enabled_stays_bit_identical():
     instance.enable()
     try:
         chaotic = _kernel_run(
-            netlist, jobs=JOBS, retry=RetryPolicy(max_retries=1),
+            netlist, jobs=JOBS,
             chaos=FaultInjector(mode="crash", shard=0, times=10),
         )
         assert_identical(serial, chaotic)

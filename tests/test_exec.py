@@ -36,16 +36,14 @@ KERNELS = ("packed", "vec")
 
 
 def _run(netlist, faults, *, executor=None, jobs=None, chaos=None,
-         max_retries=2, kernel=None, budget=None, max_patterns=512,
-         shard_timeout=None):
+         kernel=None, budget=None, max_patterns=512, shard_timeout=None):
     source = RandomPatternSource(len(netlist.primary_inputs), seed=23)
     config = RunConfig(
         execution=ExecutionPolicy(
             executor=executor, jobs=jobs, batch_width=64, chunk_batches=1,
             kernel=kernel,
         ),
-        retry=RetryPolicy(max_retries=max_retries, backoff=0.0,
-                          shard_timeout=shard_timeout),
+        retry=RetryPolicy(shard_timeout=shard_timeout),
         chaos=chaos,
         budget=budget,
         max_patterns=max_patterns,
@@ -163,8 +161,7 @@ def test_unrelenting_failures_degrade_in_process(backend):
     faults, _ = collapse_faults(netlist)
     baseline = _run(netlist, faults)
     chaos = FaultInjector("crash", shard=0, round_index=0, times=100)
-    result = _run(netlist, faults, executor=backend, jobs=2, chaos=chaos,
-                  max_retries=1)
+    result = _run(netlist, faults, executor=backend, jobs=2, chaos=chaos)
     assert_identical(baseline, result)
     assert 0 in result.degraded_shards
 
@@ -172,10 +169,10 @@ def test_unrelenting_failures_degrade_in_process(backend):
 def test_round_results_name_faults_by_position():
     """A round result carries ints only, each fault named by its position
     in the unit's fault tuple, so no ``Fault`` crosses the pool's pipe;
-    mapped back, it is exactly what the shared round loop found."""
+    mapped back, it is exactly what one ``simulate_batch`` pass found."""
     from repro.engine.cache import GoldenBatches
     from repro.exec.base import WorkUnit
-    from repro.exec.worker import consume_batches, round_checksum, run_work_unit
+    from repro.exec.worker import round_checksum, run_work_unit
     from repro.faultsim.simulator import FaultSimulator
 
     netlist = make_random_netlist(8, 30, seed=5)
@@ -183,19 +180,19 @@ def test_round_results_name_faults_by_position():
     simulator = FaultSimulator(netlist, 64)
     source = RandomPatternSource(len(netlist.primary_inputs), seed=23)
     golden = GoldenBatches(simulator.evaluator, source, 64)
-    batches = (((1 << 64) - 1, golden.golden_batch(0, [64])),)
+    mask, good = (1 << 64) - 1, golden.golden_batch(0, 64)
     # Reversed, so a fault's position is not its index in the run.
-    unit = WorkUnit(shard_id=0, faults=tuple(reversed(faults)),
-                    golden_batches=batches, pattern_base=0, round_index=0,
+    unit = WorkUnit(shard_id=0, faults=tuple(reversed(faults)), mask=mask,
+                    golden=good, pattern_base=0, round_index=0,
                     drop_detected=True)
     result = run_work_unit(simulator, unit, in_process=True)
     assert all(type(i) is int for i in result.detections)
     assert all(type(i) is int for i in result.survivors)
     assert result.checksum == round_checksum(
         result.detections, result.survivors, 64)
-    detections, live, _ = consume_batches(
-        FaultSimulator(netlist, 64), list(unit.faults), list(batches), 0,
-        True)
+    detections = {}
+    live = FaultSimulator(netlist, 64).simulate_batch(
+        list(unit.faults), good, mask, 0, detections, True)
     assert detections and live
     assert {unit.faults[i]: p for i, p in result.detections.items()} \
         == detections
@@ -343,7 +340,7 @@ def test_degraded_shards_are_kernel_agnostic(c3a2m, c3a2m_baseline, kernel):
     netlist, faults = c3a2m
     chaos = FaultInjector("crash", shard=0, round_index=0, times=100)
     result = _run(netlist, faults, executor="serial", jobs=2, chaos=chaos,
-                  max_retries=1, kernel=kernel)
+                  kernel=kernel)
     assert_identical(c3a2m_baseline, result)
     assert 0 in result.degraded_shards
 
@@ -419,7 +416,6 @@ def test_journal_resumes_across_kernels(tmp_path, c3a2m):
                 executor="serial", jobs=2, batch_width=64, chunk_batches=1,
                 kernel=kernel,
             ),
-            retry=RetryPolicy(max_retries=2, backoff=0.0),
             checkpoint=CheckpointPolicy(directory=ckpt, resume=resume),
             chaos=chaos,
             max_patterns=512,
