@@ -8,8 +8,9 @@ an n-bit MISR over long streams is 2^-n.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.tpg.gf2 import exponents_of
 from repro.tpg.lfsr import Type1LFSR
 from repro.tpg.polynomials import primitive_polynomial
 
@@ -21,6 +22,8 @@ class MISR:
         self.width = width
         self.polynomial = polynomial if polynomial is not None else primitive_polynomial(width)
         self._lfsr = Type1LFSR(width, self.polynomial)
+        # The stages the feedback XORs, as ``Type1LFSR`` taps them.
+        self._taps = [e - 1 for e in exponents_of(self.polynomial) if e]
 
     def signature(self, stream: Iterable[int], seed: int = 0) -> int:
         """Compress a stream of parallel response words into a signature."""
@@ -28,6 +31,22 @@ class MISR:
         for word in stream:
             state = self._lfsr.step(state) ^ (word & self._lfsr.mask)
         return state
+
+    def fold(self, stages: Sequence[int], inputs: Sequence[int]) -> List[int]:
+        """One clock of many MISRs at once, packed as the simulator packs
+        nets: ``stages[i]`` holds stage ``i + 1`` of every machine (bit
+        ``m`` is machine ``m``) and ``inputs[i]`` parallel input bit ``i``.
+        Each machine's bits step exactly as :meth:`signature` steps its
+        state."""
+        feedback = 0
+        for tap in self._taps:
+            feedback ^= stages[tap]
+        return [feedback ^ inputs[0]] + [s ^ x for s, x in zip(stages, inputs[1:])]
+
+    @staticmethod
+    def unpack(stages: Sequence[int], machine: int) -> int:
+        """One machine's signature from :meth:`fold`'s packed stages."""
+        return sum(((stage >> machine) & 1) << i for i, stage in enumerate(stages))
 
     def distinguishes(
         self, good_stream: Iterable[int], bad_stream: Iterable[int], seed: int = 0

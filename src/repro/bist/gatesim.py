@@ -7,19 +7,26 @@ carries machine ``m``'s value.  Machine 0 is conventionally the fault-free
 (golden) circuit; each other machine carries one permanent stuck-at fault,
 injected by masking the faulted net's packed value after its driver
 evaluates.  This is what lets a BIST session compute a golden signature and
-dozens of faulty signatures in a single sweep.
+dozens of faulty signatures in a single sweep; :func:`fault_passes` is the
+one place where the sessions bind collapsed faults to machines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.netlist.evaluate import Evaluator
 from repro.netlist.netlist import Netlist
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.lower import lower_nets
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faultsim.faults import Fault
+
+#: Faulty machines simulated beside the fault-free machine 0 in one pass.
+MACHINES_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,27 @@ class MachineFault:
     machine: int
     net: int       # net id in the expanded netlist
     stuck_at: int
+
+
+def fault_passes(
+    faults: Sequence["Fault"],
+) -> Iterator[Tuple[List["Fault"], List[MachineFault]]]:
+    """Split collapsed faults into simulation passes, in order.
+
+    Each pass is ``(faults, machine faults)``: up to
+    :data:`MACHINES_PER_PASS` faults bound to machines 1, 2, ..., with
+    machine 0 left fault-free, so every pass carries the golden machine.
+    An empty fault list still gives one pass, of machine 0 alone.  A
+    branch fault is bound to its net, i.e. simulated as its stem fault,
+    because the simulator masks nets, not gate input pins.
+    """
+    faults = list(faults)
+    for start in range(0, max(len(faults), 1), MACHINES_PER_PASS):
+        chunk = faults[start:start + MACHINES_PER_PASS]
+        yield chunk, [
+            MachineFault(machine, fault.net, fault.stuck_at)
+            for machine, fault in enumerate(chunk, 1)
+        ]
 
 
 class SequentialGateSimulator:

@@ -8,11 +8,17 @@ at least one SA signature differs from the fault-free (golden) signature —
 the practical notion behind Table 2's fault-coverage rows, including MISR
 aliasing, which this module also measures empirically.
 
-A session computes its fault-free (golden) signatures once per cycle
-count, so repeated :meth:`BISTSession.run` calls of one length skip the
-golden machine; and :meth:`BISTSession.pattern_coverage` routes the
-session's stimulus through :func:`repro.engine.simulate` for per-pattern
-(aliasing-free) coverage, optionally sharded over worker processes.
+Every result of a session comes from one kind of sweep: the fault-free
+machine 0 runs beside up to
+:data:`~repro.bist.gatesim.MACHINES_PER_PASS` faulty machines, each MISR
+folds all machines' SA inputs with one packed step per cycle
+(:meth:`repro.bilbo.misr.MISR.fold`), and a machine whose SA inputs differ
+from machine 0's on some cycle is marked observed before compression.  So
+the golden signatures always belong to the session's current MISRs, and
+:meth:`BISTSession.aliasing_study` simulates each fault once.
+:meth:`BISTSession.pattern_coverage` routes the session's stimulus through
+:func:`repro.engine.simulate` for per-pattern (aliasing-free) coverage,
+optionally sharded over worker processes.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bilbo.misr import MISR
-from repro.bist.gatesim import MachineFault, SequentialGateSimulator
+from repro.bist.gatesim import MachineFault, SequentialGateSimulator, fault_passes
 from repro.core.kernels import Kernel
 from repro.errors import SimulationError
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault
+from repro.guard import STOP_PATTERNS, RunGuard
 from repro.results import SessionResult
 from repro.rtl.circuit import RTLCircuit
 from repro.tpg.design import TPGDesign
@@ -75,8 +82,6 @@ class BISTSession:
 
             preflight_session(kernel, self.tpg)
         self.seed = seed
-        #: cycles -> golden MISR signatures; the TPG and seed are fixed.
-        self._golden: Dict[int, Dict[str, int]] = {}
         self.simulator = SequentialGateSimulator(circuit)
         for name in kernel.sa_registers:
             if name not in circuit.registers:
@@ -88,7 +93,7 @@ class BISTSession:
         # Decouple each MISR from the TPG: with the default table polynomial
         # the error streams of TPG-register faults (linear images of the
         # m-sequence) cancel systematically in the signature over
-        # near-period windows — measured 0.426 aliasing versus 0.180 with
+        # near-period windows — measured 0.426 aliasing versus 0.082 with
         # the reciprocal polynomial (results/bist_misr_aliasing.txt, from
         # benchmarks/test_bist_session.py).
         from repro.tpg.polynomials import (
@@ -201,72 +206,32 @@ class BISTSession:
         }
 
     def golden_signatures(self, cycles: int) -> Dict[str, int]:
-        """Fault-free MISR signatures for a session of ``cycles`` cycles.
-
-        The fault-free machine is simulated once per cycle count, however
-        many times :meth:`run` or :meth:`aliasing_study` need it.
-        """
-        streams = self.tpg.register_streams(cycles, seed=self.seed)
-        return self._golden_signatures(cycles, streams)
-
-    def _golden_signatures(
-        self, cycles: int, streams: Dict[str, List[int]]
-    ) -> Dict[str, int]:
-        if cycles not in self._golden:
-            from repro import telemetry
-
-            with telemetry.span(
-                "session.golden_signatures",
-                kernel=self.kernel.name, cycles=cycles,
-            ):
-                self._golden[cycles] = self._compute_golden_signatures(
-                    cycles, streams)
-        return dict(self._golden[cycles])
-
-    def _compute_golden_signatures(
-        self, cycles: int, streams: Dict[str, List[int]]
-    ) -> Dict[str, int]:
-        pi_defaults = self._pi_defaults()
-        tpg_registers = set(self.kernel.tpg_registers)
-        misr_states = {name: 0 for name in self._misrs}
-
-        def observe(t: int, values: Dict[int, int]) -> None:
-            for name, bits in self._sa_input_bits.items():
-                word = self.simulator.machine_word(values, bits, 0)
-                misr_states[name] = self._misrs[name]._lfsr.step(misr_states[name]) ^ word
-
-        self.simulator.run(
-            cycles,
-            lambda t: pi_defaults,
-            machines=1,
-            forced_registers=lambda t: {
-                name: streams[name][t] for name in tpg_registers
-            },
-            observe=observe,
-        )
-        return misr_states
+        """Fault-free MISR signatures for a session of ``cycles`` cycles
+        (one sweep of machine 0 alone)."""
+        return self._sweep(cycles, ())[0]
 
     def run(
         self,
         cycles: int,
         faults: Sequence[Fault] = (),
-        machines_per_pass: int = 64,
+        *,
         budget: Optional["Budget"] = None,
         cancel: Optional["CancelToken"] = None,
         config: Optional["RunConfig"] = None,
     ) -> SessionResult:
         """Run the session against a fault list.
 
-        The golden machine comes from :meth:`golden_signatures`, run once
-        per cycle count, so every pass packs ``machines_per_pass`` *faulty*
-        machines.
+        Every sweep simulates the fault-free machine 0 beside up to
+        :data:`~repro.bist.gatesim.MACHINES_PER_PASS` faulty machines, so
+        the golden signatures come from the same sweeps as the faults'.
 
         ``budget`` / ``cancel`` (see :mod:`repro.guard`) bound the run
-        cooperatively at machine-pass boundaries: a tripped deadline or
-        cancellation stops after the current pass and returns a
-        ``partial=True`` result covering the faults simulated so far, with
-        a structured ``stop_reason``.  A ``max_patterns`` budget caps the
-        session's cycle count up front.  A :class:`repro.exec.RunConfig`
+        cooperatively between sweeps: a tripped deadline or cancellation
+        stops before the next sweep and returns a ``partial=True`` result
+        covering the faults simulated so far, with a structured
+        ``stop_reason``.  The first sweep always runs, so a partial result
+        still has its golden signatures.  A ``max_patterns`` budget caps
+        the session's cycle count up front.  A :class:`repro.exec.RunConfig`
         supplies both when the explicit arguments are absent, so one
         config object governs a whole flow (the session itself is a
         sequential gate-level loop — the executor and retry policy in the
@@ -281,77 +246,12 @@ class BISTSession:
             "session.run",
             kernel=self.kernel.name, cycles=cycles, n_faults=len(faults),
         ):
-            return self._run(cycles, faults, machines_per_pass, budget, cancel)
-
-    def _run(
-        self,
-        cycles: int,
-        faults: Sequence[Fault],
-        machines_per_pass: int,
-        budget: Optional["Budget"] = None,
-        cancel: Optional["CancelToken"] = None,
-    ) -> SessionResult:
-        from repro.guard import STOP_PATTERNS, RunGuard
-
-        guard = RunGuard.create(budget, cancel)
-        capped = False
-        if budget is not None and budget.max_patterns is not None:
-            capped = budget.max_patterns < cycles
-            cycles = min(cycles, budget.max_patterns)
-        streams = self.tpg.register_streams(cycles, seed=self.seed)
-        pi_defaults = self._pi_defaults()
-        tpg_registers = set(self.kernel.tpg_registers)
-
-        def drive(t: int) -> Dict[str, int]:
-            return pi_defaults
-
-        def forced(t: int) -> Dict[str, int]:
-            return {name: streams[name][t] for name in tpg_registers}
-
-        golden = self._golden_signatures(cycles, streams)
-        fault_signatures: Dict[Fault, Dict[str, int]] = {}
-        pending = list(faults)
-        stop_reason: Optional[str] = None
-        while pending:
-            if guard is not None:
-                # Deadline / cancellation are checked between machine
-                # passes; the pattern budget was applied to ``cycles``
-                # up front, so it never fires here.
-                stop_reason = guard.should_stop(0, 0)
-                if stop_reason is not None:
-                    break
-            chunk = pending[:machines_per_pass]
-            pending = pending[machines_per_pass:]
-            machine_faults = [
-                MachineFault(i, fault.net, fault.stuck_at)
-                for i, fault in enumerate(chunk)
-            ]
-            machines = len(chunk)
-            misr_states: Dict[str, List[int]] = {
-                name: [0] * machines for name in self._misrs
-            }
-
-            def observe(t: int, values: Dict[int, int]) -> None:
-                for name, bits in self._sa_input_bits.items():
-                    misr = self._misrs[name]
-                    states = misr_states[name]
-                    for machine in range(machines):
-                        word = self.simulator.machine_word(values, bits, machine)
-                        states[machine] = misr._lfsr.step(states[machine]) ^ word
-
-            self.simulator.run(
-                cycles,
-                drive,
-                machines=machines,
-                faults=machine_faults,
-                forced_registers=forced,
-                observe=observe,
-            )
-            for i, fault in enumerate(chunk):
-                fault_signatures[fault] = {
-                    name: misr_states[name][i] for name in self._misrs
-                }
-
+            capped = False
+            if budget is not None and budget.max_patterns is not None:
+                capped = budget.max_patterns < cycles
+                cycles = min(cycles, budget.max_patterns)
+            golden, fault_signatures, _, stop_reason = self._sweep(
+                cycles, faults, RunGuard.create(budget, cancel))
         if stop_reason is None and capped:
             # The pattern budget clipped the session length: every fault
             # was processed, but over fewer cycles than requested.
@@ -369,6 +269,80 @@ class BISTSession:
             else:
                 result.undetected.append(fault)
         return result
+
+    def _sweep(
+        self,
+        cycles: int,
+        faults: Sequence[Fault],
+        guard: Optional[RunGuard] = None,
+    ) -> Tuple[Dict[str, int], Dict[Fault, Dict[str, int]], List[Fault], Optional[str]]:
+        """Simulate the session once per pass of
+        :func:`~repro.bist.gatesim.fault_passes`, checking ``guard``
+        between passes.
+
+        Returns (golden signatures, each simulated fault's signatures, the
+        faults whose SA inputs differ from the golden machine's on some
+        cycle, stop reason or None).
+        """
+        streams = self.tpg.register_streams(cycles, seed=self.seed)
+        golden: Dict[str, int] = {}
+        fault_signatures: Dict[Fault, Dict[str, int]] = {}
+        observed: List[Fault] = []
+        for n, (chunk, machine_faults) in enumerate(fault_passes(faults)):
+            if n and guard is not None:
+                stop_reason = guard.should_stop(0, 0)
+                if stop_reason is not None:
+                    return golden, fault_signatures, observed, stop_reason
+            stages, differs = self._pass(cycles, streams, machine_faults)
+            golden = {name: MISR.unpack(stages[name], 0) for name in stages}
+            for machine, fault in enumerate(chunk, 1):
+                fault_signatures[fault] = {
+                    name: MISR.unpack(stages[name], machine) for name in stages
+                }
+                if (differs >> machine) & 1:
+                    observed.append(fault)
+        return golden, fault_signatures, observed, None
+
+    def _pass(
+        self,
+        cycles: int,
+        streams: Dict[str, List[int]],
+        machine_faults: Sequence[MachineFault],
+    ) -> Tuple[Dict[str, List[int]], int]:
+        """One simulator run: the fault-free machine 0 beside one machine
+        per entry of ``machine_faults`` (bound to machines 1, 2, ...).
+
+        Returns each MISR's packed stages after the last cycle (see
+        :meth:`MISR.fold`) and the mask of machines whose SA inputs differ
+        from machine 0's on some cycle.
+        """
+        pi_defaults = self._pi_defaults()
+        tpg_registers = set(self.kernel.tpg_registers)
+        machines = len(machine_faults) + 1
+        everyone = (1 << machines) - 1
+        stages = {name: [0] * misr.width for name, misr in self._misrs.items()}
+        differs = 0
+
+        def observe(t: int, values: Dict[int, int]) -> None:
+            nonlocal differs
+            for name, bits in self._sa_input_bits.items():
+                inputs = [values[net] for net in bits]
+                stages[name] = self._misrs[name].fold(stages[name], inputs)
+                for word in inputs:
+                    # Bit m is set where machine m's bit differs from machine 0's.
+                    differs |= (word ^ everyone) if word & 1 else word
+
+        self.simulator.run(
+            cycles,
+            lambda t: pi_defaults,
+            machines=machines,
+            faults=machine_faults,
+            forced_registers=lambda t: {
+                name: streams[name][t] for name in tpg_registers
+            },
+            observe=observe,
+        )
+        return stages, differs
 
     def pattern_coverage(
         self,
@@ -432,42 +406,6 @@ class BISTSession:
     ) -> Tuple[int, int]:
         """(faults detected per-cycle but aliased in the signature, total
         per-cycle detected) — the empirical MISR aliasing rate."""
-        streams = self.tpg.register_streams(cycles, seed=self.seed)
-        pi_defaults = self._pi_defaults()
-        tpg_registers = set(self.kernel.tpg_registers)
-
-        per_cycle_detected: Dict[Fault, bool] = {f: False for f in faults}
-        session = self.run(cycles, faults)
-
-        # Re-run observing raw SA inputs for direct comparison.
-        chunk = list(faults)
-        machine_faults = [
-            MachineFault(i + 1, fault.net, fault.stuck_at)
-            for i, fault in enumerate(chunk)
-        ]
-        machines = len(chunk) + 1
-
-        def observe(t: int, values: Dict[int, int]) -> None:
-            for name, bits in self._sa_input_bits.items():
-                golden_word = self.simulator.machine_word(values, bits, 0)
-                for i, fault in enumerate(chunk):
-                    if per_cycle_detected[fault]:
-                        continue
-                    word = self.simulator.machine_word(values, bits, i + 1)
-                    if word != golden_word:
-                        per_cycle_detected[fault] = True
-
-        self.simulator.run(
-            cycles,
-            lambda t: pi_defaults,
-            machines=machines,
-            faults=machine_faults,
-            forced_registers=lambda t: {
-                name: streams[name][t] for name in tpg_registers
-            },
-            observe=observe,
-        )
-        observable = [f for f, hit in per_cycle_detected.items() if hit]
-        signature_detected = set(session.detected)
-        aliased = [f for f in observable if f not in signature_detected]
-        return len(aliased), len(observable)
+        golden, fault_signatures, observed, _ = self._sweep(cycles, faults)
+        aliased = [f for f in observed if fault_signatures[f] == golden]
+        return len(aliased), len(observed)

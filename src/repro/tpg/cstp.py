@@ -17,9 +17,9 @@ styles can be compared fault for fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.bist.gatesim import MachineFault, SequentialGateSimulator
+from repro.bist.gatesim import MachineFault, SequentialGateSimulator, fault_passes
 from repro.errors import SimulationError
 from repro.faultsim.faults import Fault
 from repro.rtl.circuit import RTLCircuit
@@ -51,12 +51,21 @@ class CSTPSession:
         self.circuit = circuit
         self.simulator = SequentialGateSimulator(circuit)
         self.ring: List[Tuple[str, int]] = []
+        # Each register's cells are one slice of the ring.
+        self._cells: Dict[str, slice] = {}
         for name in sorted(circuit.registers):
-            for bit in range(circuit.registers[name].width):
-                self.ring.append((name, bit))
+            width = circuit.registers[name].width
+            self._cells[name] = slice(len(self.ring), len(self.ring) + width)
+            self.ring.extend((name, bit) for bit in range(width))
         if not self.ring:
             raise SimulationError("CSTP needs at least one register cell")
         self.seed = seed
+        self._ring_inputs = [
+            self.simulator.register_in_bits[name][bit] for name, bit in self.ring
+        ]
+        self._pi_defaults = {
+            circuit.nets[n].name: 0 for n in circuit.primary_inputs
+        }
 
     def _initial_state(self, machines: int) -> List[int]:
         mask = (1 << machines) - 1
@@ -64,6 +73,31 @@ class CSTPSession:
             mask if (self.seed >> (i % 30)) & 1 else 0
             for i in range(len(self.ring))
         ]
+
+    def _clock(
+        self, state: List[int], machine_faults: Sequence[MachineFault] = ()
+    ) -> List[int]:
+        """One test-mode clock of the ring: cell i captures its functional
+        input XOR cell i-1.  Bit m of each cell's word is machine m; machine
+        0 is fault-free and ``machine_faults`` bind machines 1, 2, ...."""
+        captured: List[int] = []
+
+        def observe(_t: int, values: Dict[int, int]) -> None:
+            captured.extend(values[net] for net in self._ring_inputs)
+
+        machines = len(machine_faults) + 1
+        self.simulator.run(
+            1,
+            lambda _t: self._pi_defaults,
+            machines=machines,
+            faults=machine_faults,
+            observe=observe,
+            packed_register_state={
+                name: state[cells] for name, cells in self._cells.items()
+            },
+        )
+        mask = (1 << machines) - 1
+        return [(captured[i] ^ state[i - 1]) & mask for i in range(len(state))]
 
     def fault_universe(self) -> List[Fault]:
         from repro.faultsim.collapse import collapse_faults
@@ -95,44 +129,15 @@ class CSTPSession:
             for bit in range(self.circuit.registers[name].width)
         ]
         state = self._initial_state(1)
-        pi_defaults = {
-            self.circuit.nets[n].name: 0 for n in self.circuit.primary_inputs
-        }
-        cell_index = {
-            (name, bit): i for i, (name, bit) in enumerate(self.ring)
-        }
         seen: Set[int] = set()
         result: Dict[int, float] = {}
-        n_cells = len(self.ring)
         for t in range(max_cycles):
             pattern = 0
             for position, cell in enumerate(cell_positions):
                 if state[cell] & 1:
                     pattern |= 1 << position
             seen.add(pattern)
-            captured: Dict[int, int] = {}
-
-            def observe(_t, values, captured=captured):
-                for name, bits in self.simulator.register_in_bits.items():
-                    for bit, net in enumerate(bits):
-                        captured[cell_index[(name, bit)]] = values[net]
-
-            self.simulator.run(
-                1,
-                lambda _t: pi_defaults,
-                observe=observe,
-                packed_register_state={
-                    name: [
-                        state[cell_index[(name, bit)]]
-                        for bit in range(self.circuit.registers[name].width)
-                    ]
-                    for name in self.circuit.registers
-                },
-            )
-            state = [
-                (captured.get(i, 0) ^ state[(i - 1) % n_cells]) & 1
-                for i in range(n_cells)
-            ]
+            state = self._clock(state)
             if t + 1 in marks or len(seen) == space:
                 result[t + 1] = len(seen) / space
                 if len(seen) == space:
@@ -141,85 +146,22 @@ class CSTPSession:
             result[max_cycles] = len(seen) / space
         return result
 
-    def run(
-        self,
-        cycles: int,
-        faults: Sequence[Fault] = (),
-        machines_per_pass: int = 64,
-    ) -> CSTPResult:
-        """Run the circular path for ``cycles`` clocks against a fault list."""
-        pi_defaults = {
-            self.circuit.nets[n].name: 0 for n in self.circuit.primary_inputs
-        }
-        golden: Optional[Tuple[int, ...]] = None
+    def run(self, cycles: int, faults: Sequence[Fault] = ()) -> CSTPResult:
+        """Run the circular path for ``cycles`` clocks against a fault list,
+        one pass of :func:`~repro.bist.gatesim.fault_passes` at a time."""
+        golden: Tuple[int, ...] = ()
         detected: List[Fault] = []
         undetected: List[Fault] = []
-
-        pending = list(faults)
-        first = True
-        while pending or first:
-            chunk = pending[: machines_per_pass - 1]
-            pending = pending[machines_per_pass - 1:]
-            machine_faults = [
-                MachineFault(i + 1, fault.net, fault.stuck_at)
-                for i, fault in enumerate(chunk)
-            ]
-            machines = len(chunk) + 1
-            state = self._initial_state(machines)
-
-            # The CSTP update is per-machine, so the simulator runs one
-            # cycle at a time with explicit packed register state.
-            mask = (1 << machines) - 1
-            cell_index = {
-                (name, bit): i for i, (name, bit) in enumerate(self.ring)
-            }
-
-            for t in range(cycles):
-                captured: Dict[int, int] = {}
-
-                def observe(_t, values, captured=captured):
-                    for name, bits in self.simulator.register_in_bits.items():
-                        for bit, net in enumerate(bits):
-                            index = cell_index.get((name, bit))
-                            if index is not None:
-                                captured[index] = values[net]
-
-                self.simulator.run(
-                    1,
-                    lambda _t: pi_defaults,
-                    machines=machines,
-                    faults=machine_faults,
-                    observe=observe,
-                    packed_register_state={
-                        name: [
-                            state[cell_index[(name, bit)]]
-                            for bit in range(self.circuit.registers[name].width)
-                        ]
-                        for name in self.circuit.registers
-                    },
-                )
-                # Ring update: cell_i' = functional_input_i XOR cell_{i-1}.
-                n_cells = len(self.ring)
-                state = [
-                    (captured.get(i, 0) ^ state[(i - 1) % n_cells]) & mask
-                    for i in range(n_cells)
-                ]
-
-            for machine in range(machines):
-                signature = tuple(
-                    (word >> machine) & 1 for word in state
-                )
-                if machine == 0:
-                    if golden is None:
-                        golden = signature
-                    chunk_golden = signature
+        for chunk, machine_faults in fault_passes(faults):
+            state = self._initial_state(len(chunk) + 1)
+            for _ in range(cycles):
+                state = self._clock(state, machine_faults)
+            # Machine m's signature is bit m of every cell.
+            golden = tuple(word & 1 for word in state)
+            for machine, fault in enumerate(chunk, 1):
+                signature = tuple((word >> machine) & 1 for word in state)
+                if signature != golden:
+                    detected.append(fault)
                 else:
-                    fault = chunk[machine - 1]
-                    if signature != chunk_golden:
-                        detected.append(fault)
-                    else:
-                        undetected.append(fault)
-            first = False
-
-        assert golden is not None
+                    undetected.append(fault)
         return CSTPResult(cycles, golden, detected, undetected)

@@ -102,6 +102,27 @@ def test_misr_distinguishes_differing_streams():
     assert g != b
 
 
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_misr_fold_steps_every_machine_like_signature(width):
+    """The packed fold runs ``signature`` on every machine at once: bit
+    ``m`` of each stage and input word belongs to machine ``m``."""
+    import random
+
+    rng = random.Random(width)
+    misr = MISR(width)
+    streams = [[rng.getrandbits(width) for _ in range(30)] for _ in range(5)]
+    stages = [0] * width
+    for words in zip(*streams):
+        inputs = [
+            sum(((word >> i) & 1) << machine for machine, word in enumerate(words))
+            for i in range(width)
+        ]
+        stages = misr.fold(stages, inputs)
+    assert [MISR.unpack(stages, machine) for machine in range(5)] == [
+        misr.signature(stream) for stream in streams
+    ]
+
+
 def test_misr_aliasing_probability():
     assert MISR(16).aliasing_probability() == 2.0**-16
 

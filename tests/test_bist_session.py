@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bilbo.misr import MISR
+from repro.bist import gatesim
 from repro.bist.gatesim import MachineFault, SequentialGateSimulator
 from repro.bist.session import BISTSession
 from repro.core.bibs import make_bibs_testable
@@ -9,6 +11,7 @@ from repro.datapath.compiler import Add, Mul, Var, compile_datapath
 from repro.errors import SimulationError
 from repro.graph.build import build_circuit_graph
 from repro.rtl.simulate import RTLSimulator
+from repro.tpg.polynomials import primitive_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +21,42 @@ def tiny():
     circuit = compiled.circuit
     design = make_bibs_testable(build_circuit_graph(circuit))
     return circuit, design.kernels[0]
+
+
+def sa_word_streams(session, cycles, faults):
+    """Each SA register's word stream per machine, from one plain
+    simulator run: machine 0 fault-free, machine ``i + 1`` carrying
+    ``faults[i]``; ``words[name][machine][t]``."""
+    simulator = SequentialGateSimulator(session.circuit)
+    streams = session.tpg.register_streams(cycles, seed=session.seed)
+    machines = len(faults) + 1
+    words = {name: [[] for _ in range(machines)]
+             for name in session.kernel.sa_registers}
+
+    def observe(t, values):
+        for name, per_machine in words.items():
+            bits = simulator.register_in_bits[name]
+            for machine, stream in enumerate(per_machine):
+                stream.append(simulator.machine_word(values, bits, machine))
+
+    simulator.run(
+        cycles,
+        lambda t: {"a": 0, "b": 0},
+        machines=machines,
+        faults=[MachineFault(i + 1, f.net, f.stuck_at)
+                for i, f in enumerate(faults)],
+        forced_registers=lambda t: {
+            name: streams[name][t] for name in session.kernel.tpg_registers
+        },
+        observe=observe,
+    )
+    return words
+
+
+def scalar_signatures(session, words, machine):
+    """``MISR.signature`` of one machine's SA word streams."""
+    return {name: session._misrs[name].signature(per_machine[machine])
+            for name, per_machine in words.items()}
 
 
 # --------------------------------------------------------------- simulator
@@ -89,26 +128,80 @@ def test_session_signature_determinism(tiny):
     assert first.golden_signatures == second.golden_signatures
 
 
-def test_golden_signatures_are_computed_once_per_cycle_count(tiny, tele):
-    """A second run of one length reuses the session's golden signatures;
-    a run of another length computes its own."""
+def test_run_golden_signatures_equal_a_fresh_sessions(tiny):
+    """A run owns its golden signatures, and they equal a fresh session's
+    at the same length."""
     circuit, kernel = tiny
     session = BISTSession(circuit, kernel)
-
-    def golden_runs():
-        return sum(1 for record in tele.tracer.snapshot()
-                   if record.name == "session.golden_signatures")
-
     first = session.run(cycles=40)
     first.golden_signatures.clear()  # a result owns its copy
     second = session.run(cycles=40)
-    assert golden_runs() == 1
     assert set(second.golden_signatures) == set(kernel.sa_registers)
     third = session.run(cycles=41)
-    assert golden_runs() == 2
     fresh = BISTSession(circuit, kernel)
     assert second.golden_signatures == fresh.golden_signatures(40)
     assert third.golden_signatures == fresh.golden_signatures(41)
+
+
+def test_packed_fold_matches_scalar_misr_per_machine(tiny):
+    """Every signature a run reports, golden and faulty, is the scalar
+    ``MISR.signature`` of that machine's own SA word stream."""
+    circuit, kernel = tiny
+    session = BISTSession(circuit, kernel)
+    faults = session.fault_universe()[::4][:20]
+    result = session.run(40, faults=faults)
+    assert result.detected and result.undetected
+    words = sa_word_streams(session, 40, faults)
+    assert result.golden_signatures == scalar_signatures(session, words, 0)
+    for machine, fault in enumerate(faults, 1):
+        assert result.fault_signatures[fault] == scalar_signatures(
+            session, words, machine)
+
+
+def test_golden_signatures_follow_a_replaced_misr(tiny):
+    """A MISR swapped into a session folds the next run's golden machine
+    too: no golden signature outlives the polynomial that made it."""
+    circuit, kernel = tiny
+    session = BISTSession(circuit, kernel)
+    cycles = (1 << session.tpg.lfsr_stages) - 1 + 1  # near-period window
+    faults = session.kernel_fault_universe()[:20]
+    before = session.run(cycles, faults=faults)
+    for name, width in kernel.sa_registers.items():
+        session._misrs[name] = MISR(width, primitive_polynomial(width))
+    after = session.run(cycles, faults=faults)
+    expected = scalar_signatures(session, sa_word_streams(session, cycles, []), 0)
+    assert after.golden_signatures == expected
+    assert expected != before.golden_signatures
+
+
+def test_aliasing_study_is_one_sweep(tiny, monkeypatch):
+    """40 faults fit one pass, so the study simulates each fault once,
+    beside the golden machine, and agrees with a per-fault, per-cycle
+    comparison of the raw SA word streams."""
+    circuit, kernel = tiny
+    session = BISTSession(circuit, kernel)
+    faults = session.fault_universe()[::4][:40]
+    words = sa_word_streams(session, 40, faults)
+    golden = scalar_signatures(session, words, 0)
+    observable = [
+        machine for machine in range(1, len(faults) + 1)
+        if any(per_machine[machine] != per_machine[0]
+               for per_machine in words.values())
+    ]
+    aliased = [machine for machine in observable
+               if scalar_signatures(session, words, machine) == golden]
+    assert 0 < len(aliased) < len(observable) < len(faults)
+
+    runs = []
+    simulate = SequentialGateSimulator.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(args[0])
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequentialGateSimulator, "run", counted)
+    assert session.aliasing_study(40, faults) == (len(aliased), len(observable))
+    assert runs == [40]
 
 
 def test_fault_free_fault_list_gives_no_detections(tiny):
@@ -129,12 +222,27 @@ def test_aliasing_rate_is_small(tiny):
     assert aliased / observable < 0.2  # 3-bit MISR: expectation 12.5%
 
 
-def test_machines_chunking_consistency(tiny):
-    """Results are identical whatever the machines-per-pass chunking."""
+def test_machines_chunking_consistency(tiny, monkeypatch):
+    """Results are identical whatever the number of machines per pass."""
     circuit, kernel = tiny
     session = BISTSession(circuit, kernel)
     faults = session.kernel_fault_universe()[:40]
-    a = session.run(cycles=50, faults=faults, machines_per_pass=8)
-    b = session.run(cycles=50, faults=faults, machines_per_pass=64)
+    b = session.run(cycles=50, faults=faults)
+    b_aliasing = session.aliasing_study(50, faults)
+    monkeypatch.setattr(gatesim, "MACHINES_PER_PASS", 8)
+    a = session.run(cycles=50, faults=faults)
     assert a.golden_signatures == b.golden_signatures
+    assert a.fault_signatures == b.fault_signatures
     assert {f for f in a.detected} == {f for f in b.detected}
+    assert session.aliasing_study(50, faults) == b_aliasing
+
+
+def test_run_options_are_keyword_only(tiny):
+    """The pass width is a module constant, not a ``run`` option, and the
+    guard options bind by name only, so no positional call shifts."""
+    circuit, kernel = tiny
+    session = BISTSession(circuit, kernel)
+    with pytest.raises(TypeError, match="machines_per_pass"):
+        session.run(30, (), machines_per_pass=8)
+    with pytest.raises(TypeError, match="positional"):
+        session.run(30, (), 8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bist import gatesim
 from repro.core.bibs import make_bibs_testable
 from repro.bist.session import BISTSession
 from repro.datapath.compiler import Add, Mul, Var, compile_datapath
@@ -49,13 +50,16 @@ def test_detects_faults(mac3):
     assert result.coverage > 0.9
 
 
-def test_chunking_consistency(mac3):
+def test_chunking_consistency(mac3, monkeypatch):
     session = CSTPSession(mac3)
     faults = session.fault_universe()[:30]
-    a = session.run(60, faults=faults, machines_per_pass=8)
-    b = session.run(60, faults=faults, machines_per_pass=64)
+    b = session.run(60, faults=faults)
+    monkeypatch.setattr(gatesim, "MACHINES_PER_PASS", 8)
+    a = session.run(60, faults=faults)
     assert a.golden_state == b.golden_state
     assert set(a.detected) == set(b.detected)
+    with pytest.raises(TypeError, match="machines_per_pass"):
+        session.run(60, faults=faults, machines_per_pass=8)
 
 
 def test_input_coverage_needs_multiple_periods(mac3):
